@@ -275,14 +275,6 @@ def state_gauge_image(x: Triangulation, g):
     return out
 
 
-def gauge_matrix(x: Triangulation):
-    """Matrix of the state gauge map restricted to interior vertices."""
-    m = np.zeros((x.n_edges, len(x.interior_vertices)))
-    for j, v in enumerate(x.interior_vertices):
-        m[:, j] = state_gauge_image(x, {v: 1.0})
-    return m
-
-
 @dataclass(frozen=True)
 class GaugeFixing:
     """Coordinate gauge: per interior vertex one edge class and a coefficient.

@@ -2,9 +2,6 @@
 bipyramid, and the two-tetrahedron figure-eight complement)."""
 from importlib import resources
 
-BUNDLED = ["trefoil.json", "fig8.json", "knot52.json", "knot61.json",
-           "bipyramid.json", "fig8_complement.json"]
-
 
 def read_text(name: str) -> str:
     return resources.files(__package__).joinpath(name).read_text()

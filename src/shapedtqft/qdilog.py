@@ -27,12 +27,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PoleHit
+from .errors import PoleHit, QuadratureFailure
 from .params import ModularParameter
 
 __all__ = ["FaddeevDilog", "LineCache", "phi_b", "get_engine"]
 
 _PI = np.pi
+_LINE_CHECK_TOL = 1e-8      # relative spline error the LineCache self-check accepts
+_LINE_MIN_SPACING = 1.25e-3  # spacing floor: 0.02 halved four times
 _ENGINES: dict[tuple[float, float], "FaddeevDilog"] = {}
 
 
@@ -145,7 +147,8 @@ class LineCache:
     log Phi_b is interpolated by cubic splines on the left half-lines
     Im z = +-y (phase-unwrapped; the right half comes from the inversion
     relation), giving ~50x the direct-contour throughput.  Queries outside
-    the cached radius trigger a rebuild with a doubled range.
+    the cached radius trigger a rebuild with a doubled range.  A failed
+    self-check halves the spacing, down to _LINE_MIN_SPACING.
     """
 
     def __init__(self, engine: FaddeevDilog, y: float, radius: float, spacing: float = 0.02):
@@ -160,21 +163,25 @@ class LineCache:
         from scipy.interpolate import CubicSpline
         eng = self.engine
         self.radius = float(max(radius, 4.0))
-        n = int(np.ceil((self.radius + 2.0) / self.spacing)) + 1
-        xs = np.linspace(-self.radius - 2.0, 0.5, n)
-        self._splines = {}
-        for sgn in (+1.0, -1.0):
-            vals = eng(xs + 1j * sgn * self.y, check=False)
-            logs = np.log(vals)
-            logs = logs.real + 1j * np.unwrap(logs.imag)
-            self._splines[sgn] = CubicSpline(xs, logs)
-        # self-check against the direct evaluation (relative, off the nodes)
-        probes = np.linspace(-self.radius - 1.5, 0.4, 23) + 0.37 * self.spacing
-        ref = eng(probes + 1j * self.y, check=False)
-        err = np.abs(np.exp(self._splines[1.0](probes)) / ref - 1.0)
-        if err.max() > 1e-8:
+        while True:
+            n = int(np.ceil((self.radius + 2.0) / self.spacing)) + 1
+            xs = np.linspace(-self.radius - 2.0, 0.5, n)
+            self._splines = {}
+            for sgn in (+1.0, -1.0):
+                vals = eng(xs + 1j * sgn * self.y, check=False)
+                logs = np.log(vals)
+                logs = logs.real + 1j * np.unwrap(logs.imag)
+                self._splines[sgn] = CubicSpline(xs, logs)
+            # self-check against the direct evaluation (relative, off the nodes)
+            probes = np.linspace(-self.radius - 1.5, 0.4, 23) + 0.37 * self.spacing
+            ref = eng(probes + 1j * self.y, check=False)
+            err = np.abs(np.exp(self._splines[1.0](probes)) / ref - 1.0).max()
+            if err <= _LINE_CHECK_TOL:
+                return
+            if 0.5 * self.spacing < _LINE_MIN_SPACING:
+                raise QuadratureFailure(f"line cache Im z = {self.y}: spline error {err:.3g} "
+                                        f"at the spacing floor {self.spacing:.3g}")
             self.spacing *= 0.5
-            self._build(self.radius)
 
     def __call__(self, x):
         """Phi_b(x + i y) for a real array x."""

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from shapedtqft.errors import PoleHit
+from shapedtqft import qdilog
+from shapedtqft.errors import PoleHit, QuadratureFailure
 from shapedtqft.params import ModularParameter
 from shapedtqft.qdilog import FaddeevDilog, LineCache, get_engine, phi_b
 
@@ -114,3 +115,11 @@ def test_line_cache_grows_on_demand():
     x = np.array([-14.0, 14.0])
     direct = eng(x + 0.2j, check=False)
     assert np.abs(cache(x) / direct - 1).max() < 1e-7
+
+
+def test_line_cache_spacing_floor(monkeypatch):
+    # a self-check threshold no spline can meet: the build halves the
+    # spacing down to the floor, then refuses
+    monkeypatch.setattr(qdilog, "_LINE_CHECK_TOL", 0.0)
+    with pytest.raises(QuadratureFailure, match="floor"):
+        LineCache(FaddeevDilog(1.0), 0.2, 4.0)

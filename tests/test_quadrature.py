@@ -1,8 +1,8 @@
-"""Adaptive panels, truncation by decay estimate, tensor and Monte-Carlo paths."""
+"""Adaptive panels, truncation by decay estimate, trapezoid, tensor and Monte-Carlo paths."""
 import numpy as np
 import pytest
 
-from shapedtqft.errors import DecayEstimateFailure
+from shapedtqft.errors import DecayEstimateFailure, QuadratureFailure
 from shapedtqft.quadrature import QuadratureConfig, integrate_1d, integrate_nd
 
 
@@ -24,7 +24,9 @@ def test_oscillatory_1d():
 def test_product_gaussian_3d():
     cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
     res = integrate_nd(lambda p: np.exp(-np.pi * (p**2).sum(axis=1)) + 0j, 3, cfg)
+    assert res.method == "trapezoid"
     assert abs(res.value - 1.0) < 1e-9
+    assert abs(res.value - 1.0) <= res.error_estimate
 
 
 def test_gaussian_2d_offdiagonal():
@@ -36,7 +38,26 @@ def test_gaussian_2d_offdiagonal():
         return np.exp(-(x**2 + x * y + y**2)) + 0j
 
     res = integrate_nd(f, 2, cfg)
+    assert res.method == "trapezoid"
     assert abs(res.value - 2 * np.pi / np.sqrt(3)) < 1e-8
+    assert abs(res.value - 2 * np.pi / np.sqrt(3)) <= res.error_estimate
+
+
+def test_trapezoid_reproducible():
+    cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
+    f = lambda p: np.exp(-(p**2).sum(axis=1) + 0.5j * p[:, 0] * p[:, 1])  # noqa: E731
+    r1 = integrate_nd(f, 2, cfg)
+    r2 = integrate_nd(f, 2, cfg)
+    assert (r1.value, r1.error_estimate, r1.evaluations) == \
+        (r2.value, r2.error_estimate, r2.evaluations)
+
+
+def test_trapezoid_refuses_unattainable_tolerance():
+    # the kink at the origin limits the trapezoid to O(h^2): tol 1e-14 is
+    # refused once the next halving would exceed the grid cap
+    cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14)
+    with pytest.raises(QuadratureFailure, match="would exceed"):
+        integrate_nd(lambda p: np.exp(-np.abs(p).sum(axis=1)) + 0j, 2, cfg)
 
 
 def test_tolerance_tightening_consistency():
