@@ -30,6 +30,9 @@ from .tqft import (check_pachner_invariance, check_shape_gauge_invariance,
                    faddeev_popov_check, knot_quad_angle, partition_function)
 
 EXIT_OK, EXIT_RESIDUAL, EXIT_USAGE, EXIT_SCHEMA = 0, 1, 2, 3
+VERIFY_TOL = 1e-7
+# suites whose quadrature runs tighter than VERIFY_TOL when --tol is not given
+SUITE_TOL = {"pentagon": 1e-9, "pachner": 1e-8, "gauge": 1e-9}
 
 
 def _emit(report, path=None):
@@ -182,8 +185,9 @@ def _suite_report(name, residuals, threshold, params=None):
 def cmd_verify(args):
     rng = np.random.default_rng(args.seed)
     mp = ModularParameter(args.b)
-    cfg = _config(args)
     name = args.suite
+    tol = args.tol if args.tol is not None else SUITE_TOL.get(name, VERIFY_TOL)
+    cfg = QuadratureConfig(abs_tol=tol, rel_tol=tol, rng_seed=args.seed)
     residuals = []
     params = []
     if name == "entropy":
@@ -194,7 +198,6 @@ def cmd_verify(args):
             residuals.append(check_entropy_pentagon(*tup))
     elif name == "pentagon":
         threshold = args.max_residual or 1e-5
-        cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9, rng_seed=args.seed)
         for _ in range(args.trials):
             p = random_balanced_33(rng, mp)
             params.append({"a": [str(v) for v in p.a], "b": [str(v) for v in p.b]})
@@ -225,6 +228,7 @@ def cmd_verify(args):
             t = (q - parts[0] - parts[1] - parts[2] - parts[3]) / 2
             pair = bailey_pair_seed(al, be, t, mp)
             w = rng.uniform(-0.1, 0.1) * q
+            params.append({"alpha": list(al), "beta": list(be), "t": t, "w": w})
             residuals.append(verify_bailey_pair(pair, w, mp, cfg))
     elif name == "octahedron":
         threshold = args.max_residual or 1e-3
@@ -238,7 +242,6 @@ def cmd_verify(args):
         from .complexes import standalone_bipyramid
         threshold = args.max_residual or 1e-5
         bp, central = standalone_bipyramid()
-        cfg = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8, rng_seed=args.seed)
         for _ in range(args.trials):
             ang = _random_bipyramid_angles(rng)
             bs = dict(zip(bp.boundary_edges,
@@ -250,14 +253,14 @@ def cmd_verify(args):
         x, angles = _load_bundled("trefoil.json")
         gA = GaugeFixing(((0, 0, 0.5),))
         gB = GaugeFixing(((0, 1, 0.5),))
-        cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9, rng_seed=args.seed)
         residuals.append(faddeev_popov_check(x, angles, gA, gB, mp, cfg)["rel_discrepancy"])
         residuals.append(check_shape_gauge_invariance(x, angles, 0, 0.05, mp, cfg)["rel_discrepancy"])
     else:
         print(f"unknown suite '{name}'", file=sys.stderr)
         return EXIT_USAGE
     report = _suite_report(name, residuals, threshold, params or None)
-    report["config"] = {"seed": args.seed, "b": args.b, "tol": args.tol,
+    report["config"] = {"seed": args.seed, "b": args.b,
+                        "tol": args.tol if args.tol is not None else VERIFY_TOL,
                         "trials": args.trials}
     report["seed"] = args.seed
     report["b"] = args.b
@@ -315,7 +318,9 @@ def main(argv=None):
     vp.add_argument("--trials", type=int, default=5)
     vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--b", type=float, default=1.0)
-    vp.add_argument("--tol", type=float, default=1e-7)
+    vp.add_argument("--tol", type=float, default=None,
+                    help=f"quadrature tolerance (default {VERIFY_TOL:g}; "
+                         + ", ".join(f"{k} {v:g}" for k, v in SUITE_TOL.items()) + ")")
     vp.add_argument("--max-residual", type=float, default=None)
     vp.add_argument("--out", default=None)
     vp.set_defaults(func=cmd_verify)

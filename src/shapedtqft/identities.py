@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from .errors import ConstraintViolation
 from .params import EllipticBases, ModularParameter
-from .quadrature import QuadratureConfig, integrate_1d
+from .quadrature import QuadratureConfig, integrate_1d, integrate_nd
 from .special import (cap_psi, classical_beta, elliptic_gamma, gamma2_line,
                       hyper_B, hyperbolic_gamma)
 
@@ -346,10 +346,10 @@ def check_octahedron_duality(alpha_params, beta_params, t, s, u, w,
     """Four-tetrahedron vs five-tetrahedron octahedron partition functions.
 
     Z4 is the composed kernel as a single integral (four B-factors, 1D);
-    Z5 re-expands the seed transform, giving a genuine iterated 2D
-    integral (five B-factors).  Equality is the pentagon identity acting
-    inside the composition.  All gamma factors run along fixed horizontal
-    lines and are spline-cached.
+    Z5 re-expands the seed transform into a 2D integral over (x, y) (five
+    B-factors), taken in one call to the 2D trapezoid.  Equality is the
+    pentagon identity acting inside the composition.  All gamma factors run
+    along fixed horizontal lines and are spline-cached.
 
     `skew` shifts the kernel parameter on the Z4 side only (negative
     control: a nonzero skew must produce a macroscopic residual).  Note the
@@ -400,20 +400,15 @@ def check_octahedron_duality(alpha_params, beta_params, t, s, u, w,
     den_b1 = complex(hyperbolic_gamma(s + w + u, mp, ptol))
     c_big = complex(hyperbolic_gamma(s + 2 * t + u + w, mp, ptol))
     den_ker = complex(hyperbolic_gamma(2 * t, mp, ptol))
-    inner_cfg = cfg.tighter(0.2)
 
-    def z5_outer(xs):
-        out = np.empty(len(xs), dtype=complex)
-        for i, xv in enumerate(xs):
-            def fin(ys, xv=xv):
-                ker = l_t(xv - ys) * l_t(ys - xv) / den_ker
-                return ker * alpha_seed(ys)
-            inner = integrate_1d(fin, inner_cfg).value
-            out[i] = (l_sw(-xv) * l_u(xv) / den_b1
-                      * c_big * l_swm(xv) / l_den2(xv) * inner)
-        return out
+    def z5_integrand(p):
+        # B(s+w-x, u+x) B(s+2t+u+w, s-w+x) B(t+x-y, t-x+y) prod_i B(al_i - y, be_i + y)
+        xs, ys = p[:, 0], p[:, 1]
+        outer = l_sw(-xs) * l_u(xs) / den_b1 * c_big * l_swm(xs) / l_den2(xs)
+        ker = l_t(xs - ys) * l_t(ys - xs) / den_ker
+        return outer * ker * alpha_seed(ys)
 
-    z5 = integrate_1d(z5_outer, cfg).value
+    z5 = integrate_nd(z5_integrand, 2, cfg).value
     return abs(z4 - z5) / max(abs(z4), abs(z5))
 
 

@@ -15,13 +15,15 @@ with c_b = i(b + 1/b)/2.  Key properties used and exposed here:
 Numerics: the contour R+i0 is deformed to the straight line Im w = h0
 (h0 = min(b,1/b)/2, safely below the first sinh zero at i pi min(b,1/b)),
 where the third-order pole at w = 0 is a smooth bump; 24-point Gauss
-panels sized to the maximal kernel frequency cover the line, truncated
-where the analytic envelope exp(-(b + 1/b - 2|Im z|)|t|) falls below the
-target precision.  Before
+panels sized to the maximal kernel frequency cover the line (the panel
+next to the pole is split in two), truncated where the analytic envelope
+exp(-(b + 1/b - 2|Im z|)|t|) falls below the target precision.  Before
 integrating, Im z is folded into [-d/2, d/2] (d = min(b,1/b)) by the shift
-relations and |Re z| beyond the asymptotic threshold is handled by
-Phi_b -> 1 (left) or the inversion relation (right).  Evaluation is
-vectorized over arrays of z.
+relations; Re z > 0 is taken from the inversion relation and Re z below
+the asymptotic threshold -re_cut as Phi_b -> 1, so the contour is only
+summed at Re z in [-re_cut, 0].  Evaluation is vectorized over arrays of
+z; FaddeevDilog.line factors the sums for a uniform grid on a horizontal
+line into two matrix products.
 """
 from __future__ import annotations
 
@@ -62,11 +64,15 @@ class FaddeevDilog:
         rate_min = 2.0 * (self.cb_abs - self.band)
         rmax = (np.log(1.0 / tol) + 4.0) / rate_min
         panel_w = min(2.0, 4.5 * np.pi / self.re_cut)
+        # the first panel is split in two: the third-order pole at w = 0 sits
+        # only h0 below the contour, closer than a half-width of a full panel
         xs, ws = np.polynomial.legendre.leggauss(24)
         nhalf = int(np.ceil(rmax / panel_w))
-        mids = panel_w * (np.arange(nhalf) + 0.5)
-        t = (mids[:, None] + 0.5 * panel_w * xs[None, :]).ravel()
-        w = np.tile(0.5 * panel_w * ws, nhalf)
+        edges = np.concatenate([[0.0, 0.5 * panel_w], panel_w * np.arange(1, nhalf + 1)])
+        mids = 0.5 * (edges[1:] + edges[:-1])
+        halves = 0.5 * np.diff(edges)
+        t = (mids[:, None] + halves[:, None] * xs[None, :]).ravel()
+        w = (halves[:, None] * ws[None, :]).ravel()
         wp = t + 1j * self.h0
         wm = -t + 1j * self.h0
         self._tpos = t
@@ -96,24 +102,48 @@ class FaddeevDilog:
             raise PoleHit(f"Phi_b argument {zbad} within {self.pole_tol} of the zero/pole lattice")
 
     # -- evaluation ----------------------------------------------------------
+    def _nodes(self, ymax):
+        """Contour nodes and weights needed for |Im z| <= ymax."""
+        rate = 2.0 * (self.cb_abs - ymax)
+        m = self._tpos <= (np.log(1.0 / self.tol) + 4.0) / rate
+        return self._tpos[m], self._gp[m], self._gm[m]
+
     def _raw(self, z):
         """Direct contour integral; requires |Im z| <= band and |Re z| <= re_cut."""
-        ymax = float(np.abs(z.imag).max()) if z.size else 0.0
-        rate = 2.0 * (self.cb_abs - ymax)
-        r_need = (np.log(1.0 / self.tol) + 4.0) / rate
-        m = self._tpos <= r_need
-        t = self._tpos[m]
+        t, gp, gm = self._nodes(float(np.abs(z.imag).max()))
         ker = np.exp(np.multiply.outer(-2j * z, t))
         # e^{-2iz(+-t + i h0)} = e^{-+2izt} * e^{2 z h0}
-        logv = np.exp(2.0 * z * self.h0) * (ker @ self._gp[m] + (1.0 / ker) @ self._gm[m])
+        logv = np.exp(2.0 * z * self.h0) * (ker @ gp + (1.0 / ker) @ gm)
         return np.exp(logv)
 
-    def __call__(self, z, check=True):
-        z = np.asarray(z, dtype=complex)
-        scalar = z.ndim == 0
-        z = np.atleast_1d(z)
-        if check:
-            self.check_poles(z)
+    def _raw_grid(self, z0, dx, n):
+        """_raw on the uniform grid z0 + k dx, k < n, through two GEMMs.
+
+        With k = j B + l the kernel factors as e^{-2i(z0 + jB dx)t} e^{-2i l dx t}:
+        n/B + B rows of exps instead of n, the head rows have unit modulus
+        (their reciprocal is their conjugate), and the sums over t become two
+        (n/B x M) @ (M x B) products.
+        """
+        t, gp, gm = self._nodes(abs(z0.imag))
+        blk = max(1, int(np.sqrt(n)))
+        nb = -(-n // blk)
+        heads = np.exp(np.multiply.outer(-2j * dx * np.arange(blk), t))
+        starts = -2j * (z0 + blk * dx * np.arange(nb))
+        ker = np.exp(np.multiply.outer(starts, t))
+        fwd, bwd = ker * gp, gm / ker
+        sums = (fwd @ heads.T + bwd @ heads.conj().T).ravel()[:n]
+        z = z0 + dx * np.arange(n)
+        return np.exp(np.exp(2.0 * z * self.h0) * sums)
+
+    def _evaluate(self, z, raw):
+        """Phi_b on a 1D array z: fold Im z into [-band, band] by the shift
+        relations, then take Re z > 0 from the inversion relation and
+        Re z < -re_cut as 1.
+
+        raw gets the remaining folded points with Re in [-re_cut, 0], in
+        increasing order of Re; the contour sums are well conditioned there,
+        while at Re z > 0 the factor e^{2 z h0} amplifies their rounding.
+        """
         pref = np.ones(z.shape, dtype=complex)
         zz = z.copy()
         n = np.round(zz.imag / self.step).astype(int)
@@ -128,17 +158,33 @@ class FaddeevDilog:
                 pref[lo] *= (1.0 + self.q1 * np.exp(2 * _PI * self.step * zz[lo]))
                 zz[lo] += 1j * self.step
                 n[lo] += 1
-        out = np.empty_like(zz)
-        far_neg = zz.real < -self.re_cut
-        far_pos = zz.real > self.re_cut
-        mid = ~(far_neg | far_pos)
-        out[far_neg] = 1.0
-        if far_pos.any():
-            out[far_pos] = np.exp(1j * _PI * zz[far_pos] ** 2) / self.zeta_inv
-        if mid.any():
-            out[mid] = self._raw(zz[mid])
-        res = pref * out
-        return res[0] if scalar else res
+        out = np.ones(zz.shape, dtype=complex)
+        right = zz.real > 0
+        near = np.abs(zz.real) <= self.re_cut
+        for half, sgn in ((~right, 1), (right, -1)):
+            idx = np.flatnonzero(half & near)[::sgn]
+            if idx.size:
+                out[idx] = raw(sgn * zz[idx])
+        # Phi_b(z) = zeta_inv^{-1} e^{i pi z^2} / Phi_b(-z)
+        out[right] = np.exp(1j * _PI * zz[right] ** 2) / self.zeta_inv / out[right]
+        return pref * out
+
+    def __call__(self, z, check=True):
+        z = np.asarray(z, dtype=complex)
+        if check:
+            self.check_poles(z)
+        res = self._evaluate(z.ravel(), self._raw).reshape(z.shape)
+        return res[()] if z.ndim == 0 else res
+
+    def line(self, x0: float, dx: float, n: int, y: float):
+        """Phi_b(x0 + k dx + i y) for k = 0..n-1 (dx > 0), without pole checks.
+
+        Same values as __call__ on these points; the contour sums run through
+        _raw_grid, since each half of the folded line that _evaluate hands
+        to raw is again a uniform grid on one line.
+        """
+        z = x0 + dx * np.arange(n) + 1j * y
+        return self._evaluate(z, lambda zm: self._raw_grid(zm[0], dx, len(zm)))
 
 
 class LineCache:
@@ -146,9 +192,12 @@ class LineCache:
 
     log Phi_b is interpolated by cubic splines on the left half-lines
     Im z = +-y (phase-unwrapped; the right half comes from the inversion
-    relation), giving ~50x the direct-contour throughput.  Queries outside
-    the cached radius trigger a rebuild with a doubled range.  A failed
-    self-check halves the spacing, down to _LINE_MIN_SPACING.
+    relation).  The spline nodes are a uniform grid on each half-line, which
+    FaddeevDilog.line evaluates with two GEMMs instead of an exp per node
+    and contour node.  Both splines are checked against the direct engine
+    off the nodes.  Queries outside the cached radius trigger a rebuild with
+    a doubled range.  A failed self-check halves the spacing, down to
+    _LINE_MIN_SPACING.
     """
 
     def __init__(self, engine: FaddeevDilog, y: float, radius: float, spacing: float = 0.02):
@@ -163,19 +212,22 @@ class LineCache:
         from scipy.interpolate import CubicSpline
         eng = self.engine
         self.radius = float(max(radius, 4.0))
+        x0 = -self.radius - 2.0
         while True:
             n = int(np.ceil((self.radius + 2.0) / self.spacing)) + 1
-            xs = np.linspace(-self.radius - 2.0, 0.5, n)
-            self._splines = {}
+            dx = (0.5 - x0) / (n - 1)
+            xs = x0 + dx * np.arange(n)
+            # self-check of both splines against the direct evaluation (relative,
+            # off the nodes); the -y spline at the probes is the cache at the
+            # mirrored points x > 0.25
+            probes = np.linspace(-self.radius - 1.5, 0.4, 23) + 0.37 * self.spacing
+            self._splines, err = {}, 0.0
             for sgn in (+1.0, -1.0):
-                vals = eng(xs + 1j * sgn * self.y, check=False)
-                logs = np.log(vals)
+                logs = np.log(eng.line(x0, dx, n, sgn * self.y))
                 logs = logs.real + 1j * np.unwrap(logs.imag)
                 self._splines[sgn] = CubicSpline(xs, logs)
-            # self-check against the direct evaluation (relative, off the nodes)
-            probes = np.linspace(-self.radius - 1.5, 0.4, 23) + 0.37 * self.spacing
-            ref = eng(probes + 1j * self.y, check=False)
-            err = np.abs(np.exp(self._splines[1.0](probes)) / ref - 1.0).max()
+                ref = eng(probes + 1j * sgn * self.y, check=False)
+                err = max(err, np.abs(np.exp(self._splines[sgn](probes)) / ref - 1.0).max())
             if err <= _LINE_CHECK_TOL:
                 return
             if 0.5 * self.spacing < _LINE_MIN_SPACING:

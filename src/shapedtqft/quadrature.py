@@ -7,13 +7,16 @@ where an empirically fitted exponential envelope C*exp(-mu*r) drops below
 abs_tol/(10*dim).  1D panels are refined with a nested Gauss-Kronrod pair;
 2D and 3D boxes take a nested-halving tensor trapezoid, exponentially
 convergent on integrands analytic in a strip around the real state space
-(Trefethen & Weideman, SIAM Review 56, 2014).  Sums are accumulated in a
-fixed order so results are reproducible to the bit.
+(Trefethen & Weideman, SIAM Review 56, 2014).  Its error is the halving
+difference plus the truncation tail measured on the faces of the box; a
+box whose tail alone exceeds the tolerance is refused with
+QuadratureFailure.  Sums are accumulated in a fixed order so results are
+reproducible to the bit.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,9 +60,6 @@ class QuadratureConfig:
     phib_tol: float = 1e-13             # precision requested from the special-function kernel
     force_monte_carlo: bool = False
     max_panels: int = 60_000
-
-    def tighter(self, factor: float) -> "QuadratureConfig":
-        return replace(self, abs_tol=self.abs_tol * factor, rel_tol=self.rel_tol * factor)
 
 
 @dataclass
@@ -219,13 +219,17 @@ def _trapezoid(f, dim, cfg, radii, rates, counter):
     """Nested-halving tensor trapezoid on the box prod_j [-r_j, r_j].
 
     Nodes sit at k*h; each halving evaluates only the new nodes (an odd
-    index on some axis), in C-order slices.  Returns T(h/2) once
-    |T(h) - T(h/2)| meets the tolerance, with that difference plus a tail
-    bound as its error: for each face, 4 * (integral of |f| over the
-    outermost layer of odd index, new in the last halving) / (the fitted
-    rate of that ray).  The layer is measured rather than extrapolated
-    from the fit on the axis, because the integrand's ridge can leave the
-    box off the axis.
+    index on some axis), in C-order slices.  The error of T(h/2) is
+    |T(h) - T(h/2)| plus a tail bound: for each face, 4 * (integral of |f|
+    over the outermost layer of odd index, new in the last halving) / (the
+    fitted rate of that ray).  The layer is measured rather than
+    extrapolated from the fit on the axis, because the integrand's ridge can
+    leave the box off the axis.  Returns T(h/2) once that error meets the
+    tolerance.  Raises QuadratureFailure when the halving difference meets
+    it but the tail alone exceeds it: the box is too small, and halving h
+    further would only move the measured layer towards the faces.  (On a
+    coarse grid the tail is measured further inside the box, so it is not
+    judged alone before the halving difference has converged.)
     """
     h, total, value, err = 2.0 * _TRAP_H0, 0j, None, np.inf
     while True:
@@ -250,8 +254,13 @@ def _trapezoid(f, dim, cfg, radii, rates, counter):
         prev, value = value, h ** dim * total
         if prev is not None:
             err = abs(value - prev)
-            if err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-                return value, err + 4.0 * h ** (dim - 1) * float(np.sum(layers / rates))
+            tail = 4.0 * h ** (dim - 1) * float(np.sum(layers / rates))
+            tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+            if err + tail <= tol:
+                return value, err + tail
+            if err <= tol < tail:
+                raise QuadratureFailure(f"truncation tail {tail:.3g} measured on the faces of the "
+                                        f"box exceeds tolerance {tol:.3g}; the box is too small")
 
 
 def _tensor4(f, cfg, radii, counter):

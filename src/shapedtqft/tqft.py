@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import QUAD_PAIRS, GaugeFixing, Triangulation, validate_angles
-from .errors import InvalidGauge
+from .errors import InvalidGauge, ShapeViolation
 from .params import ModularParameter
 from .quadrature import QuadratureConfig, integrate_nd
 from .special import hyperbolic_gamma
@@ -45,7 +45,7 @@ def tet_weight(orientation: int, angles3, s6, mp: ModularParameter,
     """Boltzmann weight of one tetrahedron; s6 is (..., 6) over local edges."""
     a = np.asarray(angles3, dtype=float)
     if abs(a.sum() - np.pi) > 1e-9 or (a <= 0).any() or (a >= np.pi).any():
-        raise ValueError(f"angles {a} are not a shape (positive, sum pi)")
+        raise ShapeViolation(f"angles {a} are not a shape (positive, sum pi)")
     s = np.atleast_2d(np.asarray(s6, dtype=float))
     stil = np.stack([s[:, QUAD_PAIRS[q][0]] + s[:, QUAD_PAIRS[q][1]] for q in range(3)], axis=1)
     args = np.empty((s.shape[0], 3), dtype=complex)

@@ -4,8 +4,12 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+from shapedtqft import cli
 from shapedtqft.data import path_of
+from shapedtqft.params import ModularParameter
+from shapedtqft.quadrature import QuadratureConfig
 
 
 def run_cli(*args, timeout=600):
@@ -94,6 +98,39 @@ def test_verify_reports_are_byte_identical():
     assert r1.stdout == r2.stdout
     r3 = run_cli("verify", "entropy", "--trials", "20", "--seed", "4")
     assert r3.stdout != r1.stdout
+
+
+@pytest.mark.parametrize("suite, checks, default_tol", [
+    ("pentagon", ("check_hyperbolic_pentagon",), 1e-9),
+    ("pachner", ("check_pachner_invariance",), 1e-8),
+    ("gauge", ("faddeev_popov_check", "check_shape_gauge_invariance"), 1e-9),
+])
+def test_verify_suites_honour_tol(monkeypatch, capsys, suite, checks, default_tol):
+    # each suite keeps its own tolerance by default and takes --tol when given;
+    # the reported config is unchanged without --tol
+    seen = []
+
+    def fake(*args, **kwargs):
+        seen.append(next(a.abs_tol for a in args if isinstance(a, QuadratureConfig)))
+        return 0.0 if suite == "pentagon" else {"rel_discrepancy": 0.0}
+
+    for name in checks:
+        monkeypatch.setattr(cli, name, fake)
+    assert cli.main(["verify", suite, "--trials", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["tol"] == 1e-7
+    assert cli.main(["verify", suite, "--trials", "1", "--tol", "3e-6"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["tol"] == 3e-6
+    half = len(seen) // 2
+    assert seen[:half] == [default_tol] * half and seen[half:] == [3e-6] * half
+
+
+def test_verify_bailey_reports_parameters(capsys):
+    assert cli.main(["verify", "bailey", "--trials", "2", "--seed", "5"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert len(rep["parameters"]) == len(rep["residuals"]) == 2
+    q = ModularParameter(1.0).q_total
+    for par in rep["parameters"]:
+        assert abs(2 * par["t"] + sum(par["alpha"]) + sum(par["beta"]) - q) < 1e-12
 
 
 def test_verify_gauge_suite():

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from shapedtqft import identities
 from shapedtqft.errors import ConstraintViolation
 from shapedtqft.identities import (BalancedParams33, BalancedParams6,
                                    bailey_pair_seed, bailey_step,
@@ -182,6 +183,20 @@ def test_octahedron_skew_sensitivity(mp1):
     good = check_octahedron_duality(al, be, t, s, u, w, mp1, cfg)
     bad = check_octahedron_duality(al, be, t, s, u, w, mp1, cfg, skew=1e-2)
     assert bad > 10 * max(good, 1e-8)
+
+
+def test_octahedron_one_integral_per_side(mp1, monkeypatch):
+    # Z4 is one 1D integral and Z5 one 2D integral: no nested quadrature
+    calls = {"integrate_1d": 0, "integrate_nd": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(identities, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(identities, name, counted)
+    cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
+    al, be, t, s, u, w = random_octahedron_params(np.random.default_rng(29), mp1)
+    assert check_octahedron_duality(al, be, t, s, u, w, mp1, cfg) < 1e-4
+    assert calls == {"integrate_1d": 1, "integrate_nd": 1}
 
 
 def test_octahedron_covariant_under_common_t_shift(mp1):

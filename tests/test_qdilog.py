@@ -69,8 +69,9 @@ def test_spec_inversion_example():
 def test_against_mpmath_oracle():
     # independent high-precision quadrature of the defining contour integral
     mpmath = pytest.importorskip("mpmath")
-    for b, z in ((1.0, 0.3 + 0.0j), (1.0, -1.2 + 0.2j), (1.2, 0.7 + 0.2j)):
-        mpmath.mp.dps = 30
+    mpmath.mp.dps = 40
+    for b, z in ((1.0, 0.3 + 0.0j), (1.0, -1.2 + 0.2j), (1.2, 0.7 + 0.2j),
+                 (0.77, 0.5 - 0.1j), (0.77, -2.1 + 0.25j)):
         bb = mpmath.mpf(b)
         zz = mpmath.mpc(z)
         h = mpmath.mpf(0.5) * min(bb, 1 / bb)
@@ -79,9 +80,10 @@ def test_against_mpmath_oracle():
             w = t + 1j * h
             return mpmath.e**(-2j * zz * w) / (4 * mpmath.sinh(w * bb) * mpmath.sinh(w / bb) * w)
 
-        ref = complex(mpmath.e**mpmath.quad(f, [-mpmath.inf, 0, mpmath.inf]))
+        breaks = [-mpmath.inf] + list(range(-40, 41, 2)) + [mpmath.inf]
+        ref = complex(mpmath.e**mpmath.quad(f, breaks))
         ours = complex(phi_b(z, ModularParameter(b)))
-        assert abs(ours / ref - 1) < 1e-10
+        assert abs(ours / ref - 1) < 1e-12
 
 
 def test_pole_and_zero_locations():
@@ -97,6 +99,21 @@ def test_pole_and_zero_locations():
     up = abs(eng(1j + 1e-3, check=False))
     dn = abs(eng(-1j + 1e-3, check=False))
     assert up > 1e2 and dn < 1e-2
+
+
+@pytest.mark.parametrize("b", [1.0, 1.3, 0.77])
+def test_line_grid_matches_direct(b):
+    # lines across the strip, folded ones (|y| > band) included, on a build
+    # grid and on grids that cross -re_cut and +re_cut
+    eng = FaddeevDilog(b)
+    assert 0.95 * eng.cb_abs > eng.band
+    worst = 0.0
+    for y in np.linspace(-0.95, 0.95, 9) * eng.cb_abs:
+        for x0, x1, n in ((-12.0, 0.5, 626), (-eng.re_cut - 1.3, eng.re_cut + 0.9, 501)):
+            dx = (x1 - x0) / (n - 1)
+            direct = eng(x0 + dx * np.arange(n) + 1j * y, check=False)
+            worst = max(worst, np.abs(eng.line(x0, dx, n, y) / direct - 1).max())
+    assert worst <= 1e-13
 
 
 def test_line_cache_matches_direct():
@@ -121,5 +138,19 @@ def test_line_cache_spacing_floor(monkeypatch):
     # a self-check threshold no spline can meet: the build halves the
     # spacing down to the floor, then refuses
     monkeypatch.setattr(qdilog, "_LINE_CHECK_TOL", 0.0)
+    with pytest.raises(QuadratureFailure, match="floor"):
+        LineCache(FaddeevDilog(1.0), 0.2, 4.0)
+
+
+def test_line_cache_checks_both_half_lines(monkeypatch):
+    # the right half of the cache comes from the spline on Im z = -y: spoil
+    # only that spline's nodes and the self-check must refuse the cache
+    grid = FaddeevDilog.line
+
+    def spoiled(self, x0, dx, n, y):
+        vals = grid(self, x0, dx, n, y)
+        return vals * (1.0 + 1e-6) if y < 0 else vals
+
+    monkeypatch.setattr(FaddeevDilog, "line", spoiled)
     with pytest.raises(QuadratureFailure, match="floor"):
         LineCache(FaddeevDilog(1.0), 0.2, 4.0)

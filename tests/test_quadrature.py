@@ -60,6 +60,21 @@ def test_trapezoid_refuses_unattainable_tolerance():
         integrate_nd(lambda p: np.exp(-np.abs(p).sum(axis=1)) + 0j, 2, cfg)
 
 
+def test_trapezoid_refuses_box_that_misses_a_ridge():
+    # a ridge at 22.5 degrees runs between the probed axis and diagonal rays,
+    # so the fitted box cuts it where |f| is still far above tol: the tail
+    # measured on the faces is refused, not returned as the error
+    th = np.pi / 8
+
+    def f(p):
+        along = p[:, 0] * np.cos(th) + p[:, 1] * np.sin(th)
+        across = -p[:, 0] * np.sin(th) + p[:, 1] * np.cos(th)
+        return np.exp(-2.0 * across**2) / np.cosh(2.5 * along) + 0j
+
+    with pytest.raises(QuadratureFailure, match="tail"):
+        integrate_nd(f, 2, QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9))
+
+
 def test_tolerance_tightening_consistency():
     # doubling effort keeps results within reported error estimates
     def f(t):

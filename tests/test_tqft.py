@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from shapedtqft.complexes import GaugeFixing, standalone_bipyramid, state_gauge_image
+from shapedtqft.errors import ShapeViolation
 from shapedtqft.params import ModularParameter
 from shapedtqft.qdilog import phi_b
 from shapedtqft.quadrature import QuadratureConfig
@@ -24,6 +25,13 @@ def test_tet_weight_zero_state_symmetric(mp1):
     w = tet_weight(+1, np.full(3, np.pi / 3), np.zeros(6), mp1)
     g = complex(hyperbolic_gamma(mp1.delta * np.pi / 3, mp1))
     assert abs(w - g**3) < 1e-12
+
+
+def test_tet_weight_rejects_non_shape(mp1):
+    # same typed error as validate_angles
+    for bad in ([1.0, 1.0, 1.0], [np.pi, 0.0, 0.0], [2.0, 1.5, np.pi - 3.5]):
+        with pytest.raises(ShapeViolation):
+            tet_weight(+1, bad, np.zeros(6), mp1)
 
 
 def test_tet_weight_gauge_invariance(mp1):
