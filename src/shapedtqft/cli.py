@@ -15,8 +15,9 @@ import sys
 import numpy as np
 
 from . import data as _data
-from .complexes import GaugeFixing, pachner_32
-from .errors import NotApplicable, PoleHit, ShapedTqftError, ShapeViolation
+from .complexes import GaugeFixing, pachner_32, random_bipyramid_angles
+from .errors import (InputSchemaError, NotApplicable, PoleHit, ShapedTqftError,
+                     ShapeViolation, UsageError)
 from .geometry import gluing_residual, maximize_volume_in_gauge_class, shape_volume
 from .identities import (check_elliptic_beta_integral, check_entropy_pentagon,
                          check_hyperbolic_pentagon, check_octahedron_duality,
@@ -97,14 +98,11 @@ def _load_input(path):
         from .complexes import from_json_dict
         x, angles = from_json_dict(doc)
     except FileNotFoundError:
-        print(f"input file not found: {path}", file=sys.stderr)
-        sys.exit(EXIT_SCHEMA)
+        raise InputSchemaError(f"input file not found: {path}") from None
     except (ShapeViolation, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"input schema error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_SCHEMA)
+        raise InputSchemaError(f"input schema error: {exc}") from exc
     if angles is None:
-        print("input schema error: 'angles' field required", file=sys.stderr)
-        sys.exit(EXIT_SCHEMA)
+        raise InputSchemaError("input schema error: 'angles' field required")
     return x, angles
 
 
@@ -119,8 +117,7 @@ def _parse_gauge(text, x):
             assignments.append((int(vpart.lstrip("v")), int(e.lstrip("e")), float(c)))
         return GaugeFixing(tuple(assignments))
     except Exception:
-        print(f"cannot parse gauge assignment '{text}' (want e.g. v0:e1*0.5)", file=sys.stderr)
-        sys.exit(EXIT_USAGE)
+        raise UsageError(f"cannot parse gauge assignment '{text}' (want e.g. v0:e1*0.5)") from None
 
 
 def cmd_partition(args):
@@ -243,7 +240,7 @@ def cmd_verify(args):
         threshold = args.max_residual or 1e-5
         bp, central = standalone_bipyramid()
         for _ in range(args.trials):
-            ang = _random_bipyramid_angles(rng)
+            ang = random_bipyramid_angles(rng)
             bs = dict(zip(bp.boundary_edges,
                           rng.uniform(-0.4, 0.4, len(bp.boundary_edges))))
             rep = check_pachner_invariance(bp, ang, central, mp, cfg, boundary_state=bs)
@@ -266,19 +263,6 @@ def cmd_verify(args):
     report["b"] = args.b
     _emit(report, args.out)
     return EXIT_OK if report["pass"] else EXIT_RESIDUAL
-
-
-def _random_bipyramid_angles(rng):
-    c = np.full(3, 2 * np.pi / 3) + rng.uniform(-0.25, 0.25, 3)
-    c[2] = 2 * np.pi - c[0] - c[1]
-    ang = np.zeros((3, 3))
-    for t, qc, cv in ((0, 1, c[0]), (1, 2, c[1]), (2, 1, c[2])):
-        rest = np.pi - cv
-        split = rng.uniform(0.35, 0.65)
-        ang[t][qc] = cv
-        ang[t][(qc + 1) % 3] = rest * split
-        ang[t][(qc + 2) % 3] = rest * (1 - split)
-    return ang
 
 
 def _load_bundled(name):
@@ -340,6 +324,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except InputSchemaError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_SCHEMA
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     except PoleHit as exc:
         print(f"pole hit: {exc}", file=sys.stderr)
         return EXIT_RESIDUAL

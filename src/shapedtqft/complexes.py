@@ -9,7 +9,7 @@ tetrahedron separates the opposite-edge pair that contains local edge (0, k+1):
     quad 0 <-> {01, 23},   quad 1 <-> {02, 13},   quad 2 <-> {03, 12}
 
 The cyclic successor acts as k -> k+1 (mod 3) on a positively oriented
-tetrahedron; see docs/quad_conventions in the README for the worked picture.
+tetrahedron; see "Quad conventions" in the README for the worked picture.
 A dihedral-angle assignment lives on quads, one angle per quad per
 tetrahedron, with per-tetrahedron sum pi.
 """
@@ -26,7 +26,7 @@ from .errors import BadGluing, BadLoop, InvalidGauge, NotApplicable, ShapeViolat
 __all__ = [
     "Tetrahedron", "Gluing", "Triangulation", "GaugeFixing", "build_complex",
     "state_gauge_image", "edge_weight", "angle_holonomy", "tas_basis",
-    "shape_gauge_transform", "pachner_32", "standalone_bipyramid",
+    "shape_gauge_transform", "pachner_32", "standalone_bipyramid", "random_bipyramid_angles",
     "EDGE_PAIRS", "EDGE_INDEX", "QUAD_PAIRS", "EDGE_TO_QUAD", "face_vertices",
     "validate_angles",
 ]
@@ -637,3 +637,17 @@ def standalone_bipyramid():
     central = x.edge_class_of[(0, EDGE_INDEX[(1, 3)])]
     assert central in x.interior_edges and len(x.edge_classes[central]) == 3
     return x, central
+
+
+def random_bipyramid_angles(rng):
+    """Random shape on the standalone bipyramid with a balanced central edge."""
+    c = np.full(3, 2 * np.pi / 3) + rng.uniform(-0.25, 0.25, 3)
+    c[2] = 2 * np.pi - c[0] - c[1]
+    ang = np.zeros((3, 3))
+    for t, qc, cv in ((0, 1, c[0]), (1, 2, c[1]), (2, 1, c[2])):
+        rest = np.pi - cv
+        split = rng.uniform(0.35, 0.65)
+        ang[t][qc] = cv
+        ang[t][(qc + 1) % 3] = rest * split
+        ang[t][(qc + 2) % 3] = rest * (1 - split)
+    return ang

@@ -5,6 +5,14 @@ class ShapedTqftError(Exception):
     """Base class for all package errors."""
 
 
+class InputSchemaError(ShapedTqftError):
+    """An input file is missing or does not describe a shaped complex."""
+
+
+class UsageError(ShapedTqftError):
+    """A command-line argument cannot be parsed."""
+
+
 class PoleHit(ShapedTqftError):
     """An evaluation point is within tolerance of a pole (or zero) lattice."""
 

@@ -23,7 +23,9 @@ relations; Re z > 0 is taken from the inversion relation and Re z below
 the asymptotic threshold -re_cut as Phi_b -> 1, so the contour is only
 summed at Re z in [-re_cut, 0].  Evaluation is vectorized over arrays of
 z; FaddeevDilog.line factors the sums for a uniform grid on a horizontal
-line into two matrix products.
+line into two matrix products.  LineCache keeps log Phi_b on such a line
+as a table of spline cubics and returns logs, which callers sum before
+taking one exp.
 """
 from __future__ import annotations
 
@@ -188,16 +190,17 @@ class FaddeevDilog:
 
 
 class LineCache:
-    """Fast Phi_b along a fixed horizontal line Im z = y inside the strip.
+    """log Phi_b along a fixed horizontal line Im z = y inside the strip.
 
     log Phi_b is interpolated by cubic splines on the left half-lines
-    Im z = +-y (phase-unwrapped; the right half comes from the inversion
-    relation).  The spline nodes are a uniform grid on each half-line, which
-    FaddeevDilog.line evaluates with two GEMMs instead of an exp per node
-    and contour node.  Both splines are checked against the direct engine
-    off the nodes.  Queries outside the cached radius trigger a rebuild with
-    a doubled range.  A failed self-check halves the spacing, down to
-    _LINE_MIN_SPACING.
+    Im z = +-y (phase-unwrapped; the right half adds i pi z^2 - log zeta_inv
+    by the inversion relation).  The nodes are a uniform grid, which
+    FaddeevDilog.line evaluates with two GEMMs, so a query finds its cubic in
+    one table by one division and evaluates it by Horner; callers sum these
+    logs and exponentiate once.  Both half-lines are checked against the
+    direct engine off the nodes.  Queries outside the cached radius trigger
+    a rebuild with a doubled range.  A failed self-check halves the spacing,
+    down to _LINE_MIN_SPACING.
     """
 
     def __init__(self, engine: FaddeevDilog, y: float, radius: float, spacing: float = 0.02):
@@ -206,6 +209,7 @@ class LineCache:
         self.engine = engine
         self.y = float(y)
         self.spacing = float(spacing)
+        self._log_zeta_inv = np.log(engine.zeta_inv)
         self._build(radius)
 
     def _build(self, radius):
@@ -217,17 +221,20 @@ class LineCache:
             n = int(np.ceil((self.radius + 2.0) / self.spacing)) + 1
             dx = (0.5 - x0) / (n - 1)
             xs = x0 + dx * np.arange(n)
-            # self-check of both splines against the direct evaluation (relative,
-            # off the nodes); the -y spline at the probes is the cache at the
-            # mirrored points x > 0.25
-            probes = np.linspace(-self.radius - 1.5, 0.4, 23) + 0.37 * self.spacing
-            self._splines, err = {}, 0.0
+            # columns k < n - 1 hold the cubics of Im z = +y, the rest those of -y
+            coef = []
             for sgn in (+1.0, -1.0):
                 logs = np.log(eng.line(x0, dx, n, sgn * self.y))
-                logs = logs.real + 1j * np.unwrap(logs.imag)
-                self._splines[sgn] = CubicSpline(xs, logs)
-                ref = eng(probes + 1j * sgn * self.y, check=False)
-                err = max(err, np.abs(np.exp(self._splines[sgn](probes)) / ref - 1.0).max())
+                coef.append(CubicSpline(xs, logs.real + 1j * np.unwrap(logs.imag)).c)
+            self._x0, self._dx, self._nint = x0, dx, n - 1
+            self._coef = np.concatenate(coef, axis=1)
+            # self-check of both half-lines against the direct evaluation
+            # (relative, off the nodes); the -y table at the probes is the
+            # cache at the mirrored points x > 0.25
+            probes = np.linspace(-self.radius - 1.5, 0.4, 23) + 0.37 * self.spacing
+            err = max(np.abs(np.exp(self._horner(probes, sgn < 0))
+                             / eng(probes + 1j * sgn * self.y, check=False) - 1.0).max()
+                      for sgn in (+1.0, -1.0))
             if err <= _LINE_CHECK_TOL:
                 return
             if 0.5 * self.spacing < _LINE_MIN_SPACING:
@@ -235,23 +242,24 @@ class LineCache:
                                         f"at the spacing floor {self.spacing:.3g}")
             self.spacing *= 0.5
 
+    def _horner(self, x, minus):
+        """Spline of Im z = -y (minus) or +y at x in [x0, 0.5], by Horner."""
+        k = np.clip(((x - self._x0) / self._dx).astype(np.intp), 0, self._nint - 1)
+        t = x - (self._x0 + self._dx * k)
+        c = self._coef.take(k + self._nint * minus, axis=1)
+        return ((c[0] * t + c[1]) * t + c[2]) * t + c[3]
+
     def __call__(self, x):
-        """Phi_b(x + i y) for a real array x."""
+        """log Phi_b(x + i y) for a real array x."""
         x = np.asarray(x, dtype=float)
         amax = float(np.abs(x).max()) if x.size else 0.0
         if amax > self.radius:
             self._build(max(2.0 * self.radius, amax + 2.0))
-        left = x <= 0.25
-        out = np.empty(x.shape, dtype=complex)
-        if left.any():
-            out[left] = np.exp(self._splines[1.0](x[left]))
-        if (~left).any():
-            xr = x[~left]
-            z = xr + 1j * self.y
-            # Phi(z) = zeta_inv^{-1} e^{i pi z^2} / Phi(-z)
-            out[~left] = (np.exp(1j * _PI * z**2) / self.engine.zeta_inv
-                          / np.exp(self._splines[-1.0](-xr)))
-        return out
+        right = x > 0.25
+        out = self._horner(np.where(right, -x, x), right)
+        # log Phi(z) = i pi z^2 - log zeta_inv - log Phi(-z)
+        z = x + 1j * self.y
+        return np.where(right, 1j * _PI * z**2 - self._log_zeta_inv - out, out)
 
 
 def get_engine(b: float, tol: float = 1e-13) -> FaddeevDilog:

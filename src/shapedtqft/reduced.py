@@ -40,7 +40,7 @@ def ratio_integral_fig8(mp: ModularParameter, cfg: QuadratureConfig) -> Integral
     dn = LineCache(eng, -d, 8.0)
 
     def f(t):
-        return up(-t) / dn(t)
+        return np.exp(up(-t) - dn(t))
 
     return integrate_1d(f, cfg)
 
@@ -53,7 +53,7 @@ def triple_ratio_52(mp: ModularParameter, cfg: QuadratureConfig) -> IntegralResu
 
     def f(t):
         z = t - 1j * d
-        return np.exp(1j * _PI * z**2) / dn(t) ** 3
+        return np.exp(1j * _PI * z**2 - 3.0 * dn(t))
 
     return integrate_1d(f, cfg)
 
@@ -80,10 +80,9 @@ def tilde52_reduced2d(beta1, gamma3, delta1, theta, mp: ModularParameter,
 
     def f(pts):
         x1, x2 = pts[:, 0], pts[:, 1]
-        val = (lines["b+"](x1) * lines["g+"](-x2) * lines["d+"](x1)
-               / (lines["b-"](x2) * lines["g-"](-x1) * lines["d-"](x2)))
-        phase = np.exp(-1j * _PI * (x1**2 - x2**2) + 2.0 * h * theta * (x1 + x2))
-        return val * phase
+        logv = (lines["b+"](x1) + lines["g+"](-x2) + lines["d+"](x1)
+                - lines["b-"](x2) - lines["g-"](-x1) - lines["d-"](x2))
+        return np.exp(logv - 1j * _PI * (x1**2 - x2**2) + 2.0 * h * theta * (x1 + x2))
 
     return integrate_nd(f, 2, cfg)
 
@@ -116,8 +115,8 @@ def knot61_reduced2d(beta2, gamma2, rho2, delta3, theta_x, theta_z,
 
         def f(pts):
             x, z = pts[:, 0], pts[:, 1]
-            val = lb(x) * lr(z) / (lg(-x) * ld(z - x))
-            return val * np.exp(2.0 * h * (theta_x * x + theta_z * z) + 1j * _PI * z**2)
+            logv = lb(x) + lr(z) - lg(-x) - ld(z - x)
+            return np.exp(logv + 2.0 * h * (theta_x * x + theta_z * z) + 1j * _PI * z**2)
     else:
         lb = LineCache(eng, -yb, 10.0)
         lg = LineCache(eng, yg, 10.0)
@@ -126,7 +125,7 @@ def knot61_reduced2d(beta2, gamma2, rho2, delta3, theta_x, theta_z,
 
         def f(pts):
             y, v = pts[:, 0], pts[:, 1]
-            val = lg(-y) * ld(v - y) / (lb(y) * lr(v))
-            return val * np.exp(2.0 * h * (theta_x * y + theta_z * v) - 1j * _PI * v**2)
+            logv = lg(-y) + ld(v - y) - lb(y) - lr(v)
+            return np.exp(logv + 2.0 * h * (theta_x * y + theta_z * v) - 1j * _PI * v**2)
 
     return integrate_nd(f, 2, cfg)

@@ -102,11 +102,14 @@ def hyper_B(x, y, mp: ModularParameter, tol: float = 1e-13):
             / hyperbolic_gamma(x + y, mp, tol))
 
 
-def gamma2_line(c: complex, mp: ModularParameter, tol: float = 1e-13, radius: float = 8.0):
-    """Fast evaluator of w -> gamma2(c + i w) for real w (fixed complex offset c).
+def gamma2_line(c: complex, mp: ModularParameter, tol: float = 1e-13, radius: float = 8.0,
+                log: bool = False):
+    """Fast evaluator of w -> gamma2(c + i w), or its log, for real w (fixed offset c).
 
-    The underlying dilogarithm argument runs along a horizontal line, which a
-    spline cache evaluates at interpolation speed; used by the identity
+    The underlying dilogarithm argument runs along a horizontal line, whose
+    LineCache gives log Phi_b at interpolation speed; the Gaussian prefactor
+    is added in log space, so the value costs one exp per point.  Used by the
+    Boltzmann weight (log=True, summed over factors) and by the identity
     integrands that revisit the same line thousands of times.
     """
     from .qdilog import LineCache
@@ -115,15 +118,14 @@ def gamma2_line(c: complex, mp: ModularParameter, tol: float = 1e-13, radius: fl
     y_line = c.real - abs(mp.cb)         # Im of the Phi_b argument
     x_off = -c.imag                      # Re offset of the Phi_b argument
     cache = LineCache(eng, y_line, radius + abs(x_off))
-    sqrt_zeta = np.sqrt(mp.zeta_inv)
+    log_sqrt_zeta = np.log(np.sqrt(mp.zeta_inv))
 
-    def ev(w):
-        w = np.asarray(w, dtype=float)
-        xr = x_off - w
+    def log_ev(w):
+        xr = x_off - np.asarray(w, dtype=float)
         z = xr + 1j * y_line
-        return np.exp(0.5j * _PI * z**2) / (sqrt_zeta * cache(xr))
+        return 0.5j * _PI * z**2 - log_sqrt_zeta - cache(xr)
 
-    return ev
+    return log_ev if log else lambda w: np.exp(log_ev(w))
 
 
 def cap_psi(u, v, w, mp: ModularParameter, tol: float = 1e-13):

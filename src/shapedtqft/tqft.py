@@ -24,20 +24,11 @@ from .complexes import QUAD_PAIRS, GaugeFixing, Triangulation, validate_angles
 from .errors import InvalidGauge, ShapeViolation
 from .params import ModularParameter
 from .quadrature import QuadratureConfig, integrate_nd
-from .special import hyperbolic_gamma
+from .special import gamma2_line, hyperbolic_gamma
 
 __all__ = ["tet_weight", "BoltzmannEvaluator", "PartitionResult", "partition_function",
            "check_pachner_invariance", "check_shape_gauge_invariance",
            "faddeev_popov_check", "knot_quad_angle"]
-
-
-def _gamma2_product(args, mp, tol):
-    """prod over the last axis of gamma2(args), with duplicate-argument reuse."""
-    flat = args.reshape(-1)
-    uniq, inv = np.unique(flat, return_inverse=True)
-    gu = hyperbolic_gamma(uniq, mp, tol)
-    vals = gu[inv].reshape(args.shape)
-    return vals.prod(axis=-1)
 
 
 def tet_weight(orientation: int, angles3, s6, mp: ModularParameter,
@@ -54,7 +45,7 @@ def tet_weight(orientation: int, angles3, s6, mp: ModularParameter,
         if orientation < 0:
             d = -d
         args[:, q] = mp.delta * a[q] + 1j * d
-    out = _gamma2_product(args, mp, tol)
+    out = hyperbolic_gamma(args, mp, tol).prod(axis=-1)
     return out[0] if np.ndim(s6) == 1 else out
 
 
@@ -62,68 +53,48 @@ class BoltzmannEvaluator:
     """Vectorized total weight B(X, s) as a function of edge-class states.
 
     Per quad factor the dilogarithm argument runs along a fixed horizontal
-    line, so the fast path evaluates factors through per-line spline caches;
-    identical (angle, state-dependence) rows are collapsed to powers.
+    line, so each factor's log comes from that line's gamma2_line evaluator
+    (a LineCache underneath); identical (angle, state-dependence) rows are
+    collapsed to multiplicities, and the weight sums mult * log gamma2 over
+    the rows and takes one exp per state.
     """
 
     def __init__(self, x: Triangulation, angles, mp: ModularParameter,
-                 cfg: QuadratureConfig | None = None, fast: bool = True):
+                 cfg: QuadratureConfig | None = None):
         self.x = x
         self.angles = validate_angles(x, angles)
         self.mp = mp
         self.cfg = cfg or QuadratureConfig()
-        self.fast = fast
         coeff = np.zeros((x.n_tets, 3, x.n_edges))
         for t in range(x.n_tets):
             for q in range(3):
                 for eidx in QUAD_PAIRS[q]:
                     coeff[t, q, x.edge_class_of[(t, eidx)]] += 1.0
-        diff = np.zeros((x.n_tets * 3, x.n_edges))
-        base = np.zeros(x.n_tets * 3)
+        groups = {}
         for t in range(x.n_tets):
             sgn = x.tetrahedra[t].orientation
             for q in range(3):
                 d = coeff[t, (q + 1) % 3] - coeff[t, (q + 2) % 3]
-                diff[3 * t + q] = d if sgn > 0 else -d
-                base[3 * t + q] = mp.delta * self.angles[t, q]
-        self._diff = diff
-        self._base = base
-        groups = {}
-        for r in range(x.n_tets * 3):
-            key = (round(base[r], 14), tuple(np.round(diff[r], 12)))
-            groups[key] = groups.get(key, 0) + 1
+                d = d if sgn > 0 else -d
+                key = (round(mp.delta * self.angles[t, q], 14), tuple(np.round(d, 12)))
+                groups[key] = groups.get(key, 0) + 1
         self._rows = [(base_r, np.array(diff_r), mult)
                       for (base_r, diff_r), mult in sorted(groups.items())]
-        self._caches = {}
-        self._sqrt_zeta = np.sqrt(mp.zeta_inv)
-
-    def _factor(self, base, diff_vec, s):
-        """gamma2(delta*a + i d) along the row's line, via the spline cache."""
-        from .qdilog import LineCache, get_engine
-        d = s @ diff_vec
-        y = base - self.mp.cb.imag       # Im of the Phi_b argument
-        xr = -d                          # Re of the Phi_b argument
-        key = round(y, 14)
-        cache = self._caches.get(key)
-        if cache is None:
-            eng = get_engine(self.mp.b, self.cfg.phib_tol)
-            rad = float(np.abs(xr).max()) + 4.0 if xr.size else 6.0
-            cache = LineCache(eng, y, rad)
-            self._caches[key] = cache
-        z = xr + 1j * y
-        return np.exp(0.5j * np.pi * z**2) / (self._sqrt_zeta * cache(xr))
+        self._lines = {}
 
     def weight(self, states):
         """B(X, s) for states of shape (n_edges,) or (N, n_edges)."""
         s = np.atleast_2d(np.asarray(states, dtype=float))
-        if self.fast:
-            out = np.ones(s.shape[0], dtype=complex)
-            for base, diff_vec, mult in self._rows:
-                fac = self._factor(base, diff_vec, s)
-                out = out * (fac if mult == 1 else fac**mult)
-        else:
-            args = self._base[None, :] + 1j * (s @ self._diff.T)
-            out = _gamma2_product(args, self.mp, self.cfg.phib_tol)
+        logw = np.zeros(s.shape[0], dtype=complex)
+        for base, diff_vec, mult in self._rows:
+            d = s @ diff_vec
+            line = self._lines.get(base)
+            if line is None:    # sized to the first states; the cache grows on demand
+                rad = float(np.abs(d).max()) + 4.0 if d.size else 6.0
+                line = self._lines[base] = gamma2_line(base, self.mp, self.cfg.phib_tol,
+                                                       rad, log=True)
+            logw += mult * line(d)
+        out = np.exp(logw)
         return out[0] if np.ndim(states) == 1 else out
 
 

@@ -1,12 +1,24 @@
-import json
+import os
+import sys
+import warnings
 
-import numpy as np
-import pytest
+# One BLAS thread for the session and the CLI subprocesses it starts.  OpenBLAS
+# reads these when numpy is first imported: on a loaded 2-core host one
+# build-sized GEMM (FaddeevDilog._raw_grid) took 32 ms multi-threaded, 0.08 ms
+# on one thread.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+if "numpy" in sys.modules:
+    warnings.warn("numpy was imported before tests/conftest.py; its BLAS threads are not pinned")
 
-from shapedtqft import data as bundled_data
-from shapedtqft.complexes import from_json_dict
-from shapedtqft.params import ModularParameter
-from shapedtqft.quadrature import QuadratureConfig
+import json  # noqa: E402
+
+import pytest  # noqa: E402
+
+from shapedtqft import data as bundled_data  # noqa: E402
+from shapedtqft.complexes import from_json_dict  # noqa: E402
+from shapedtqft.params import ModularParameter  # noqa: E402
+from shapedtqft.quadrature import QuadratureConfig  # noqa: E402
 
 ACCEPTANCE_LINES = []
 
@@ -51,16 +63,3 @@ def fig8():
 def fig8_complement():
     return load_bundled("fig8_complement.json")
 
-
-def random_bipyramid_angles(rng):
-    """Random shape on the standalone bipyramid with a balanced central edge."""
-    c = np.full(3, 2 * np.pi / 3) + rng.uniform(-0.25, 0.25, 3)
-    c[2] = 2 * np.pi - c[0] - c[1]
-    ang = np.zeros((3, 3))
-    for t, qc, cv in ((0, 1, c[0]), (1, 2, c[1]), (2, 1, c[2])):
-        rest = np.pi - cv
-        split = rng.uniform(0.35, 0.65)
-        ang[t][qc] = cv
-        ang[t][(qc + 1) % 3] = rest * split
-        ang[t][(qc + 2) % 3] = rest * (1 - split)
-    return ang

@@ -5,7 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from shapedtqft.complexes import GaugeFixing, standalone_bipyramid, tas_basis
+from shapedtqft.complexes import (GaugeFixing, random_bipyramid_angles, standalone_bipyramid,
+                                  tas_basis)
 from shapedtqft.geometry import (gluing_residual, maximize_volume_in_gauge_class,
                                  volume_gradient)
 from shapedtqft.identities import (check_classical_pentagon,
@@ -22,7 +23,7 @@ from shapedtqft.reduced import (knot61_reduced2d, ratio_integral_fig8,
 from shapedtqft.special import cap_psi, cap_psi_direct, elliptic_gamma, hyperbolic_gamma
 from shapedtqft.tqft import (check_pachner_invariance, check_shape_gauge_invariance,
                              faddeev_popov_check, knot_quad_angle, partition_function)
-from tests.conftest import ACCEPTANCE_LINES, load_bundled, random_bipyramid_angles
+from tests.conftest import ACCEPTANCE_LINES, load_bundled
 
 
 def record(num, label, ok, detail, elapsed, budget):

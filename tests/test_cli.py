@@ -72,6 +72,16 @@ def test_partition_missing_file_exit_3():
     assert r.returncode == 3
 
 
+def test_main_returns_input_errors_without_exiting(tmp_path, capsys):
+    # input helpers raise typed errors, which main maps to exit codes: a
+    # SystemExit from inside a helper would fail this test
+    assert cli.main(["partition", str(tmp_path / "missing.json")]) == cli.EXIT_SCHEMA == 3
+    assert "input file not found" in capsys.readouterr().err
+    trefoil = str(path_of("trefoil.json"))
+    assert cli.main(["partition", trefoil, "--gauge", "v0-e1"]) == cli.EXIT_USAGE == 2
+    assert "cannot parse gauge assignment" in capsys.readouterr().err
+
+
 def test_verify_entropy_and_threshold_override():
     r = run_cli("verify", "entropy", "--trials", "100")
     assert r.returncode == 0

@@ -7,11 +7,12 @@ import pytest
 from shapedtqft.complexes import (EDGE_INDEX, EDGE_TO_QUAD, GaugeFixing, Gluing,
                                   angle_holonomy, build_complex, edge_loop,
                                   edge_weight, from_json_dict, pachner_32,
-                                  shape_gauge_transform, standalone_bipyramid,
-                                  state_gauge_image, tas_basis, validate_angles)
+                                  random_bipyramid_angles, shape_gauge_transform,
+                                  standalone_bipyramid, state_gauge_image, tas_basis,
+                                  validate_angles)
 from shapedtqft.errors import (BadGluing, BadLoop, InvalidGauge, NotApplicable,
                                ShapeViolation)
-from tests.conftest import load_bundled, random_bipyramid_angles
+from tests.conftest import load_bundled
 
 ID = (0, 1, 2)
 

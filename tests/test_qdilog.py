@@ -123,7 +123,7 @@ def test_line_cache_matches_direct():
         cache = LineCache(eng, y, 9.0)
         x = rng.uniform(-9, 9, 200)
         direct = eng(x + 1j * y, check=False)
-        assert np.abs(cache(x) / direct - 1).max() < 1e-7
+        assert np.abs(np.exp(cache(x)) / direct - 1).max() < 1e-7
 
 
 def test_line_cache_grows_on_demand():
@@ -131,7 +131,26 @@ def test_line_cache_grows_on_demand():
     cache = LineCache(eng, 0.2, 5.0)
     x = np.array([-14.0, 14.0])
     direct = eng(x + 0.2j, check=False)
-    assert np.abs(cache(x) / direct - 1).max() < 1e-7
+    assert np.abs(np.exp(cache(x)) / direct - 1).max() < 1e-7
+
+
+@pytest.mark.parametrize("b", [1.0, 1.3])
+@pytest.mark.parametrize("y", [0.31, -0.31])
+def test_line_cache_log_matches_direct(b, y):
+    # the cache returns log Phi_b: dense across the half-line join x = 0.25,
+    # over the last grid interval on either side of the cached range, and
+    # beyond the radius, where the query rebuilds the cache
+    eng = FaddeevDilog(b)
+    cache = LineCache(eng, y, 5.0)
+    r = cache.radius
+    inside = np.concatenate([np.linspace(0.2, 0.3, 1001),
+                             np.linspace(r - 2 * cache.spacing, r, 201),
+                             np.linspace(-r, -r + 2 * cache.spacing, 201)])
+    beyond = np.linspace(r, r + 1.0, 1001)
+    for x in (inside, beyond):
+        direct = eng(x + 1j * y, check=False)
+        assert np.abs(np.exp(cache(x)) / direct - 1).max() <= 1e-7
+    assert cache.radius > r
 
 
 def test_line_cache_spacing_floor(monkeypatch):

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from shapedtqft.complexes import GaugeFixing, standalone_bipyramid, state_gauge_image
+from shapedtqft.complexes import (GaugeFixing, random_bipyramid_angles, standalone_bipyramid,
+                                  state_gauge_image)
 from shapedtqft.errors import ShapeViolation
 from shapedtqft.params import ModularParameter
 from shapedtqft.qdilog import phi_b
@@ -11,7 +12,6 @@ from shapedtqft.special import hyperbolic_gamma
 from shapedtqft.tqft import (BoltzmannEvaluator, check_pachner_invariance,
                              check_shape_gauge_invariance, faddeev_popov_check,
                              knot_quad_angle, partition_function, tet_weight)
-from tests.conftest import random_bipyramid_angles
 
 LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -78,11 +78,16 @@ def test_weight_gauge_invariance_full_complex(fig8, mp1):
 
 
 def test_fast_path_matches_exact(fig8, mp1):
+    # the line-cache weight against the direct-engine oracle: the product of
+    # tet_weight over the tetrahedra, each local edge read from its edge class
     x, angles = fig8
     rng = np.random.default_rng(10)
     s = rng.normal(size=(40, x.n_edges))
-    fast = BoltzmannEvaluator(x, angles, mp1, fast=True).weight(s)
-    exact = BoltzmannEvaluator(x, angles, mp1, fast=False).weight(s)
+    fast = BoltzmannEvaluator(x, angles, mp1).weight(s)
+    exact = np.ones(len(s), dtype=complex)
+    for t, tet in enumerate(x.tetrahedra):
+        cls = [x.edge_class_of[(t, e)] for e in range(6)]
+        exact *= tet_weight(tet.orientation, np.asarray(angles)[t], s[:, cls], mp1)
     assert np.abs(fast / exact - 1).max() < 1e-7
 
 
