@@ -44,12 +44,6 @@ def _emit(report, path=None):
     print(text)
 
 
-def _config(args):
-    return QuadratureConfig(abs_tol=args.tol, rel_tol=args.tol,
-                            rng_seed=getattr(args, "seed", 0),
-                            contour_shift=getattr(args, "contour_shift", 0.0))
-
-
 def _config_hash(args) -> str:
     blob = json.dumps({k: v for k, v in sorted(vars(args).items())
                        if k != "func"}, sort_keys=True, default=str)
@@ -123,7 +117,7 @@ def _parse_gauge(text, x):
 def cmd_partition(args):
     x, angles = _load_input(args.input)
     mp = ModularParameter(args.b)
-    cfg = _config(args)
+    cfg = QuadratureConfig(abs_tol=args.tol, rel_tol=args.tol)
     gauge = _parse_gauge(args.gauge, x)
     res = partition_function(x, angles, boundary_state=None, gauge=gauge, mp=mp, cfg=cfg)
     report = res.to_json_dict(mp, _config_hash(args))
@@ -247,7 +241,7 @@ def cmd_verify(args):
             residuals.append(rep["rel_discrepancy"])
     elif name == "gauge":
         threshold = args.max_residual or 1e-5
-        x, angles = _load_bundled("trefoil.json")
+        x, angles = _data.load("trefoil.json")
         gA = GaugeFixing(((0, 0, 0.5),))
         gB = GaugeFixing(((0, 1, 0.5),))
         residuals.append(faddeev_popov_check(x, angles, gA, gB, mp, cfg)["rel_discrepancy"])
@@ -263,11 +257,6 @@ def cmd_verify(args):
     report["b"] = args.b
     _emit(report, args.out)
     return EXIT_OK if report["pass"] else EXIT_RESIDUAL
-
-
-def _load_bundled(name):
-    from .complexes import from_json_dict
-    return from_json_dict(json.loads(_data.read_text(name)))
 
 
 def main(argv=None):
@@ -291,7 +280,6 @@ def main(argv=None):
     pp.add_argument("--b", type=float, default=1.0)
     pp.add_argument("--gauge", default="auto")
     pp.add_argument("--tol", type=float, default=1e-6)
-    pp.add_argument("--contour-shift", type=float, default=0.0)
     pp.add_argument("--renormalize", choices=["knot-edge"], default=None)
     pp.add_argument("--out", default=None)
     pp.set_defaults(func=cmd_partition)

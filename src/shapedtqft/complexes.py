@@ -15,7 +15,6 @@ tetrahedron, with per-tetrahedron sum pi.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -240,11 +239,6 @@ def from_json_dict(d):
     return x, angles
 
 
-def load_json(path):
-    with open(path) as fh:
-        return from_json_dict(json.load(fh))
-
-
 def validate_angles(x: Triangulation, angles, tol=1e-12):
     """Check shape-structure constraints; returns the (n_tets, 3) array."""
     a = np.asarray(angles, dtype=float)
@@ -275,6 +269,17 @@ def state_gauge_image(x: Triangulation, g):
     return out
 
 
+def _coordinate_coefficient(x: Triangulation, v, e, interior):
+    """Coefficient of edge e in a coordinate gauge at interior vertex v: 1/2
+    for a loop at v, 1 for an edge from v to a boundary vertex, else None."""
+    c0, c1 = x.edge_endpoints(e)
+    if c0 == v and c1 == v:
+        return 0.5
+    if (c0 == v and c1 not in interior) or (c1 == v and c0 not in interior):
+        return 1.0
+    return None
+
+
 @dataclass(frozen=True)
 class GaugeFixing:
     """Coordinate gauge: per interior vertex one edge class and a coefficient.
@@ -299,12 +304,8 @@ class GaugeFixing:
             if e in seen_edges:
                 raise InvalidGauge(f"edge {e} used by two gauge forms")
             seen_edges.add(e)
-            c0, c1 = x.edge_endpoints(e)
-            if c0 == v and c1 == v:
-                valid = 0.5
-            elif (c0 == v and c1 not in interior) or (c1 == v and c0 not in interior):
-                valid = 1.0
-            else:
+            valid = _coordinate_coefficient(x, v, e, interior)
+            if valid is None:
                 raise InvalidGauge(
                     f"edge {e} does not give a coordinate gauge at vertex {v}: "
                     "its interior endpoints must be exactly {v}")
@@ -323,12 +324,9 @@ class GaugeFixing:
                     continue
                 if any(e == a[1] for a in assignments):
                     continue
-                c0, c1 = x.edge_endpoints(e)
-                if c0 == v and c1 == v:
-                    choice = (v, e, 0.5)
-                    break
-                if (c0 == v and c1 not in interior) or (c1 == v and c0 not in interior):
-                    choice = (v, e, 1.0)
+                c = _coordinate_coefficient(x, v, e, interior)
+                if c is not None:
+                    choice = (v, e, c)
                     break
             if choice is None:
                 raise InvalidGauge(f"no coordinate gauge edge available at vertex {v}")

@@ -88,15 +88,12 @@ def check_hyperbolic_pentagon(p: BalancedParams33, mp: ModularParameter,
                               cfg: QuadratureConfig) -> float:
     """Relative residual of the five-term B-kernel identity."""
     p.validate(mp)
-    lines = [gamma2_line(p.a[i], mp, cfg.phib_tol) for i in range(3)] + \
-            [gamma2_line(p.b[i], mp, cfg.phib_tol) for i in range(3)]
-    dens = hyperbolic_gamma(np.array([p.a[i] + p.b[i] for i in range(3)]), mp, cfg.phib_tol)
+    l_a = [gamma2_line(a, mp, cfg.phib_tol) for a in p.a]
+    l_b = [gamma2_line(b, mp, cfg.phib_tol) for b in p.b]
+    log_den = np.log(hyperbolic_gamma(np.add(p.a, p.b), mp, cfg.phib_tol)).sum()
 
     def f(t):
-        val = np.ones(len(t), dtype=complex)
-        for i in range(3):
-            val = val * lines[i](-t) * lines[3 + i](t)
-        return val / np.prod(dens)
+        return np.exp(sum(la(-t) + lb(t) for la, lb in zip(l_a, l_b)) - log_den)
 
     lhs = integrate_1d(f, cfg).value
     rhs = complex(hyper_B(p.a[1] + p.b[0], p.a[2] + p.b[1], mp, cfg.phib_tol)
@@ -113,18 +110,17 @@ def check_hyperbolic_beta_integral(p: BalancedParams6, mp: ModularParameter,
     lines = [gamma2_line(a, mp, cfg.phib_tol) for a in p.alphas]
     eng = get_engine(mp.b, cfg.phib_tol)
     cb = mp.cb
+    log_c = np.log(mp.zeta_inv) - 1j * _PI * cb**2
 
     def f(t):
-        num = np.ones(len(t), dtype=complex)
-        for ln in lines:
-            num = num * ln(t) * ln(-t)
         # 1/(gamma2(2it) gamma2(-2it)): the gamma2 pole at 0 sits on the
         # contour, so expand through Phi_b where the vanishing factor is an
-        # analytic prefactor; pole proximity checks are disabled because
-        # the composite is regular (double zero of the reciprocal).
-        inv_den = (mp.zeta_inv * np.exp(-1j * _PI * (4.0 * t**2 + cb**2))
-                   * eng(-2.0 * t - cb, check=False) * eng(2.0 * t - cb, check=False))
-        return num * inv_den
+        # analytic prefactor (its Gaussian joins the exponent); pole
+        # proximity checks are disabled because the composite is regular
+        # (double zero of the reciprocal).
+        log_num = sum(ln(t) + ln(-t) for ln in lines)
+        return (np.exp(log_num - 4j * _PI * t**2 + log_c)
+                * eng(-2.0 * t - cb, check=False) * eng(2.0 * t - cb, check=False))
 
     lhs = 0.5 * integrate_1d(f, cfg).value
     rhs = 1.0 + 0.0j
@@ -349,7 +345,8 @@ def check_octahedron_duality(alpha_params, beta_params, t, s, u, w,
     Z5 re-expands the seed transform into a 2D integral over (x, y) (five
     B-factors), taken in one call to the 2D trapezoid.  Equality is the
     pentagon identity acting inside the composition.  All gamma factors run
-    along fixed horizontal lines and are spline-cached.
+    along fixed horizontal lines and are spline-cached; each integrand sums
+    their logs and takes one exp per point.
 
     `skew` shifts the kernel parameter on the Z4 side only (negative
     control: a nonzero skew must produce a macroscopic residual).  Note the
@@ -369,26 +366,29 @@ def check_octahedron_duality(alpha_params, beta_params, t, s, u, w,
                     s + 2 * t + u + w, 2 * t)
     ptol = cfg.phib_tol
     g = lambda c: gamma2_line(c, mp, ptol)
-    l_al = [g(al[i]) for i in range(2)]
-    l_be = [g(be[i]) for i in range(2)]
-    seed_den = np.prod(hyperbolic_gamma(np.array([al[0] + be[0], al[1] + be[1]]), mp, ptol))
+    l_al = [g(a) for a in al]
+    l_be = [g(b) for b in be]
 
-    def alpha_seed(ys):
-        val = l_al[0](-ys) * l_be[0](ys) * l_al[1](-ys) * l_be[1](ys)
-        return val / seed_den
+    def log_g2(*cs):
+        """Sum of log gamma2 over scalar offsets (the constant B-factors)."""
+        return np.log(hyperbolic_gamma(np.array(cs), mp, ptol)).sum()
+
+    log_seed_den = log_g2(al[0] + be[0], al[1] + be[1])
+
+    def log_alpha_seed(ys):
+        return sum(la(-ys) + lb(ys) for la, lb in zip(l_al, l_be)) - log_seed_den
 
     st = s + t + skew
     l_stw_m = g(st + w)
     l_stw_p = g(st - w)
     l_tu = g(t + u)
     l_tu2s = g(t + u + 2 * s)        # x-dependent B denominator
-    g_2s = complex(hyperbolic_gamma(2 * s, mp, ptol))
-    den_2st = complex(hyperbolic_gamma(2 * st, mp, ptol))
+    log_c4 = log_g2(2 * s) - log_g2(2 * st)
 
     def z4_integrand(xs):
         # B(st+w-x, st-w+x) B(t+u+x, 2s) prod_i B(al_i - x, be_i + x), x = i xs
-        val = l_stw_m(-xs) * l_stw_p(xs) * l_tu(xs) * g_2s / l_tu2s(xs) * alpha_seed(xs)
-        return val / den_2st
+        return np.exp(l_stw_m(-xs) + l_stw_p(xs) + l_tu(xs) - l_tu2s(xs)
+                      + log_alpha_seed(xs) + log_c4)
 
     z4 = integrate_1d(z4_integrand, cfg).value
 
@@ -397,16 +397,13 @@ def check_octahedron_duality(alpha_params, beta_params, t, s, u, w,
     l_swm = g(s - w)
     l_t = g(t)
     l_den2 = g(2 * s + 2 * t + u)    # x-dependent B denominator
-    den_b1 = complex(hyperbolic_gamma(s + w + u, mp, ptol))
-    c_big = complex(hyperbolic_gamma(s + 2 * t + u + w, mp, ptol))
-    den_ker = complex(hyperbolic_gamma(2 * t, mp, ptol))
+    log_c5 = log_g2(s + 2 * t + u + w) - log_g2(s + w + u, 2 * t)
 
     def z5_integrand(p):
         # B(s+w-x, u+x) B(s+2t+u+w, s-w+x) B(t+x-y, t-x+y) prod_i B(al_i - y, be_i + y)
         xs, ys = p[:, 0], p[:, 1]
-        outer = l_sw(-xs) * l_u(xs) / den_b1 * c_big * l_swm(xs) / l_den2(xs)
-        ker = l_t(xs - ys) * l_t(ys - xs) / den_ker
-        return outer * ker * alpha_seed(ys)
+        return np.exp(l_sw(-xs) + l_u(xs) + l_swm(xs) - l_den2(xs)
+                      + l_t(xs - ys) + l_t(ys - xs) + log_alpha_seed(ys) + log_c5)
 
     z5 = integrate_nd(z5_integrand, 2, cfg).value
     return abs(z4 - z5) / max(abs(z4), abs(z5))

@@ -46,20 +46,20 @@ _GAUSS_IDX = np.arange(1, 15, 2)  # Gauss-7 nodes sit at the odd Kronrod positio
 _TRAP_H0 = 0.8              # first trapezoid step
 _TRAP_CHUNK = 1 << 15       # points per integrand call; bounds peak memory
 _TRAP_MAX_POINTS = 1 << 24  # largest grid the trapezoid may halve to
+_GK_MAX_ROUNDS = 22         # panel-splitting rounds of integrate_1d
+_GK_MAX_PANELS = 60_000     # panels integrate_1d may hold at once
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    max_depth: int = 22
     truncation_radius: float | str = "auto"
     contour_shift: float = 0.0          # delta used by callers for R - i*delta contours
     mc_samples: int = 200_000
     rng_seed: int = 0
     phib_tol: float = 1e-13             # precision requested from the special-function kernel
     force_monte_carlo: bool = False
-    max_panels: int = 60_000
 
 
 @dataclass
@@ -150,7 +150,7 @@ def integrate_1d(f, cfg: QuadratureConfig, interval=None) -> IntegralResult:
     edges = np.linspace(a, b, n0 + 1)
     ivals, errs = _panel_eval(f, edges[:-1], edges[1:], counter)
     panels = [[edges[i], edges[i + 1], ivals[i], errs[i], 0] for i in range(n0)]
-    for _round in range(cfg.max_depth):
+    for _round in range(_GK_MAX_ROUNDS):
         total = sum(p[2] for p in panels)
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
         err_total = sum(p[3] for p in panels)
@@ -160,7 +160,7 @@ def integrate_1d(f, cfg: QuadratureConfig, interval=None) -> IntegralResult:
         splitting = [p for p in panels if p[3] > cut]
         if not splitting:
             break
-        if len(panels) + len(splitting) > cfg.max_panels:
+        if len(panels) + len(splitting) > _GK_MAX_PANELS:
             raise QuadratureFailure(
                 f"panel budget exhausted ({len(panels)} panels, error {err_total:.3g} > tol {tol:.3g})")
         keep = [p for p in panels if p[3] <= cut]
@@ -176,7 +176,7 @@ def integrate_1d(f, cfg: QuadratureConfig, interval=None) -> IntegralResult:
         total = sum(p[2] for p in panels)
         if err_total > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
             raise QuadratureFailure(
-                f"max_depth={cfg.max_depth} reached with error {err_total:.3g}")
+                f"max_depth={_GK_MAX_ROUNDS} reached with error {err_total:.3g}")
     panels.sort(key=lambda p: p[0])
     value = sum(p[2] for p in panels)
     err_total = float(sum(p[3] for p in panels)) + tail

@@ -102,15 +102,14 @@ def hyper_B(x, y, mp: ModularParameter, tol: float = 1e-13):
             / hyperbolic_gamma(x + y, mp, tol))
 
 
-def gamma2_line(c: complex, mp: ModularParameter, tol: float = 1e-13, radius: float = 8.0,
-                log: bool = False):
-    """Fast evaluator of w -> gamma2(c + i w), or its log, for real w (fixed offset c).
+def gamma2_line(c: complex, mp: ModularParameter, tol: float = 1e-13, radius: float = 8.0):
+    """Evaluator of w -> log gamma2(c + i w) for real w (fixed offset c).
 
     The underlying dilogarithm argument runs along a horizontal line, whose
     LineCache gives log Phi_b at interpolation speed; the Gaussian prefactor
-    is added in log space, so the value costs one exp per point.  Used by the
-    Boltzmann weight (log=True, summed over factors) and by the identity
-    integrands that revisit the same line thousands of times.
+    is added in log space.  The cache covers |w| <= radius (plus |Im c|) and
+    grows on demand.  Callers sum the logs of all their line factors and
+    take one exp per point: the Boltzmann weight and the identity integrands.
     """
     from .qdilog import LineCache
     eng = get_engine(mp.b, tol)
@@ -125,7 +124,7 @@ def gamma2_line(c: complex, mp: ModularParameter, tol: float = 1e-13, radius: fl
         z = xr + 1j * y_line
         return 0.5j * _PI * z**2 - log_sqrt_zeta - cache(xr)
 
-    return log_ev if log else lambda w: np.exp(log_ev(w))
+    return log_ev
 
 
 def cap_psi(u, v, w, mp: ModularParameter, tol: float = 1e-13):

@@ -91,8 +91,7 @@ class BoltzmannEvaluator:
             line = self._lines.get(base)
             if line is None:    # sized to the first states; the cache grows on demand
                 rad = float(np.abs(d).max()) + 4.0 if d.size else 6.0
-                line = self._lines[base] = gamma2_line(base, self.mp, self.cfg.phib_tol,
-                                                       rad, log=True)
+                line = self._lines[base] = gamma2_line(base, self.mp, self.cfg.phib_tol, rad)
             logw += mult * line(d)
         out = np.exp(logw)
         return out[0] if np.ndim(states) == 1 else out
@@ -173,6 +172,14 @@ def knot_quad_angle(x: Triangulation, angles, edge_class: int):
     return float(np.asarray(angles)[t][EDGE_TO_QUAD[e]])
 
 
+def _compare(w1: PartitionResult, w2: PartitionResult):
+    """{"before", "after", "rel_discrepancy"}: the discrepancy is
+    |W1 - W2| / max(|W1|, |W2|), and 0 when both vanish."""
+    denom = max(abs(w1.value), abs(w2.value))
+    rel = abs(w1.value - w2.value) / denom if denom else 0.0
+    return {"before": w1, "after": w2, "rel_discrepancy": float(rel)}
+
+
 def check_pachner_invariance(x, angles, edge_class, mp, cfg, boundary_state=None,
                              gauge=None):
     """Compare W before/after the shaped 3-2 move at matched boundary states."""
@@ -183,29 +190,21 @@ def check_pachner_invariance(x, angles, edge_class, mp, cfg, boundary_state=None
         bs_full = dict(boundary_state) if isinstance(boundary_state, dict) \
             else dict(zip(x.boundary_edges, boundary_state))
         bs2 = {edge_map[e]: v for e, v in bs_full.items() if edge_map[e] is not None}
-    w1 = partition_function(x, angles, boundary_state, gauge, mp, cfg)
-    w2 = partition_function(x2, angles2, bs2, None, mp, cfg)
-    denom = max(abs(w1.value), abs(w2.value))
-    rel = abs(w1.value - w2.value) / denom if denom else 0.0
-    return {"before": w1, "after": w2, "rel_discrepancy": float(rel)}
+    return _compare(partition_function(x, angles, boundary_state, gauge, mp, cfg),
+                    partition_function(x2, angles2, bs2, None, mp, cfg))
 
 
 def check_shape_gauge_invariance(x, angles, edge_class, t, mp, cfg,
                                  boundary_state=None, gauge=None):
-    """|W(a) - W(a + t*g_edge)| / |W(a)|."""
+    """Compare W(a) with W(a + t*g_edge), the angles moved along an edge's shape gauge."""
     from .complexes import shape_gauge_transform
     angles2 = shape_gauge_transform(x, angles, edge_class, t)
-    w1 = partition_function(x, angles, boundary_state, gauge, mp, cfg)
-    w2 = partition_function(x, angles2, boundary_state, gauge, mp, cfg)
-    rel = abs(w1.value - w2.value) / abs(w1.value) if w1.value else 0.0
-    return {"base": w1, "transformed": w2, "rel_discrepancy": float(rel)}
+    return _compare(partition_function(x, angles, boundary_state, gauge, mp, cfg),
+                    partition_function(x, angles2, boundary_state, gauge, mp, cfg))
 
 
 def faddeev_popov_check(x, angles, gauge_a: GaugeFixing, gauge_b: GaugeFixing,
                         mp, cfg, boundary_state=None):
     """Gauge-fixing independence: W(gauge_a) vs W(gauge_b)."""
-    w1 = partition_function(x, angles, boundary_state, gauge_a, mp, cfg)
-    w2 = partition_function(x, angles, boundary_state, gauge_b, mp, cfg)
-    denom = max(abs(w1.value), abs(w2.value))
-    rel = abs(w1.value - w2.value) / denom if denom else 0.0
-    return {"gauge_a": w1, "gauge_b": w2, "rel_discrepancy": float(rel)}
+    return _compare(partition_function(x, angles, boundary_state, gauge_a, mp, cfg),
+                    partition_function(x, angles, boundary_state, gauge_b, mp, cfg))

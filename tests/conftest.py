@@ -11,12 +11,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 if "numpy" in sys.modules:
     warnings.warn("numpy was imported before tests/conftest.py; its BLAS threads are not pinned")
 
-import json  # noqa: E402
-
 import pytest  # noqa: E402
 
-from shapedtqft import data as bundled_data  # noqa: E402
-from shapedtqft.complexes import from_json_dict  # noqa: E402
+from shapedtqft.data import load as load_bundled  # noqa: E402
 from shapedtqft.params import ModularParameter  # noqa: E402
 from shapedtqft.quadrature import QuadratureConfig  # noqa: E402
 
@@ -43,10 +40,6 @@ def cfg9():
 @pytest.fixture(scope="session")
 def cfg11():
     return QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11)
-
-
-def load_bundled(name):
-    return from_json_dict(json.loads(bundled_data.read_text(name)))
 
 
 @pytest.fixture(scope="session")

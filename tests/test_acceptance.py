@@ -7,6 +7,7 @@ import pytest
 
 from shapedtqft.complexes import (GaugeFixing, random_bipyramid_angles, standalone_bipyramid,
                                   tas_basis)
+from shapedtqft.data import load as load_bundled
 from shapedtqft.geometry import (gluing_residual, maximize_volume_in_gauge_class,
                                  volume_gradient)
 from shapedtqft.identities import (check_classical_pentagon,
@@ -23,7 +24,7 @@ from shapedtqft.reduced import (knot61_reduced2d, ratio_integral_fig8,
 from shapedtqft.special import cap_psi, cap_psi_direct, elliptic_gamma, hyperbolic_gamma
 from shapedtqft.tqft import (check_pachner_invariance, check_shape_gauge_invariance,
                              faddeev_popov_check, knot_quad_angle, partition_function)
-from tests.conftest import ACCEPTANCE_LINES, load_bundled
+from tests.conftest import ACCEPTANCE_LINES
 
 
 def record(num, label, ok, detail, elapsed, budget):

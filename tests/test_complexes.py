@@ -10,9 +10,9 @@ from shapedtqft.complexes import (EDGE_INDEX, EDGE_TO_QUAD, GaugeFixing, Gluing,
                                   random_bipyramid_angles, shape_gauge_transform,
                                   standalone_bipyramid, state_gauge_image, tas_basis,
                                   validate_angles)
+from shapedtqft.data import load as load_bundled
 from shapedtqft.errors import (BadGluing, BadLoop, InvalidGauge, NotApplicable,
                                ShapeViolation)
-from tests.conftest import load_bundled
 
 ID = (0, 1, 2)
 

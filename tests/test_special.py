@@ -4,9 +4,10 @@ import pytest
 from scipy.integrate import quad
 
 from shapedtqft.errors import NonConvergence
+from shapedtqft.identities import random_balanced_33
 from shapedtqft.params import EllipticBases, ModularParameter
 from shapedtqft.special import (bernoulli_b22, cap_psi, cap_psi_direct, classical_beta,
-                                elliptic_gamma, hyper_B, hyperbolic_gamma,
+                                elliptic_gamma, gamma2_line, hyper_B, hyperbolic_gamma,
                                 hyperbolic_gamma_general, hyperbolic_gamma_product,
                                 lobachevsky, psi_fn, theta_fn)
 
@@ -92,6 +93,21 @@ def test_gamma2_large_omega2_reduction():
         errs.append(abs(val / ref - 1))
     assert errs[0] < 1e-2
     assert errs[0] > errs[1] > errs[2]
+
+
+@pytest.mark.parametrize("b", [1.0, 1.3])
+def test_gamma2_line_matches_hyperbolic_gamma(b):
+    # offsets include the pentagon's complex ones; the far points lie beyond
+    # the initial radius, so the line cache rebuilds
+    mp = ModularParameter(b)
+    p = random_balanced_33(np.random.default_rng(5), mp, imag_scale=0.05)
+    near = np.linspace(-3.0, 3.0, 41)
+    far = np.linspace(-10.0, 10.0, 61)
+    for c in (*p.a, *p.b, 0.5 * mp.q_total):
+        line = gamma2_line(c, mp, radius=4.0)
+        for ws in (near, far):
+            ref = hyperbolic_gamma(c + 1j * ws, mp)
+            assert np.abs(np.exp(line(ws)) / ref - 1.0).max() <= 1e-7
 
 
 # -- B kernel -------------------------------------------------------------------
