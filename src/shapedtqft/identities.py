@@ -15,7 +15,7 @@ from .errors import ConstraintViolation
 from .params import EllipticBases, ModularParameter
 from .quadrature import QuadratureConfig, integrate_1d, integrate_nd
 from .special import (cap_psi, classical_beta, elliptic_gamma, gamma2_line,
-                      hyper_B, hyperbolic_gamma)
+                      hyper_B, hyperbolic_gamma, line_integrand)
 
 __all__ = [
     "BalancedParams33", "BalancedParams6", "check_hyperbolic_pentagon",
@@ -345,8 +345,9 @@ def check_octahedron_duality(alpha_params, beta_params, t, s, u, w,
     Z5 re-expands the seed transform into a 2D integral over (x, y) (five
     B-factors), taken in one call to the 2D trapezoid.  Equality is the
     pentagon identity acting inside the composition.  All gamma factors run
-    along fixed horizontal lines and are spline-cached; each integrand sums
-    their logs and takes one exp per point.
+    along fixed horizontal lines: Z4 reads them from spline-cached
+    gamma2_line evaluators, Z5 from exact LineTables on the trapezoid
+    lattice; each integrand sums their logs and takes one exp per point.
 
     `skew` shifts the kernel parameter on the Z4 side only (negative
     control: a nonzero skew must produce a macroscopic residual).  Note the
@@ -364,49 +365,52 @@ def check_octahedron_duality(alpha_params, beta_params, t, s, u, w,
     _require_window(mp, *al, *be, t, s, u, s + t + w, s + t - w, t + u, 2 * s,
                     t + u + 2 * s, s + w, s - w, q - 2 * s - 2 * t - u,
                     s + 2 * t + u + w, 2 * t)
+    z4 = _octahedron_z4(al, be, t, s, u, w, mp, cfg, skew)
+    z5 = _octahedron_z5(al, be, t, s, u, w, mp, cfg)
+    return abs(z4 - z5) / max(abs(z4), abs(z5))
+
+
+def _log_g2(mp, tol, *cs):
+    """Sum of log gamma2 over scalar offsets (the constant B-factors)."""
+    return np.log(hyperbolic_gamma(np.array(cs), mp, tol)).sum()
+
+
+def _octahedron_z4(al, be, t, s, u, w, mp, cfg, skew):
+    """Z4 as one 1D integral over x = i xs."""
     ptol = cfg.phib_tol
     g = lambda c: gamma2_line(c, mp, ptol)
     l_al = [g(a) for a in al]
     l_be = [g(b) for b in be]
-
-    def log_g2(*cs):
-        """Sum of log gamma2 over scalar offsets (the constant B-factors)."""
-        return np.log(hyperbolic_gamma(np.array(cs), mp, ptol)).sum()
-
-    log_seed_den = log_g2(al[0] + be[0], al[1] + be[1])
-
-    def log_alpha_seed(ys):
-        return sum(la(-ys) + lb(ys) for la, lb in zip(l_al, l_be)) - log_seed_den
-
     st = s + t + skew
     l_stw_m = g(st + w)
     l_stw_p = g(st - w)
     l_tu = g(t + u)
     l_tu2s = g(t + u + 2 * s)        # x-dependent B denominator
-    log_c4 = log_g2(2 * s) - log_g2(2 * st)
+    log_c4 = (_log_g2(mp, ptol, 2 * s) - _log_g2(mp, ptol, 2 * st)
+              - _log_g2(mp, ptol, al[0] + be[0], al[1] + be[1]))
 
     def z4_integrand(xs):
         # B(st+w-x, st-w+x) B(t+u+x, 2s) prod_i B(al_i - x, be_i + x), x = i xs
         return np.exp(l_stw_m(-xs) + l_stw_p(xs) + l_tu(xs) - l_tu2s(xs)
-                      + log_alpha_seed(xs) + log_c4)
+                      + sum(la(-xs) + lb(xs) for la, lb in zip(l_al, l_be)) + log_c4)
 
-    z4 = integrate_1d(z4_integrand, cfg).value
+    return integrate_1d(z4_integrand, cfg).value
 
-    l_sw = g(s + w)
-    l_u = g(u)
-    l_swm = g(s - w)
-    l_t = g(t)
-    l_den2 = g(2 * s + 2 * t + u)    # x-dependent B denominator
-    log_c5 = log_g2(s + 2 * t + u + w) - log_g2(s + w + u, 2 * t)
 
-    def z5_integrand(p):
+def _octahedron_z5(al, be, t, s, u, w, mp, cfg):
+    """Z5 as one 2D trapezoid over (x, y) = (i xs, i ys)."""
+    ptol = cfg.phib_tol
+    log_c5 = (_log_g2(mp, ptol, s + 2 * t + u + w) - _log_g2(mp, ptol, s + w + u, 2 * t)
+              - _log_g2(mp, ptol, al[0] + be[0], al[1] + be[1]))
+
+    def log_z5(g2, _phi, v, _x):
         # B(s+w-x, u+x) B(s+2t+u+w, s-w+x) B(t+x-y, t-x+y) prod_i B(al_i - y, be_i + y)
-        xs, ys = p[:, 0], p[:, 1]
-        return np.exp(l_sw(-xs) + l_u(xs) + l_swm(xs) - l_den2(xs)
-                      + l_t(xs - ys) + l_t(ys - xs) + log_alpha_seed(ys) + log_c5)
+        xs, ys = v
+        return (g2(s + w, -xs) + g2(u, xs) + g2(s - w, xs) - g2(2 * s + 2 * t + u, xs)
+                + g2(t, xs - ys) + g2(t, ys - xs)
+                + sum(g2(a, -ys) + g2(b, ys) for a, b in zip(al, be)) + log_c5)
 
-    z5 = integrate_nd(z5_integrand, 2, cfg).value
-    return abs(z4 - z5) / max(abs(z4), abs(z5))
+    return integrate_nd(line_integrand(log_z5, mp, ptol), 2, cfg).value
 
 
 # -- entropy pentagon -----------------------------------------------------------

@@ -21,11 +21,18 @@ exp(-(b + 1/b - 2|Im z|)|t|) falls below the target precision.  Before
 integrating, Im z is folded into [-d/2, d/2] (d = min(b,1/b)) by the shift
 relations; Re z > 0 is taken from the inversion relation and Re z below
 the asymptotic threshold -re_cut as Phi_b -> 1, so the contour is only
-summed at Re z in [-re_cut, 0].  Evaluation is vectorized over arrays of
-z; FaddeevDilog.line factors the sums for a uniform grid on a horizontal
-line into two matrix products.  LineCache keeps log Phi_b on such a line
-as a table of spline cubics and returns logs, which callers sum before
-taking one exp.
+summed at Re z in [-re_cut, 0].  The shift factors, the inversion relation
+and the contour sum are combined in log space, so Phi_b is finite wherever
+it is representable.  Evaluation is vectorized over arrays of z;
+FaddeevDilog.line factors the sums for a uniform grid on a horizontal line
+into two matrix products and returns log Phi_b there.  That grid is exact:
+special.LineTables keeps it, per lattice step, for the integrands of the
+tensor trapezoid.
+LineCache keeps log Phi_b on a line as a table of spline cubics for
+callers that evaluate off any lattice (Gauss-Kronrod panels, the dim-4
+tensor grid, Monte Carlo); callers sum its logs before taking one exp.
+bench/tracing.py wraps LineCache.__init__ (reading its spacing default)
+and LineCache.__call__, so their signatures are load-bearing.
 """
 from __future__ import annotations
 
@@ -60,6 +67,7 @@ class FaddeevDilog:
         self.re_cut = (np.log(1.0 / tol) + 3.0) / (2 * _PI * self.step)
         cb = 1j * self.cb_abs
         self.zeta_inv = complex(np.exp(1j * _PI * (1.0 + 2.0 * cb**2) / 6.0))
+        self._log_zeta_inv = np.log(self.zeta_inv)
         # worst-case node table (band edge); per-batch slices shrink it.
         # panel width tracks the maximal kernel frequency re_cut/pi (cycles
         # per unit), keeping <= ~4.5 cycles per 24-node Gauss panel.
@@ -111,12 +119,12 @@ class FaddeevDilog:
         return self._tpos[m], self._gp[m], self._gm[m]
 
     def _raw(self, z):
-        """Direct contour integral; requires |Im z| <= band and |Re z| <= re_cut."""
+        """log Phi_b by the direct contour integral; requires |Im z| <= band
+        and |Re z| <= re_cut."""
         t, gp, gm = self._nodes(float(np.abs(z.imag).max()))
         ker = np.exp(np.multiply.outer(-2j * z, t))
         # e^{-2iz(+-t + i h0)} = e^{-+2izt} * e^{2 z h0}
-        logv = np.exp(2.0 * z * self.h0) * (ker @ gp + (1.0 / ker) @ gm)
-        return np.exp(logv)
+        return np.exp(2.0 * z * self.h0) * (ker @ gp + (1.0 / ker) @ gm)
 
     def _raw_grid(self, z0, dx, n):
         """_raw on the uniform grid z0 + k dx, k < n, through two GEMMs.
@@ -135,18 +143,30 @@ class FaddeevDilog:
         fwd, bwd = ker * gp, gm / ker
         sums = (fwd @ heads.T + bwd @ heads.conj().T).ravel()[:n]
         z = z0 + dx * np.arange(n)
-        return np.exp(np.exp(2.0 * z * self.h0) * sums)
+        return np.exp(2.0 * z * self.h0) * sums
+
+    def _log_shift(self, z):
+        """log(1 + q1 e^{2 pi step z}), the factor of one shift relation,
+        without overflow at large Re z."""
+        a = 2 * _PI * self.step * z
+        big = a.real > 0
+        out = np.empty_like(a)
+        out[~big] = np.log1p(self.q1 * np.exp(a[~big]))
+        out[big] = a[big] + np.log(self.q1 + np.exp(-a[big]))
+        return out
 
     def _evaluate(self, z, raw):
-        """Phi_b on a 1D array z: fold Im z into [-band, band] by the shift
+        """log Phi_b on a 1D array z: fold Im z into [-band, band] by the shift
         relations, then take Re z > 0 from the inversion relation and
-        Re z < -re_cut as 1.
+        Re z < -re_cut as Phi_b = 1.
 
         raw gets the remaining folded points with Re in [-re_cut, 0], in
-        increasing order of Re; the contour sums are well conditioned there,
-        while at Re z > 0 the factor e^{2 z h0} amplifies their rounding.
+        increasing order of Re, and returns their log Phi_b; the contour sums
+        are well conditioned there, while at Re z > 0 the factor e^{2 z h0}
+        amplifies their rounding.  Every factor is accumulated in log space,
+        so no intermediate overflows where Phi_b itself is representable.
         """
-        pref = np.ones(z.shape, dtype=complex)
+        log_pref = np.zeros(z.shape, dtype=complex)
         zz = z.copy()
         n = np.round(zz.imag / self.step).astype(int)
         for _ in range(int(np.abs(n).max()) if n.size else 0):
@@ -154,36 +174,38 @@ class FaddeevDilog:
             lo = n < 0
             if hi.any():
                 zz[hi] -= 1j * self.step
-                pref[hi] /= (1.0 + self.q1 * np.exp(2 * _PI * self.step * zz[hi]))
+                log_pref[hi] -= self._log_shift(zz[hi])
                 n[hi] -= 1
             if lo.any():
-                pref[lo] *= (1.0 + self.q1 * np.exp(2 * _PI * self.step * zz[lo]))
+                log_pref[lo] += self._log_shift(zz[lo])
                 zz[lo] += 1j * self.step
                 n[lo] += 1
-        out = np.ones(zz.shape, dtype=complex)
+        out = np.zeros(zz.shape, dtype=complex)
         right = zz.real > 0
         near = np.abs(zz.real) <= self.re_cut
         for half, sgn in ((~right, 1), (right, -1)):
             idx = np.flatnonzero(half & near)[::sgn]
             if idx.size:
                 out[idx] = raw(sgn * zz[idx])
-        # Phi_b(z) = zeta_inv^{-1} e^{i pi z^2} / Phi_b(-z)
-        out[right] = np.exp(1j * _PI * zz[right] ** 2) / self.zeta_inv / out[right]
-        return pref * out
+        # log Phi_b(z) = i pi z^2 - log zeta_inv - log Phi_b(-z)
+        out[right] = 1j * _PI * zz[right] ** 2 - self._log_zeta_inv - out[right]
+        return log_pref + out
 
     def __call__(self, z, check=True):
         z = np.asarray(z, dtype=complex)
         if check:
             self.check_poles(z)
-        res = self._evaluate(z.ravel(), self._raw).reshape(z.shape)
+        res = np.exp(self._evaluate(z.ravel(), self._raw)).reshape(z.shape)
         return res[()] if z.ndim == 0 else res
 
     def line(self, x0: float, dx: float, n: int, y: float):
-        """Phi_b(x0 + k dx + i y) for k = 0..n-1 (dx > 0), without pole checks.
+        """log Phi_b(x0 + k dx + i y) for k = 0..n-1 (dx > 0), without pole
+        checks.
 
-        Same values as __call__ on these points; the contour sums run through
-        _raw_grid, since each half of the folded line that _evaluate hands
-        to raw is again a uniform grid on one line.
+        The logs of the values __call__ gives on these points, up to
+        multiples of 2 pi i; the contour sums run through _raw_grid, since
+        each half of the folded line that _evaluate hands to raw is again a
+        uniform grid on one line.
         """
         z = x0 + dx * np.arange(n) + 1j * y
         return self._evaluate(z, lambda zm: self._raw_grid(zm[0], dx, len(zm)))
@@ -209,7 +231,6 @@ class LineCache:
         self.engine = engine
         self.y = float(y)
         self.spacing = float(spacing)
-        self._log_zeta_inv = np.log(engine.zeta_inv)
         self._build(radius)
 
     def _build(self, radius):
@@ -224,7 +245,7 @@ class LineCache:
             # columns k < n - 1 hold the cubics of Im z = +y, the rest those of -y
             coef = []
             for sgn in (+1.0, -1.0):
-                logs = np.log(eng.line(x0, dx, n, sgn * self.y))
+                logs = eng.line(x0, dx, n, sgn * self.y)
                 coef.append(CubicSpline(xs, logs.real + 1j * np.unwrap(logs.imag)).c)
             self._x0, self._dx, self._nint = x0, dx, n - 1
             self._coef = np.concatenate(coef, axis=1)
@@ -259,7 +280,7 @@ class LineCache:
         out = self._horner(np.where(right, -x, x), right)
         # log Phi(z) = i pi z^2 - log zeta_inv - log Phi(-z)
         z = x + 1j * self.y
-        return np.where(right, 1j * _PI * z**2 - self._log_zeta_inv - out, out)
+        return np.where(right, 1j * _PI * z**2 - self.engine._log_zeta_inv - out, out)
 
 
 def get_engine(b: float, tol: float = 1e-13) -> FaddeevDilog:

@@ -12,6 +12,17 @@ difference plus the truncation tail measured on the faces of the box; a
 box whose tail alone exceeds the tolerance is refused with
 QuadratureFailure.  Sums are accumulated in a fixed order so results are
 reproducible to the bit.
+
+Lattice integrands.  Every point the trapezoid and the box probes evaluate
+is a lattice point k*h, with k an integer vector: a trapezoid node at step
+h, an axis probe r*e_j as (k = e_j, h = r), a diagonal probe (r/sqrt(dim))*s
+for a sign vector s as (k = s, h = r/sqrt(dim)).  An nD integrand f may
+carry an attribute f.lattice, a callable (k, h) -> values at the points
+k*h for an (N, dim) integer array k; these two rules call it instead of
+f(k*h), so that f can index exact per-step tables rather than interpolate.
+The points, the box, the step sequence and the evaluation count are the
+same either way.  Gauss-Kronrod panels, the dim-4 tensor grid and Monte
+Carlo evaluate off the lattice and always call f itself.
 """
 from __future__ import annotations
 
@@ -183,6 +194,13 @@ def integrate_1d(f, cfg: QuadratureConfig, interval=None) -> IntegralResult:
     return IntegralResult(complex(value), err_total, counter[0], "adaptive")
 
 
+def _on_lattice(f, k, h):
+    """f at the points k*h (k an (N, dim) integer array), through f.lattice
+    when f has that form."""
+    lattice = getattr(f, "lattice", None)
+    return np.asarray(lattice(k, h) if lattice is not None else f(k * h), dtype=complex)
+
+
 def _estimate_box(f, dim, cfg):
     """Per-axis truncation radii with a diagonal safety check, and the
     fitted decay rates along the +ax and -ax rays (rates[ax])."""
@@ -190,24 +208,22 @@ def _estimate_box(f, dim, cfg):
     radii, rates = [], np.zeros((dim, 2))
     for ax in range(dim):
         r_axis = 4.0
-        for sgn in (+1.0, -1.0):
+        for sgn in (+1, -1):
             def probe(r, ax=ax, sgn=sgn):
-                x = np.zeros((1, dim))
-                x[0, ax] = sgn * r
-                return abs(np.asarray(f(x))[0])
+                k = np.zeros((1, dim), dtype=int)
+                k[0, ax] = sgn
+                return abs(_on_lattice(f, k, r)[0])
             c, mu = estimate_decay(probe)
             rates[ax, int(sgn < 0)] = mu
             r_axis = max(r_axis, np.log(max(c / target, 1.0)) / mu + 1.0)
         radii.append(min(r_axis, 120.0))
     radii = np.array(radii)
-    diags = [np.ones(dim)]
+    diags = [np.ones(dim, dtype=int)]
     if dim <= 3:
-        diags = [np.array(s) for s in itertools.product((1.0, -1.0), repeat=dim)]
+        diags = [np.array(s) for s in itertools.product((1, -1), repeat=dim)]
     for d in diags:
-        dn = d / np.linalg.norm(d)
-
-        def probe(r, dn=dn):
-            return abs(np.asarray(f((r * dn)[None, :]))[0])
+        def probe(r, d=d):
+            return abs(_on_lattice(f, d[None, :], r / np.sqrt(dim))[0])
         c, mu = estimate_decay(probe)  # raises on growth along the diagonal
         r_need = np.log(max(c / target, 1.0)) / mu + 1.0
         if r_need > np.linalg.norm(radii):
@@ -243,14 +259,15 @@ def _trapezoid(f, dim, cfg, radii, rates, counter):
         edge = kmax - (kmax % 2 == 0)  # outermost odd index per axis
         layers = np.zeros((dim, 2))     # sum of |f| on the layers k_j = +edge_j, -edge_j
         for lo in range(0, n, _TRAP_CHUNK):
-            k = np.stack(np.unravel_index(np.arange(lo, min(lo + _TRAP_CHUNK, n)), shape), 1) - kmax
+            kt = np.array(np.unravel_index(np.arange(lo, min(lo + _TRAP_CHUNK, n)), shape))
+            kt -= kmax[:, None]        # one row per axis
             if value is not None:
-                k = k[(k % 2 == 1).any(axis=1)]
-            vals = np.asarray(f(k * h), dtype=complex)
+                kt = kt[:, np.bitwise_or.reduce(kt & 1, axis=0).astype(bool)]
+            vals = _on_lattice(f, kt.T, h)
             total += complex(np.sum(vals))
             counter[0] += len(vals)
             mag = np.abs(vals)
-            layers += [[mag[kj == e].sum(), mag[kj == -e].sum()] for kj, e in zip(k.T, edge)]
+            layers += [[mag[kj == e].sum(), mag[kj == -e].sum()] for kj, e in zip(kt, edge)]
         prev, value = value, h ** dim * total
         if prev is not None:
             err = abs(value - prev)

@@ -20,6 +20,7 @@ import numpy as np
 from .params import ModularParameter
 from .qdilog import LineCache, get_engine
 from .quadrature import IntegralResult, QuadratureConfig, integrate_1d, integrate_nd
+from .special import line_integrand
 
 __all__ = ["ratio_integral_fig8", "triple_ratio_52", "tilde52_reduced2d",
            "knot61_reduced2d", "default_shift"]
@@ -70,21 +71,18 @@ def tilde52_reduced2d(beta1, gamma3, delta1, theta, mp: ModularParameter,
     At complete balancing (delta1 = gamma3 = beta1, theta = pi - beta1) it
     equals |triple_ratio_52|^2.
     """
-    eng = get_engine(mp.b, cfg.phib_tol)
     ub = mp.u_of(beta1).imag
     ug = mp.u_of(gamma3).imag
     ud = mp.u_of(delta1).imag
-    lines = {k: LineCache(eng, y, 10.0) for k, y in
-             (("b+", ub), ("b-", -ub), ("g+", ug), ("g-", -ug), ("d+", ud), ("d-", -ud))}
-    h = abs(mp.cb)
+    cb = abs(mp.cb)
 
-    def f(pts):
-        x1, x2 = pts[:, 0], pts[:, 1]
-        logv = (lines["b+"](x1) + lines["g+"](-x2) + lines["d+"](x1)
-                - lines["b-"](x2) - lines["g-"](-x1) - lines["d-"](x2))
-        return np.exp(logv - 1j * _PI * (x1**2 - x2**2) + 2.0 * h * theta * (x1 + x2))
+    def log_f(_g2, phi, v, x):
+        (v1, v2), (x1, x2) = v, x
+        return (phi(1j * ub, v1) + phi(1j * ug, -v2) + phi(1j * ud, v1)
+                - phi(-1j * ub, v2) - phi(-1j * ug, -v1) - phi(-1j * ud, v2)
+                - 1j * _PI * (x1**2 - x2**2) + 2.0 * cb * theta * (x1 + x2))
 
-    return integrate_nd(f, 2, cfg)
+    return integrate_nd(line_integrand(log_f, mp, cfg.phib_tol), 2, cfg)
 
 
 def knot61_reduced2d(beta2, gamma2, rho2, delta3, theta_x, theta_z,
@@ -101,31 +99,22 @@ def knot61_reduced2d(beta2, gamma2, rho2, delta3, theta_x, theta_z,
     factorization (its integrand, not the conjugated result); the product
     J * J_partner is the renormalized invariant and is real positive.
     """
-    eng = get_engine(mp.b, cfg.phib_tol)
     yb = mp.u_of(beta2).imag
     yg = mp.u_of(gamma2).imag
     yr = mp.u_of(rho2).imag
     yd = mp.u_of(delta3).imag
-    h = abs(mp.cb)
+    cb = abs(mp.cb)
     if not partner:
-        lb = LineCache(eng, yb, 10.0)
-        lg = LineCache(eng, -yg, 10.0)
-        lr = LineCache(eng, yr, 10.0)
-        ld = LineCache(eng, -yd, 10.0)
-
-        def f(pts):
-            x, z = pts[:, 0], pts[:, 1]
-            logv = lb(x) + lr(z) - lg(-x) - ld(z - x)
-            return np.exp(logv + 2.0 * h * (theta_x * x + theta_z * z) + 1j * _PI * z**2)
+        def log_f(_g2, phi, v, xz):
+            (vx, vz), (x, z) = v, xz
+            return (phi(1j * yb, vx) + phi(1j * yr, vz)
+                    - phi(-1j * yg, -vx) - phi(-1j * yd, vz - vx)
+                    + 2.0 * cb * (theta_x * x + theta_z * z) + 1j * _PI * z**2)
     else:
-        lb = LineCache(eng, -yb, 10.0)
-        lg = LineCache(eng, yg, 10.0)
-        lr = LineCache(eng, -yr, 10.0)
-        ld = LineCache(eng, yd, 10.0)
+        def log_f(_g2, phi, v, yv):
+            (vy, vv), (y, v_) = v, yv
+            return (phi(1j * yg, -vy) + phi(1j * yd, vv - vy)
+                    - phi(-1j * yb, vy) - phi(-1j * yr, vv)
+                    + 2.0 * cb * (theta_x * y + theta_z * v_) - 1j * _PI * v_**2)
 
-        def f(pts):
-            y, v = pts[:, 0], pts[:, 1]
-            logv = lg(-y) + ld(v - y) - lb(y) - lr(v)
-            return np.exp(logv + 2.0 * h * (theta_x * y + theta_z * v) - 1j * _PI * v**2)
-
-    return integrate_nd(f, 2, cfg)
+    return integrate_nd(line_integrand(log_f, mp, cfg.phib_tol), 2, cfg)

@@ -25,6 +25,7 @@ __all__ = [
     "hyperbolic_gamma", "hyperbolic_gamma_product", "bernoulli_b22", "hyper_B",
     "cap_psi", "psi_fn", "cap_psi_direct", "elliptic_gamma", "theta_fn",
     "classical_beta", "lobachevsky", "phi_b_asymptotic_tail",
+    "LineTables", "line_integrand",
 ]
 
 _PI = np.pi
@@ -109,22 +110,118 @@ def gamma2_line(c: complex, mp: ModularParameter, tol: float = 1e-13, radius: fl
     LineCache gives log Phi_b at interpolation speed; the Gaussian prefactor
     is added in log space.  The cache covers |w| <= radius (plus |Im c|) and
     grows on demand.  Callers sum the logs of all their line factors and
-    take one exp per point: the Boltzmann weight and the identity integrands.
+    take one exp per point: the Boltzmann weight off the trapezoid lattice
+    and the 1D identity integrands.  Integrands on the lattice read exact
+    LineTables instead.
     """
     from .qdilog import LineCache
-    eng = get_engine(mp.b, tol)
-    c = complex(c)
-    y_line = c.real - abs(mp.cb)         # Im of the Phi_b argument
-    x_off = -c.imag                      # Re offset of the Phi_b argument
-    cache = LineCache(eng, y_line, radius + abs(x_off))
-    log_sqrt_zeta = np.log(np.sqrt(mp.zeta_inv))
+    z0 = _phi_argument(c, mp)
+    cache = LineCache(get_engine(mp.b, tol), z0.imag, radius + abs(z0.real))
 
     def log_ev(w):
-        xr = x_off - np.asarray(w, dtype=float)
-        z = xr + 1j * y_line
-        return 0.5j * _PI * z**2 - log_sqrt_zeta - cache(xr)
+        z = z0 - np.asarray(w, dtype=float)
+        return _log_gamma2_from_phi(z, cache(z.real), mp)
 
     return log_ev
+
+
+def _phi_argument(c, mp: ModularParameter) -> complex:
+    """z0 = i c - c_b: gamma2(c + i w) is the Phi_b factor at z = z0 - w."""
+    return 1j * complex(c) - mp.cb
+
+
+def _log_gamma2_from_phi(z, log_phi, mp: ModularParameter):
+    """log gamma2 from log Phi_b(z) at its argument z (see _phi_argument):
+    gamma2 = e^{i pi z^2 / 2} / (sqrt(zeta_inv) Phi_b(z))."""
+    return 0.5j * _PI * z**2 - np.log(np.sqrt(mp.zeta_inv)) - log_phi
+
+
+class LineTables:
+    """Exact line factors on a trapezoid lattice: one log Phi_b table per (line, step h).
+
+    A trapezoid node is k h with k an integer vector, and each line factor of
+    a state-integral integrand moves by an integer combination of k.  So a
+    Phi_b factor is only needed at z0 + m h, m an integer, and a gamma2
+    factor at c + i m h, which is the Phi_b factor at z0 - m h with
+    z0 = i c - c_b: phi(z0, h, m) and gamma2(c, h, m) return those logs.
+    A table holds log Phi_b on one contiguous range of m, filled by
+    FaddeevDilog.line: no spline, and no pointwise pole check, but a line
+    through the zero/pole lattice raises PoleHit.  A call that reaches past
+    the range extends it at the end it passes, and no table is ever
+    rebuilt, so an entry once computed never changes.  The range is the
+    span of the m asked for, which the quadrature box bounds.
+    """
+
+    def __init__(self, mp: ModularParameter, tol: float = 1e-13):
+        self.mp = mp
+        self.eng = get_engine(mp.b, tol)
+        self._tables = {}   # (z0, h) -> [first m, log Phi_b values]
+
+    def gamma2(self, c, h, m):
+        """log gamma2(c + i m h) for an integer array m."""
+        m = np.asarray(m, dtype=np.intp)
+        if not m.size:
+            return np.zeros(m.shape, dtype=complex)
+        # map Phi_b to gamma2 once per m in the range, not once per point
+        z0, span = _phi_argument(c, self.mp), np.arange(m.min(), m.max() + 1)
+        vals = _log_gamma2_from_phi(z0 - h * span, self.phi(z0, -h, span), self.mp)
+        return vals[m - span[0]]
+
+    def phi(self, z0, h, m):
+        """log Phi_b(z0 + m h) for an integer array m (h of either sign)."""
+        key = (complex(z0), float(h))
+        m = np.asarray(m, dtype=np.intp)
+        if not m.size:
+            return np.zeros(m.shape, dtype=complex)
+        lo, hi = int(m.min()), int(m.max())
+        entry = self._tables.get(key)
+        if entry is None:
+            entry = self._tables[key] = [lo, self._fill(key, lo, hi + 1 - lo)]
+        first, vals = entry
+        if lo < first:
+            vals = np.concatenate([self._fill(key, lo, first - lo), vals])
+            first = lo
+        end = first + len(vals)
+        if hi >= end:
+            vals = np.concatenate([vals, self._fill(key, end, hi + 1 - end)])
+        entry[:] = first, vals
+        return vals[m - first]
+
+    def _fill(self, key, lo, n):
+        """log Phi_b(z0 + m h) at m = lo .. lo + n - 1."""
+        z0, h = key
+        if abs(abs(z0.imag) - self.eng.cb_abs) < 1e-9:
+            raise PoleHit(f"line Im z = {z0.imag} runs through the zero/pole lattice")
+        x = z0.real + h * (lo + np.arange(n))
+        logs = self.eng.line(float(x.min()), abs(h), n, z0.imag)
+        return logs if h > 0 else logs[::-1]    # FaddeevDilog.line runs left to right
+
+
+def line_integrand(log_body, mp: ModularParameter, tol: float = 1e-13):
+    """nD integrand exp(log_body(g2, phi, v, x)) with a lattice form on LineTables.
+
+    v and x hold one row per variable.  log_body sums the logs of its line
+    factors, g2(c, a) = log gamma2(c + i a h) and phi(z0, a) =
+    log Phi_b(z0 + a h), each at an integer combination a of the rows of v,
+    and may add terms in the coordinates x themselves.  f(x) for points x of
+    shape (N, dim) runs on the direct engine (v = x, h = 1); f.lattice(k, h),
+    which the trapezoid and the box probes call at the nodes k h, reads the
+    exact tables (v = k, x = k h).
+    """
+    eng = get_engine(mp.b, tol)
+    tables = LineTables(mp, tol)
+
+    def f(x):
+        x = np.asarray(x, dtype=float).T
+        return np.exp(log_body(lambda c, w: np.log(hyperbolic_gamma(c + 1j * w, mp, tol)),
+                               lambda z0, w: np.log(eng(z0 + w)), x, x))
+
+    def lattice(k, h):
+        return np.exp(log_body(lambda c, m: tables.gamma2(c, h, m),
+                               lambda z0, m: tables.phi(z0, h, m), k.T, h * k.T))
+
+    f.lattice = lattice
+    return f
 
 
 def cap_psi(u, v, w, mp: ModularParameter, tol: float = 1e-13):

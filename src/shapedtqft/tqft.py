@@ -16,6 +16,7 @@ pins s_e = 0 and contributes 1/|c| (c = 1/2 on a loop edge, else 1).
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from .complexes import QUAD_PAIRS, GaugeFixing, Triangulation, validate_angles
 from .errors import InvalidGauge, ShapeViolation
 from .params import ModularParameter
 from .quadrature import QuadratureConfig, integrate_nd
-from .special import gamma2_line, hyperbolic_gamma
+from .special import LineTables, gamma2_line, hyperbolic_gamma
 
 __all__ = ["tet_weight", "BoltzmannEvaluator", "PartitionResult", "partition_function",
            "check_pachner_invariance", "check_shape_gauge_invariance",
@@ -53,10 +54,14 @@ class BoltzmannEvaluator:
     """Vectorized total weight B(X, s) as a function of edge-class states.
 
     Per quad factor the dilogarithm argument runs along a fixed horizontal
-    line, so each factor's log comes from that line's gamma2_line evaluator
-    (a LineCache underneath); identical (angle, state-dependence) rows are
-    collapsed to multiplicities, and the weight sums mult * log gamma2 over
-    the rows and takes one exp per state.
+    line; identical (angle, state-dependence) rows are collapsed to
+    multiplicities, and the weight sums mult * log gamma2 over the rows and
+    takes one exp per state.  The evaluator itself reads each row from its
+    line's gamma2_line evaluator (a spline LineCache underneath): Gauss-
+    Kronrod panels, the dim-4 tensor grid and Monte Carlo call it.  A copy
+    made by on_lattice(h, origin) serves states on the trapezoid lattice
+    origin + h k: there each row's argument is its constant plus an integer
+    multiple of h, read exactly from the shared LineTables.
     """
 
     def __init__(self, x: Triangulation, angles, mp: ModularParameter,
@@ -78,21 +83,44 @@ class BoltzmannEvaluator:
                 d = d if sgn > 0 else -d
                 key = (round(mp.delta * self.angles[t, q], 14), tuple(np.round(d, 12)))
                 groups[key] = groups.get(key, 0) + 1
-        self._rows = [(base_r, np.array(diff_r), mult)
-                      for (base_r, diff_r), mult in sorted(groups.items())]
+        rows = sorted(groups.items())
+        self._bases = [base_r for (base_r, _), _ in rows]
+        self._diff = np.array([diff_r for (_, diff_r), _ in rows])   # (rows, n_edges)
+        self._mults = [mult for _, mult in rows]
         self._lines = {}
+        self._tables = LineTables(mp, self.cfg.phib_tol)
+        self._lattice = None    # (h, per-row constant) on a copy from on_lattice
+
+    def on_lattice(self, h: float, origin):
+        """This evaluator for states origin + h k, k an integer vector (0 on
+        the pinned and boundary edges, whose values origin holds).
+
+        The copy shares the rows and the tables of this evaluator.  Row r's
+        argument is then c_r + m h with c_r = origin . diff_r and the integer
+        m = rint((s . diff_r - c_r) / h); its log gamma2 comes from the table
+        of the offset base_r + i c_r at step h.
+        """
+        lat = copy.copy(self)
+        lat._lattice = (float(h), self._diff @ np.asarray(origin, dtype=float))
+        return lat
 
     def weight(self, states):
         """B(X, s) for states of shape (n_edges,) or (N, n_edges)."""
         s = np.atleast_2d(np.asarray(states, dtype=float))
+        d = self._diff @ s.T        # one row per weight row
         logw = np.zeros(s.shape[0], dtype=complex)
-        for base, diff_vec, mult in self._rows:
-            d = s @ diff_vec
-            line = self._lines.get(base)
-            if line is None:    # sized to the first states; the cache grows on demand
-                rad = float(np.abs(d).max()) + 4.0 if d.size else 6.0
-                line = self._lines[base] = gamma2_line(base, self.mp, self.cfg.phib_tol, rad)
-            logw += mult * line(d)
+        if self._lattice is not None:
+            h, const = self._lattice
+            m = np.rint((d - const[:, None]) / h).astype(np.intp)
+            for base, c, mult, mr in zip(self._bases, const, self._mults, m):
+                logw += mult * self._tables.gamma2(base + 1j * c, h, mr)
+        else:
+            for base, mult, dr in zip(self._bases, self._mults, d):
+                line = self._lines.get(base)
+                if line is None:    # sized to the first states; the cache grows on demand
+                    rad = float(np.abs(dr).max()) + 4.0 if dr.size else 6.0
+                    line = self._lines[base] = gamma2_line(base, self.mp, self.cfg.phib_tol, rad)
+                logw += mult * line(dr)
         out = np.exp(logw)
         return out[0] if np.ndim(states) == 1 else out
 
@@ -156,7 +184,13 @@ def partition_function(x: Triangulation, angles, boundary_state=None,
     if dim == 0:
         val = ev.weight(build(np.zeros((1, 0)))[0])
         return PartitionResult(complex(jacobian * val), 0.0, 0, gauge_desc, 1, "exact")
-    res = integrate_nd(lambda tm: ev.weight(build(tm)), dim, cfg)
+    origin = build(np.zeros((1, dim)))[0]
+
+    def integrand(tm):
+        return ev.weight(build(tm))
+
+    integrand.lattice = lambda k, h: ev.on_lattice(h, origin).weight(build(k * h))
+    res = integrate_nd(integrand, dim, cfg)
     return PartitionResult(jacobian * res.value, jacobian * res.error_estimate,
                            dim, gauge_desc, res.evaluations, res.method)
 

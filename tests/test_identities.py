@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from shapedtqft import identities
+from shapedtqft import identities, qdilog
 from shapedtqft.errors import ConstraintViolation
 from shapedtqft.identities import (BalancedParams33, BalancedParams6,
                                    bailey_pair_seed, bailey_step,
@@ -18,6 +18,7 @@ from shapedtqft.identities import (BalancedParams33, BalancedParams6,
                                    solve_symmetric_entropy_tuple, verify_bailey_pair)
 from shapedtqft.params import EllipticBases, ModularParameter
 from shapedtqft.quadrature import QuadratureConfig
+from tests.conftest import LATTICE_STEPS, capture_integrands, lattice_mismatch
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +198,32 @@ def test_octahedron_one_integral_per_side(mp1, monkeypatch):
     al, be, t, s, u, w = random_octahedron_params(np.random.default_rng(29), mp1)
     assert check_octahedron_duality(al, be, t, s, u, w, mp1, cfg) < 1e-4
     assert calls == {"integrate_1d": 1, "integrate_nd": 1}
+
+
+def criterion13_octahedron(mp):
+    """The first octahedron of the criterion 13 draws, as check_octahedron_duality takes it."""
+    al, be, t, s, u, w = random_octahedron_params(np.random.default_rng(2031), mp)
+    return (tuple(complex(v) for v in al), tuple(complex(v) for v in be),
+            complex(t), complex(s), complex(u), complex(w))
+
+
+@pytest.mark.parametrize("h", LATTICE_STEPS)
+def test_octahedron_z5_lattice_matches_direct(mp1, monkeypatch, h):
+    seen = capture_integrands(monkeypatch, identities)
+    identities._octahedron_z5(*criterion13_octahedron(mp1), mp1, QuadratureConfig())
+    (f, dim), = seen
+    assert lattice_mismatch(f, dim, h) <= 1e-12
+
+
+def test_octahedron_z5_builds_no_line_cache(mp1, monkeypatch):
+    built = []
+    init = qdilog.LineCache.__init__
+    monkeypatch.setattr(qdilog.LineCache, "__init__",
+                        lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+    cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
+    z5 = identities._octahedron_z5(*criterion13_octahedron(mp1), mp1, cfg)
+    assert np.isfinite(z5) and z5 != 0
+    assert built == []
 
 
 def test_octahedron_covariant_under_common_t_shift(mp1):

@@ -43,6 +43,28 @@ def test_unitarity():
     assert np.abs(res - 1).max() < 1e-9
 
 
+@pytest.mark.parametrize("b", [1.0, 1.3])
+def test_inversion_relation_far_out(b):
+    # |Phi_b| reaches e^{-+678} at 120 +- 0.9i; the shift factors there are
+    # multiplied in log space, so no intermediate overflows.  The residual is
+    # taken mod 2 pi i; beyond 1e-11 it is allowed the rounding of the
+    # Gaussian term i pi z^2 (one ulp is 7e-12 at |z| = 120)
+    mp = ModularParameter(b)
+    assert np.isfinite(phi_b(np.array([120 + 0.9j, 120 - 0.9j]), mp)).all()
+    cb = 0.5 * (b + 1 / b)
+    x = np.linspace(-124.3, 124.3, 301)
+    for y in np.linspace(-0.95, 0.95, 9) * cb:
+        z = x + 1j * y
+        with np.errstate(over="ignore", divide="ignore"):   # |Phi_b| beyond e^{+-709}
+            lp, lm = np.log(phi_b(z, mp)), np.log(phi_b(-z, mp))
+        live = (np.abs(lp.real) < 700) & (np.abs(lm.real) < 700)
+        assert live.sum() > 100
+        res = lp + lm + np.log(mp.zeta_inv) - 1j * np.pi * z**2
+        res = res.real + 1j * np.angle(np.exp(1j * res.imag))
+        bound = 1e-11 + 4 * np.spacing(np.pi * np.abs(z) ** 2)
+        assert (np.abs(res) <= bound)[live].all()
+
+
 def test_symmetry_b_to_inverse():
     z = np.array([0.4 - 0.2j, -1.7 + 0.5j, 3.3 + 0.1j])
     v1 = phi_b(z, ModularParameter(1.3))
@@ -112,7 +134,7 @@ def test_line_grid_matches_direct(b):
         for x0, x1, n in ((-12.0, 0.5, 626), (-eng.re_cut - 1.3, eng.re_cut + 0.9, 501)):
             dx = (x1 - x0) / (n - 1)
             direct = eng(x0 + dx * np.arange(n) + 1j * y, check=False)
-            worst = max(worst, np.abs(eng.line(x0, dx, n, y) / direct - 1).max())
+            worst = max(worst, np.abs(np.exp(eng.line(x0, dx, n, y)) / direct - 1).max())
     assert worst <= 1e-13
 
 
@@ -168,7 +190,7 @@ def test_line_cache_checks_both_half_lines(monkeypatch):
 
     def spoiled(self, x0, dx, n, y):
         vals = grid(self, x0, dx, n, y)
-        return vals * (1.0 + 1e-6) if y < 0 else vals
+        return vals + np.log(1.0 + 1e-6) if y < 0 else vals
 
     monkeypatch.setattr(FaddeevDilog, "line", spoiled)
     with pytest.raises(QuadratureFailure, match="floor"):

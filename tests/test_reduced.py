@@ -1,10 +1,14 @@
 """Reduced/closed forms of the bundled H-triangulations."""
 import numpy as np
+import pytest
 
+from shapedtqft import reduced
+from shapedtqft.data import load as load_bundled
 from shapedtqft.params import ModularParameter
 from shapedtqft.quadrature import QuadratureConfig
 from shapedtqft.reduced import (knot61_reduced2d, ratio_integral_fig8,
                                 tilde52_reduced2d, triple_ratio_52)
+from tests.conftest import LATTICE_STEPS, capture_integrands, lattice_mismatch
 
 
 def test_ratio_integral_contour_shift_independence(mp1):
@@ -43,3 +47,21 @@ def test_knot61_partner_is_conjugate(mp1):
     j = knot61_reduced2d(**pars, mp=mp1, cfg=cfg)
     jp = knot61_reduced2d(**pars, mp=mp1, cfg=cfg, partner=True)
     assert abs(jp.value - np.conj(j.value)) < 1e-7 * abs(j.value)
+
+
+@pytest.mark.parametrize("h", LATTICE_STEPS)
+def test_reduced_lattice_forms_match_direct(mp1, monkeypatch, h):
+    # criterion 9's 5_2 form and both factors of criterion 10's 6_1 form
+    seen = capture_integrands(monkeypatch, reduced)
+    cfg = QuadratureConfig()
+    tilde52_reduced2d(1.1, 1.1, 1.1, np.pi - 1.1, mp1, cfg)
+    _x, angles = load_bundled("knot61.json")
+    pars = dict(beta2=angles[1][1], gamma2=angles[2][1], rho2=angles[3][1],
+                delta3=angles[4][2],
+                theta_x=angles[1][0] - angles[2][0] - angles[4][0],
+                theta_z=angles[3][0] + angles[4][0])
+    for partner in (False, True):
+        knot61_reduced2d(**pars, mp=mp1, cfg=cfg, partner=partner)
+    assert len(seen) == 3
+    for f, dim in seen:
+        assert lattice_mismatch(f, dim, h) <= 1e-12

@@ -6,10 +6,11 @@ from scipy.integrate import quad
 from shapedtqft.errors import NonConvergence
 from shapedtqft.identities import random_balanced_33
 from shapedtqft.params import EllipticBases, ModularParameter
-from shapedtqft.special import (bernoulli_b22, cap_psi, cap_psi_direct, classical_beta,
-                                elliptic_gamma, gamma2_line, hyper_B, hyperbolic_gamma,
-                                hyperbolic_gamma_general, hyperbolic_gamma_product,
-                                lobachevsky, psi_fn, theta_fn)
+from shapedtqft.qdilog import FaddeevDilog, phi_b
+from shapedtqft.special import (LineTables, bernoulli_b22, cap_psi, cap_psi_direct,
+                                classical_beta, elliptic_gamma, gamma2_line, hyper_B,
+                                hyperbolic_gamma, hyperbolic_gamma_general,
+                                hyperbolic_gamma_product, lobachevsky, psi_fn, theta_fn)
 
 
 # -- bernoulli ----------------------------------------------------------------
@@ -108,6 +109,34 @@ def test_gamma2_line_matches_hyperbolic_gamma(b):
         for ws in (near, far):
             ref = hyperbolic_gamma(c + 1j * ws, mp)
             assert np.abs(np.exp(line(ws)) / ref - 1.0).max() <= 1e-7
+
+
+@pytest.mark.parametrize("b", [1.0, 1.3])
+def test_line_tables_extend_without_rebuild(b, monkeypatch):
+    # a call past the table fills only the new entries, leaves the old ones
+    # bit-identical, and every entry matches the direct engine
+    mp = ModularParameter(b)
+    filled = []
+    grid = FaddeevDilog.line
+
+    def counted(self, x0, dx, n, y):
+        filled.append(n)
+        return grid(self, x0, dx, n, y)
+
+    monkeypatch.setattr(FaddeevDilog, "line", counted)
+    tables = LineTables(mp)
+    c, z0, h = 0.4 * mp.q_total + 0.1j, 0.3 + 0.2j, 0.1
+    for lookup, direct in ((lambda m: tables.gamma2(c, h, m),
+                            lambda m: hyperbolic_gamma(c + 1j * m * h, mp)),
+                           (lambda m: tables.phi(z0, h, m),
+                            lambda m: phi_b(z0 + m * h, mp))):
+        filled.clear()
+        first = lookup(np.arange(-5, 6))
+        wider = lookup(np.arange(-40, 31))
+        assert np.array_equal(wider[35:46], first)
+        assert filled == [11, 35, 25]
+        m = np.arange(-40, 31)
+        assert np.abs(np.exp(wider) / direct(m) - 1).max() <= 1e-12
 
 
 # -- B kernel -------------------------------------------------------------------

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from shapedtqft import qdilog
 from shapedtqft.complexes import (GaugeFixing, random_bipyramid_angles, standalone_bipyramid,
                                   state_gauge_image)
 from shapedtqft.errors import ShapeViolation
@@ -12,6 +13,7 @@ from shapedtqft.special import hyperbolic_gamma
 from shapedtqft.tqft import (BoltzmannEvaluator, check_pachner_invariance,
                              check_shape_gauge_invariance, faddeev_popov_check,
                              knot_quad_angle, partition_function, tet_weight)
+from tests.conftest import LATTICE_STEPS
 
 LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -77,6 +79,15 @@ def test_weight_gauge_invariance_full_complex(fig8, mp1):
         assert abs(ev.weight(s + bg) / w0 - 1) < 1e-9
 
 
+def direct_weight(x, angles, s, mp):
+    """Product of tet_weight (direct engine) over the tetrahedra of x."""
+    out = np.ones(len(s), dtype=complex)
+    for t, tet in enumerate(x.tetrahedra):
+        cls = [x.edge_class_of[(t, e)] for e in range(6)]
+        out *= tet_weight(tet.orientation, np.asarray(angles)[t], s[:, cls], mp)
+    return out
+
+
 def test_fast_path_matches_exact(fig8, mp1):
     # the line-cache weight against the direct-engine oracle: the product of
     # tet_weight over the tetrahedra, each local edge read from its edge class
@@ -84,11 +95,44 @@ def test_fast_path_matches_exact(fig8, mp1):
     rng = np.random.default_rng(10)
     s = rng.normal(size=(40, x.n_edges))
     fast = BoltzmannEvaluator(x, angles, mp1).weight(s)
-    exact = np.ones(len(s), dtype=complex)
-    for t, tet in enumerate(x.tetrahedra):
-        cls = [x.edge_class_of[(t, e)] for e in range(6)]
-        exact *= tet_weight(tet.orientation, np.asarray(angles)[t], s[:, cls], mp1)
-    assert np.abs(fast / exact - 1).max() < 1e-7
+    assert np.abs(fast / direct_weight(x, angles, s, mp1) - 1).max() < 1e-7
+
+
+@pytest.mark.parametrize("h", LATTICE_STEPS)
+def test_lattice_weight_matches_direct(fig8, mp1, h):
+    # the lattice weight at states origin + h k against the direct engine:
+    # fig8 on the free edges of its automatic gauge, and the bipyramid whose
+    # boundary edges hold nonzero constants, so each row has its own offset
+    rng = np.random.default_rng(14)
+    x8, angles8 = fig8
+    pinned = [e for (_v, e, _c) in GaugeFixing.automatic(x8).validated(x8)]
+    xb, _central = standalone_bipyramid()
+    origin_b = np.zeros(xb.n_edges)
+    origin_b[xb.boundary_edges] = rng.uniform(-0.5, 0.5, len(xb.boundary_edges))
+    cases = ((x8, angles8, np.zeros(x8.n_edges),
+              [e for e in x8.interior_edges if e not in pinned]),
+             (xb, random_bipyramid_angles(rng), origin_b, list(xb.interior_edges)))
+    kmax = max(1, int(5.0 // h))
+    for x, angles, origin, free in cases:
+        k = np.zeros((200, x.n_edges), dtype=int)
+        k[:, free] = rng.integers(-kmax, kmax + 1, size=(200, len(free)))
+        s = origin + h * k
+        lat = BoltzmannEvaluator(x, angles, mp1).on_lattice(h, origin)
+        assert np.abs(lat.weight(s) / direct_weight(x, angles, s, mp1) - 1).max() <= 1e-12
+
+
+def test_fig8_trapezoid_builds_no_line_cache(fig8, mp1, monkeypatch):
+    # criterion 8's integral: every weight call, box probes included, reads
+    # the lattice tables; the node count is that of the spline path
+    built = []
+    init = qdilog.LineCache.__init__
+    monkeypatch.setattr(qdilog.LineCache, "__init__",
+                        lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+    x, angles = fig8
+    cfg = QuadratureConfig(abs_tol=2e-5, rel_tol=2e-5, phib_tol=1e-11)
+    res = partition_function(x, angles, mp=mp1, cfg=cfg)
+    assert res.method == "trapezoid" and res.evaluations == 617_859
+    assert built == []
 
 
 def test_orientation_flip_conjugates_weight(fig8, mp1):
