@@ -14,8 +14,8 @@ import numpy as np
 from .errors import ConstraintViolation
 from .params import EllipticBases, ModularParameter
 from .quadrature import QuadratureConfig, integrate_1d, integrate_nd
-from .special import (cap_psi, classical_beta, elliptic_gamma, gamma2_line,
-                      hyper_B, hyperbolic_gamma, line_integrand)
+from .special import (cap_psi, classical_beta, elliptic_gamma, hyper_B, hyperbolic_gamma,
+                      line_integrand)
 
 __all__ = [
     "BalancedParams33", "BalancedParams6", "check_hyperbolic_pentagon",
@@ -88,14 +88,13 @@ def check_hyperbolic_pentagon(p: BalancedParams33, mp: ModularParameter,
                               cfg: QuadratureConfig) -> float:
     """Relative residual of the five-term B-kernel identity."""
     p.validate(mp)
-    l_a = [gamma2_line(a, mp, cfg.phib_tol) for a in p.a]
-    l_b = [gamma2_line(b, mp, cfg.phib_tol) for b in p.b]
     log_den = np.log(hyperbolic_gamma(np.add(p.a, p.b), mp, cfg.phib_tol)).sum()
 
-    def f(t):
-        return np.exp(sum(la(-t) + lb(t) for la, lb in zip(l_a, l_b)) - log_den)
+    def log_f(g2, _phi, v, _x):
+        (t,) = v
+        return sum(g2(a, -t) + g2(b, t) for a, b in zip(p.a, p.b)) - log_den
 
-    lhs = integrate_1d(f, cfg).value
+    lhs = integrate_nd(line_integrand(log_f, mp, cfg.phib_tol), 1, cfg).value
     rhs = complex(hyper_B(p.a[1] + p.b[0], p.a[2] + p.b[1], mp, cfg.phib_tol)
                   * hyper_B(p.a[0] + p.b[1], p.a[2] + p.b[0], mp, cfg.phib_tol))
     return abs(lhs - rhs) / abs(rhs)
@@ -105,24 +104,19 @@ def check_hyperbolic_beta_integral(p: BalancedParams6, mp: ModularParameter,
                                    cfg: QuadratureConfig,
                                    balance_tol: float = 1e-14) -> float:
     """Relative residual of the six-parameter hyperbolic beta integral."""
-    from .qdilog import get_engine
     p.validate(mp, balance_tol)
-    lines = [gamma2_line(a, mp, cfg.phib_tol) for a in p.alphas]
-    eng = get_engine(mp.b, cfg.phib_tol)
-    cb = mp.cb
-    log_c = np.log(mp.zeta_inv) - 1j * _PI * cb**2
 
-    def f(t):
-        # 1/(gamma2(2it) gamma2(-2it)): the gamma2 pole at 0 sits on the
-        # contour, so expand through Phi_b where the vanishing factor is an
-        # analytic prefactor (its Gaussian joins the exponent); pole
-        # proximity checks are disabled because the composite is regular
-        # (double zero of the reciprocal).
-        log_num = sum(ln(t) + ln(-t) for ln in lines)
-        return (np.exp(log_num - 4j * _PI * t**2 + log_c)
-                * eng(-2.0 * t - cb, check=False) * eng(2.0 * t - cb, check=False))
+    def log_f(g2, _phi, v, x):
+        (t,), (xt,) = v, x
+        # the measure 1/(gamma2(2it) gamma2(-2it)) = 4 sinh(2 pi b t) sinh(2 pi t/b),
+        # in log space; its double zero at t = 0 makes the integrand exactly 0 there
+        a = 2 * _PI * np.abs(xt)
+        with np.errstate(divide="ignore"):
+            log_measure = (mp.q_total * a + np.log1p(-np.exp(-2 * mp.b * a))
+                           + np.log1p(-np.exp(-2 * a / mp.b)))
+        return sum(g2(al, t) + g2(al, -t) for al in p.alphas) + log_measure
 
-    lhs = 0.5 * integrate_1d(f, cfg).value
+    lhs = 0.5 * integrate_nd(line_integrand(log_f, mp, cfg.phib_tol), 1, cfg).value
     rhs = 1.0 + 0.0j
     for i in range(6):
         for j in range(i + 1, 6):
@@ -345,9 +339,9 @@ def check_octahedron_duality(alpha_params, beta_params, t, s, u, w,
     Z5 re-expands the seed transform into a 2D integral over (x, y) (five
     B-factors), taken in one call to the 2D trapezoid.  Equality is the
     pentagon identity acting inside the composition.  All gamma factors run
-    along fixed horizontal lines: Z4 reads them from spline-cached
-    gamma2_line evaluators, Z5 from exact LineTables on the trapezoid
-    lattice; each integrand sums their logs and takes one exp per point.
+    along fixed horizontal lines, and both sides read them from exact
+    LineTables on the trapezoid lattice (1D for Z4, 2D for Z5); each
+    integrand sums their logs and takes one exp per point.
 
     `skew` shifts the kernel parameter on the Z4 side only (negative
     control: a nonzero skew must produce a macroscopic residual).  Note the
@@ -376,25 +370,19 @@ def _log_g2(mp, tol, *cs):
 
 
 def _octahedron_z4(al, be, t, s, u, w, mp, cfg, skew):
-    """Z4 as one 1D integral over x = i xs."""
+    """Z4 as one 1D trapezoid over x = i xs."""
     ptol = cfg.phib_tol
-    g = lambda c: gamma2_line(c, mp, ptol)
-    l_al = [g(a) for a in al]
-    l_be = [g(b) for b in be]
     st = s + t + skew
-    l_stw_m = g(st + w)
-    l_stw_p = g(st - w)
-    l_tu = g(t + u)
-    l_tu2s = g(t + u + 2 * s)        # x-dependent B denominator
     log_c4 = (_log_g2(mp, ptol, 2 * s) - _log_g2(mp, ptol, 2 * st)
               - _log_g2(mp, ptol, al[0] + be[0], al[1] + be[1]))
 
-    def z4_integrand(xs):
+    def log_z4(g2, _phi, v, _x):
         # B(st+w-x, st-w+x) B(t+u+x, 2s) prod_i B(al_i - x, be_i + x), x = i xs
-        return np.exp(l_stw_m(-xs) + l_stw_p(xs) + l_tu(xs) - l_tu2s(xs)
-                      + sum(la(-xs) + lb(xs) for la, lb in zip(l_al, l_be)) + log_c4)
+        (xs,) = v
+        return (g2(st + w, -xs) + g2(st - w, xs) + g2(t + u, xs) - g2(t + u + 2 * s, xs)
+                + sum(g2(a, -xs) + g2(b, xs) for a, b in zip(al, be)) + log_c4)
 
-    return integrate_1d(z4_integrand, cfg).value
+    return integrate_nd(line_integrand(log_z4, mp, ptol), 1, cfg).value
 
 
 def _octahedron_z5(al, be, t, s, u, w, mp, cfg):

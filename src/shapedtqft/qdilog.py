@@ -26,11 +26,11 @@ and the contour sum are combined in log space, so Phi_b is finite wherever
 it is representable.  Evaluation is vectorized over arrays of z;
 FaddeevDilog.line factors the sums for a uniform grid on a horizontal line
 into two matrix products and returns log Phi_b there.  That grid is exact:
-special.LineTables keeps it, per lattice step, for the integrands of the
-tensor trapezoid.
-LineCache keeps log Phi_b on a line as a table of spline cubics for
-callers that evaluate off any lattice (Gauss-Kronrod panels, the dim-4
-tensor grid, Monte Carlo); callers sum its logs before taking one exp.
+special.LineTables keeps it, per lattice step, for every integrand of line
+factors, which the trapezoid takes in one to three dimensions.
+LineCache keeps log Phi_b on a line as a table of spline cubics for the
+Boltzmann weight off any lattice (the dim-4 tensor grid, Monte Carlo),
+which sums its logs before taking one exp.
 bench/tracing.py wraps LineCache.__init__ (reading its spacing default)
 and LineCache.__call__, so their signatures are load-bearing.
 """

@@ -3,15 +3,17 @@
 All integrands are complex-valued and vectorized: a 1D integrand maps an
 array of abscissas to an array of values, an nD integrand maps an (N, dim)
 array of points to N values.  Infinite domains are truncated at a radius
-where an empirically fitted exponential envelope C*exp(-mu*r) drops below
-abs_tol/(10*dim).  1D panels are refined with a nested Gauss-Kronrod pair;
-2D and 3D boxes take a nested-halving tensor trapezoid, exponentially
+where an empirically fitted exponential envelope C*exp(-mu*r), and its tail
+integral C*exp(-mu*r)/mu, drop below abs_tol/(10*dim).  integrate_nd takes
+boxes of dim 1 to 3 with a nested-halving tensor trapezoid, exponentially
 convergent on integrands analytic in a strip around the real state space
 (Trefethen & Weideman, SIAM Review 56, 2014).  Its error is the halving
 difference plus the truncation tail measured on the faces of the box; a
 box whose tail alone exceeds the tolerance is refused with
-QuadratureFailure.  Sums are accumulated in a fixed order so results are
-reproducible to the bit.
+QuadratureFailure.  integrate_1d refines Gauss-Kronrod panels, for finite
+intervals and for 1D integrands that are not products of line factors;
+it too meets its tolerance or raises QuadratureFailure.  Sums are
+accumulated in a fixed order so results are reproducible to the bit.
 
 Lattice integrands.  Every point the trapezoid and the box probes evaluate
 is a lattice point k*h, with k an integer vector: a trapezoid node at step
@@ -66,7 +68,6 @@ class QuadratureConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     truncation_radius: float | str = "auto"
-    contour_shift: float = 0.0          # delta used by callers for R - i*delta contours
     mc_samples: int = 200_000
     rng_seed: int = 0
     phib_tol: float = 1e-13             # precision requested from the special-function kernel
@@ -182,15 +183,13 @@ def integrate_1d(f, cfg: QuadratureConfig, interval=None) -> IntegralResult:
         for j, p in enumerate(splitting):
             children[2 * j][4] = children[2 * j + 1][4] = p[4] + 1
         panels = keep + children
-    else:
-        err_total = sum(p[3] for p in panels)
-        total = sum(p[2] for p in panels)
-        if err_total > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-            raise QuadratureFailure(
-                f"max_depth={_GK_MAX_ROUNDS} reached with error {err_total:.3g}")
     panels.sort(key=lambda p: p[0])
     value = sum(p[2] for p in panels)
     err_total = float(sum(p[3] for p in panels)) + tail
+    tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    if err_total > tol:
+        raise QuadratureFailure(f"panels and tail leave error {err_total:.3g} above tolerance "
+                                f"{tol:.3g} after {len(panels)} panels")
     return IntegralResult(complex(value), err_total, counter[0], "adaptive")
 
 
@@ -203,7 +202,12 @@ def _on_lattice(f, k, h):
 
 def _estimate_box(f, dim, cfg):
     """Per-axis truncation radii with a diagonal safety check, and the
-    fitted decay rates along the +ax and -ax rays (rates[ax])."""
+    fitted decay rates along the +ax and -ax rays (rates[ax]).
+
+    Each axis ray is cut where both the fitted envelope c e^{-mu r} and its
+    tail integral c e^{-mu r}/mu are below target.  In 1D the diagonals are
+    the axis rays, so only dim 2 and up take diagonal probes.
+    """
     target = max(cfg.abs_tol / (10.0 * dim), 1e-280)
     radii, rates = [], np.zeros((dim, 2))
     for ax in range(dim):
@@ -215,12 +219,15 @@ def _estimate_box(f, dim, cfg):
                 return abs(_on_lattice(f, k, r)[0])
             c, mu = estimate_decay(probe)
             rates[ax, int(sgn < 0)] = mu
-            r_axis = max(r_axis, np.log(max(c / target, 1.0)) / mu + 1.0)
+            r_axis = max(r_axis, np.log(max(c / (target * min(mu, 1.0)), 1.0)) / mu + 1.0)
         radii.append(min(r_axis, 120.0))
     radii = np.array(radii)
-    diags = [np.ones(dim, dtype=int)]
-    if dim <= 3:
+    if dim == 1:
+        diags = []
+    elif dim <= 3:
         diags = [np.array(s) for s in itertools.product((1, -1), repeat=dim)]
+    else:
+        diags = [np.ones(dim, dtype=int)]
     for d in diags:
         def probe(r, d=d):
             return abs(_on_lattice(f, d[None, :], r / np.sqrt(dim))[0])
@@ -328,14 +335,12 @@ def _monte_carlo(f, dim, cfg, radii, counter):
 def integrate_nd(f, dim: int, cfg: QuadratureConfig) -> IntegralResult:
     """Integrate a vectorized integrand over R^dim (truncated by decay estimates).
 
-    dim == 1 uses adaptive GK15 panels, dim 2 and 3 the nested-halving
-    tensor trapezoid, dim == 4 a reduced tensor Gauss grid, dim >= 5 (or
-    cfg.force_monte_carlo) Monte-Carlo importance sampling.
+    dim 1 to 3 take the nested-halving tensor trapezoid, dim == 4 a reduced
+    tensor Gauss grid, dim >= 5 (or cfg.force_monte_carlo) Monte-Carlo
+    importance sampling.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if dim == 1 and not cfg.force_monte_carlo:
-        return integrate_1d(lambda t: f(t[:, None]), cfg)
     radii, rates = _estimate_box(f, dim, cfg)
     counter = [0]
     if cfg.force_monte_carlo or dim >= 5:

@@ -18,45 +18,43 @@ from __future__ import annotations
 import numpy as np
 
 from .params import ModularParameter
-from .qdilog import LineCache, get_engine
-from .quadrature import IntegralResult, QuadratureConfig, integrate_1d, integrate_nd
+from .quadrature import IntegralResult, QuadratureConfig, integrate_nd
 from .special import line_integrand
 
 __all__ = ["ratio_integral_fig8", "triple_ratio_52", "tilde52_reduced2d",
-           "knot61_reduced2d", "default_shift"]
+           "knot61_reduced2d"]
 
 _PI = np.pi
 
 
-def default_shift(mp: ModularParameter, cfg: QuadratureConfig) -> float:
-    """Contour drop for R - i0 prescriptions: cfg value or 0.1 |Im c_b|."""
-    return cfg.contour_shift if cfg.contour_shift > 0 else 0.1 * abs(mp.cb)
+def ratio_integral_fig8(mp: ModularParameter, cfg: QuadratureConfig,
+                        shift: float | None = None) -> IntegralResult:
+    """int_{R - i delta} Phi_b(-z)/Phi_b(z) dz (figure-eight reduced factor).
+
+    The contour drop delta is shift, by default 0.1 |Im c_b|.
+    """
+    d = 0.1 * abs(mp.cb) if shift is None else shift
+
+    def log_f(_g2, phi, v, _x):
+        (t,) = v
+        return phi(1j * d, -t) - phi(-1j * d, t)
+
+    return integrate_nd(line_integrand(log_f, mp, cfg.phib_tol), 1, cfg)
 
 
-def ratio_integral_fig8(mp: ModularParameter, cfg: QuadratureConfig) -> IntegralResult:
-    """int_{R - i delta} Phi_b(-z)/Phi_b(z) dz (figure-eight reduced factor)."""
-    eng = get_engine(mp.b, cfg.phib_tol)
-    d = default_shift(mp, cfg)
-    up = LineCache(eng, +d, 8.0)
-    dn = LineCache(eng, -d, 8.0)
+def triple_ratio_52(mp: ModularParameter, cfg: QuadratureConfig,
+                    shift: float | None = None) -> IntegralResult:
+    """int_{R - i delta} e^{i pi y^2} / Phi_b(y)^3 dy (5_2 reduced factor).
 
-    def f(t):
-        return np.exp(up(-t) - dn(t))
+    The contour drop delta is shift, by default 0.1 |Im c_b|.
+    """
+    d = 0.1 * abs(mp.cb) if shift is None else shift
 
-    return integrate_1d(f, cfg)
+    def log_f(_g2, phi, v, x):
+        (t,), (xt,) = v, x
+        return 1j * _PI * (xt - 1j * d) ** 2 - 3.0 * phi(-1j * d, t)
 
-
-def triple_ratio_52(mp: ModularParameter, cfg: QuadratureConfig) -> IntegralResult:
-    """int_{R - i delta} e^{i pi y^2} / Phi_b(y)^3 dy (5_2 reduced factor)."""
-    eng = get_engine(mp.b, cfg.phib_tol)
-    d = default_shift(mp, cfg)
-    dn = LineCache(eng, -d, 8.0)
-
-    def f(t):
-        z = t - 1j * d
-        return np.exp(1j * _PI * z**2 - 3.0 * dn(t))
-
-    return integrate_1d(f, cfg)
+    return integrate_nd(line_integrand(log_f, mp, cfg.phib_tol), 1, cfg)
 
 
 def tilde52_reduced2d(beta1, gamma3, delta1, theta, mp: ModularParameter,

@@ -109,10 +109,10 @@ def gamma2_line(c: complex, mp: ModularParameter, tol: float = 1e-13, radius: fl
     The underlying dilogarithm argument runs along a horizontal line, whose
     LineCache gives log Phi_b at interpolation speed; the Gaussian prefactor
     is added in log space.  The cache covers |w| <= radius (plus |Im c|) and
-    grows on demand.  Callers sum the logs of all their line factors and
-    take one exp per point: the Boltzmann weight off the trapezoid lattice
-    and the 1D identity integrands.  Integrands on the lattice read exact
-    LineTables instead.
+    grows on demand.  The package's one caller is the Boltzmann weight off
+    the trapezoid lattice (the dim-4 tensor grid and Monte Carlo), which
+    sums the logs of its rows and takes one exp per state.  Integrands on
+    the lattice, the 1D identities among them, read exact LineTables.
     """
     from .qdilog import LineCache
     z0 = _phi_argument(c, mp)

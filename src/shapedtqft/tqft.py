@@ -56,12 +56,13 @@ class BoltzmannEvaluator:
     Per quad factor the dilogarithm argument runs along a fixed horizontal
     line; identical (angle, state-dependence) rows are collapsed to
     multiplicities, and the weight sums mult * log gamma2 over the rows and
-    takes one exp per state.  The evaluator itself reads each row from its
-    line's gamma2_line evaluator (a spline LineCache underneath): Gauss-
-    Kronrod panels, the dim-4 tensor grid and Monte Carlo call it.  A copy
-    made by on_lattice(h, origin) serves states on the trapezoid lattice
-    origin + h k: there each row's argument is its constant plus an integer
-    multiple of h, read exactly from the shared LineTables.
+    takes one exp per state.  A copy made by on_lattice(h, origin) serves
+    states on the lattice origin + h k, which the trapezoid of dim 1 to 3
+    and the dim-0 state visit: there each row's argument is its constant
+    plus an integer multiple of h, read exactly from the shared LineTables.
+    The evaluator itself serves states off any lattice (the dim-4 tensor
+    grid and Monte Carlo) and reads each row from its line's gamma2_line
+    evaluator, a spline LineCache underneath.
     """
 
     def __init__(self, x: Triangulation, angles, mp: ModularParameter,
@@ -181,10 +182,10 @@ def partition_function(x: Triangulation, angles, boundary_state=None,
     ev = BoltzmannEvaluator(x, angles, mp, cfg)
     build = _assemble_states(x, variables, pinned, boundary_state)
     gauge_desc = ";".join(f"v{v}:e{e}*{c}" for (v, e, c) in assigned) or "none"
-    if dim == 0:
-        val = ev.weight(build(np.zeros((1, 0)))[0])
-        return PartitionResult(complex(jacobian * val), 0.0, 0, gauge_desc, 1, "exact")
     origin = build(np.zeros((1, dim)))[0]
+    if dim == 0:
+        val = ev.on_lattice(1.0, origin).weight(origin)
+        return PartitionResult(complex(jacobian * val), 0.0, 0, gauge_desc, 1, "exact")
 
     def integrand(tm):
         return ev.weight(build(tm))

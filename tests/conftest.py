@@ -14,6 +14,7 @@ if "numpy" in sys.modules:
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from shapedtqft import qdilog  # noqa: E402
 from shapedtqft.data import load as load_bundled  # noqa: E402
 from shapedtqft.params import ModularParameter  # noqa: E402
 from shapedtqft.quadrature import IntegralResult, QuadratureConfig  # noqa: E402
@@ -36,10 +37,25 @@ def capture_integrands(monkeypatch, module):
 
 def lattice_mismatch(f, dim, h, reach=5.0, n=200, seed=0):
     """Largest |f.lattice(k, h) / f(k h) - 1| over n seeded integer vectors k
-    with |k_j h| <= reach; f(x) is the integrand's direct-engine form."""
+    with |k_j h| <= reach; f(x) is the integrand's direct-engine form.  Where
+    f(k h) is exactly 0 (a zero of a measure), f.lattice must be 0 as well,
+    else the mismatch is inf."""
     kmax = max(1, int(reach // h))
     k = np.random.default_rng(seed).integers(-kmax, kmax + 1, size=(n, dim))
-    return float(np.abs(f.lattice(k, h) / f(k * h) - 1).max())
+    lat, ref = f.lattice(k, h), f(k * h)
+    zero = ref == 0
+    if (lat[zero] != 0).any():
+        return np.inf
+    return float(np.abs(lat[~zero] / ref[~zero] - 1).max())
+
+
+def count_line_caches(monkeypatch):
+    """Record the arguments of every qdilog.LineCache built from now on."""
+    built = []
+    init = qdilog.LineCache.__init__
+    monkeypatch.setattr(qdilog.LineCache, "__init__",
+                        lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+    return built
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from shapedtqft import identities, qdilog
+from shapedtqft import identities
 from shapedtqft.errors import ConstraintViolation
 from shapedtqft.identities import (BalancedParams33, BalancedParams6,
                                    bailey_pair_seed, bailey_step,
@@ -18,7 +18,8 @@ from shapedtqft.identities import (BalancedParams33, BalancedParams6,
                                    solve_symmetric_entropy_tuple, verify_bailey_pair)
 from shapedtqft.params import EllipticBases, ModularParameter
 from shapedtqft.quadrature import QuadratureConfig
-from tests.conftest import LATTICE_STEPS, capture_integrands, lattice_mismatch
+from tests.conftest import (LATTICE_STEPS, capture_integrands, count_line_caches,
+                            lattice_mismatch)
 
 
 @pytest.fixture(scope="module")
@@ -187,7 +188,8 @@ def test_octahedron_skew_sensitivity(mp1):
 
 
 def test_octahedron_one_integral_per_side(mp1, monkeypatch):
-    # Z4 is one 1D integral and Z5 one 2D integral: no nested quadrature
+    # Z4 is one 1D integral and Z5 one 2D integral, both on the trapezoid:
+    # no nested quadrature and no Gauss-Kronrod panels
     calls = {"integrate_1d": 0, "integrate_nd": 0}
     for name in calls:
         def counted(*args, _fn=getattr(identities, name), _name=name, **kwargs):
@@ -197,7 +199,7 @@ def test_octahedron_one_integral_per_side(mp1, monkeypatch):
     cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
     al, be, t, s, u, w = random_octahedron_params(np.random.default_rng(29), mp1)
     assert check_octahedron_duality(al, be, t, s, u, w, mp1, cfg) < 1e-4
-    assert calls == {"integrate_1d": 1, "integrate_nd": 1}
+    assert calls == {"integrate_1d": 0, "integrate_nd": 2}
 
 
 def criterion13_octahedron(mp):
@@ -215,14 +217,35 @@ def test_octahedron_z5_lattice_matches_direct(mp1, monkeypatch, h):
     assert lattice_mismatch(f, dim, h) <= 1e-12
 
 
-def test_octahedron_z5_builds_no_line_cache(mp1, monkeypatch):
-    built = []
-    init = qdilog.LineCache.__init__
-    monkeypatch.setattr(qdilog.LineCache, "__init__",
-                        lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+@pytest.mark.parametrize("h", LATTICE_STEPS)
+def test_1d_identity_lattice_forms_match_direct(mp1, monkeypatch, h):
+    # the pentagon (real and complex offsets, two couplings), the beta
+    # integral, whose measure vanishes at t = 0, and the octahedron's Z4
+    seen = capture_integrands(monkeypatch, identities)
+    cfg = QuadratureConfig()
+    for b in (1.0, 1.3):
+        mp = ModularParameter(b)
+        for imag in (0.0, 0.05):
+            p = random_balanced_33(np.random.default_rng(5), mp, imag_scale=imag)
+            check_hyperbolic_pentagon(p, mp, cfg)
+    check_hyperbolic_beta_integral(random_balanced_6(np.random.default_rng(23), mp1), mp1, cfg)
+    identities._octahedron_z4(*criterion13_octahedron(mp1), mp1, cfg, 0.0)
+    assert [dim for _f, dim in seen] == [1] * 6
+    for f, dim in seen:
+        assert lattice_mismatch(f, dim, h) <= 1e-12
+
+
+def test_identity_checks_build_no_line_cache(mp1, monkeypatch):
+    # criterion 3's first draw at each coupling and criterion 13's first
+    # octahedron, whose Z4 and Z5 both read the lattice tables
+    built = count_line_caches(monkeypatch)
+    rng = np.random.default_rng(2026)
+    cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
+    for b in (1.0, 1.3):
+        mp = ModularParameter(b)
+        assert check_hyperbolic_pentagon(random_balanced_33(rng, mp), mp, cfg) <= 1e-12
     cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
-    z5 = identities._octahedron_z5(*criterion13_octahedron(mp1), mp1, cfg)
-    assert np.isfinite(z5) and z5 != 0
+    assert check_octahedron_duality(*criterion13_octahedron(mp1), mp1, cfg) <= 1e-12
     assert built == []
 
 

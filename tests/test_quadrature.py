@@ -1,7 +1,9 @@
 """Adaptive panels, truncation by decay estimate, trapezoid, tensor and Monte-Carlo paths."""
 import numpy as np
 import pytest
+from scipy.special import k1
 
+from shapedtqft import quadrature
 from shapedtqft.errors import DecayEstimateFailure, QuadratureFailure
 from shapedtqft.quadrature import QuadratureConfig, integrate_1d, integrate_nd
 
@@ -19,6 +21,28 @@ def test_oscillatory_1d():
     cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-10)
     res = integrate_1d(lambda t: np.exp(-t**2) * np.cos(8 * t) + 0j, cfg)
     assert abs(res.value - np.sqrt(np.pi) * np.exp(-16.0)) < 1e-12
+
+
+def test_gk_refuses_unmet_tolerance():
+    # exp(-0.05|t|) is cut at the radius cap 200, where its tail is still
+    # ~7e-3: refused rather than returned with that error estimate
+    cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10)
+    with pytest.raises(QuadratureFailure):
+        integrate_1d(lambda t: np.exp(-0.05 * np.abs(t)) + 0j, cfg)
+
+
+def test_trapezoid_1d_sizes_slowly_decaying_rays(monkeypatch):
+    # 0.1 exp(-0.3 sqrt(1 + t^2)) decays at rate 0.3 < 1, so each ray is cut
+    # where the tail integral, not only |f|, is below target (cut where |f|
+    # is, the measured tail 1.2e-10 exceeds tol); in 1D the box takes no
+    # diagonal probes, which would repeat the two axis rays
+    fits = []
+    fit = quadrature.estimate_decay
+    monkeypatch.setattr(quadrature, "estimate_decay", lambda *a: fits.append(a) or fit(*a))
+    cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10)
+    res = integrate_nd(lambda p: 0.1 * np.exp(-0.3 * np.sqrt(1 + p[:, 0]**2)) + 0j, 1, cfg)
+    assert res.method == "trapezoid" and len(fits) == 2
+    assert abs(res.value - 0.2 * k1(0.3)) <= res.error_estimate <= 1e-10
 
 
 def test_product_gaussian_3d():

@@ -48,6 +48,17 @@ def test_gamma2_self_dual_point():
         assert abs(hyperbolic_gamma(mp.q_total / 2, mp) - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("b", [1.0, 1.3, 0.77])
+def test_gamma2_beta_measure_is_elementary(b):
+    # 1/(gamma2(2it) gamma2(-2it)) = 4 sinh(2 pi b t) sinh(2 pi t/b), the
+    # measure of the hyperbolic beta integral
+    mp = ModularParameter(b)
+    t = np.linspace(-3.0, 3.0, 60)
+    lhs = 1.0 / (hyperbolic_gamma(2j * t, mp) * hyperbolic_gamma(-2j * t, mp))
+    rhs = 4 * np.sinh(2 * np.pi * b * t) * np.sinh(2 * np.pi * t / b)
+    assert np.abs(lhs / rhs - 1).max() <= 1e-13
+
+
 def test_gamma2_conjugation():
     mp = ModularParameter(1.0)
     z = 0.5 + 0.3j

@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-from shapedtqft import qdilog
 from shapedtqft.complexes import (GaugeFixing, random_bipyramid_angles, standalone_bipyramid,
                                   state_gauge_image)
 from shapedtqft.errors import ShapeViolation
@@ -13,7 +12,7 @@ from shapedtqft.special import hyperbolic_gamma
 from shapedtqft.tqft import (BoltzmannEvaluator, check_pachner_invariance,
                              check_shape_gauge_invariance, faddeev_popov_check,
                              knot_quad_angle, partition_function, tet_weight)
-from tests.conftest import LATTICE_STEPS
+from tests.conftest import LATTICE_STEPS, count_line_caches
 
 LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -124,10 +123,7 @@ def test_lattice_weight_matches_direct(fig8, mp1, h):
 def test_fig8_trapezoid_builds_no_line_cache(fig8, mp1, monkeypatch):
     # criterion 8's integral: every weight call, box probes included, reads
     # the lattice tables; the node count is that of the spline path
-    built = []
-    init = qdilog.LineCache.__init__
-    monkeypatch.setattr(qdilog.LineCache, "__init__",
-                        lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+    built = count_line_caches(monkeypatch)
     x, angles = fig8
     cfg = QuadratureConfig(abs_tol=2e-5, rel_tol=2e-5, phib_tol=1e-11)
     res = partition_function(x, angles, mp=mp1, cfg=cfg)
@@ -207,6 +203,20 @@ def test_pachner_bipyramid_invariance(b):
     rep = check_pachner_invariance(x, ang, central, mp, cfg, boundary_state=bs)
     assert rep["rel_discrepancy"] < 1e-6
     assert rep["before"].dim == 1 and rep["after"].dim == 0
+
+
+def test_pachner_bipyramid_builds_no_line_cache(mp1, monkeypatch):
+    # both sides read the lattice tables: the 1D integral on the trapezoid and
+    # the single dim-0 state at the origin of a lattice
+    built = count_line_caches(monkeypatch)
+    x, central = standalone_bipyramid()
+    rng = np.random.default_rng(12)
+    ang = random_bipyramid_angles(rng)
+    bs = dict(zip(x.boundary_edges, rng.uniform(-0.4, 0.4, len(x.boundary_edges))))
+    cfg = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8)
+    rep = check_pachner_invariance(x, ang, central, mp1, cfg, boundary_state=bs)
+    assert rep["rel_discrepancy"] < 1e-12
+    assert built == []
 
 
 def test_pachner_inadmissible_reports_cleanly(mp1, cfg9):
