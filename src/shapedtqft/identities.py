@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from .errors import ConstraintViolation
 from .params import EllipticBases, ModularParameter
-from .quadrature import QuadratureConfig, integrate_1d, integrate_nd
+from .quadrature import QuadratureConfig, integrate_nd
 from .special import (cap_psi, classical_beta, elliptic_gamma, hyper_B, hyperbolic_gamma,
                       line_integrand)
 
@@ -176,12 +176,12 @@ def check_classical_pentagon(a1, a2, a3, b1, b2, cfg: QuadratureConfig) -> float
         if complex(v).real <= 0:
             raise ConstraintViolation("real parts must be positive for convergence")
 
-    def f(t):
-        u = 1j * t
+    def f(p):
+        u = 1j * p[:, 0]
         return (classical_beta(a1 + u, b1 - u) * classical_beta(a2 + u, b2 - u)
                 * classical_beta(a3 + u, c)) / (2 * _PI)
 
-    lhs = integrate_1d(f, cfg).value
+    lhs = integrate_nd(f, 1, cfg).value
     rhs = complex(classical_beta(a2 + b1, a3 + b2) * classical_beta(a1 + b2, a3 + b1))
     return abs(lhs - rhs) / abs(rhs)
 
@@ -204,9 +204,12 @@ def check_orthogonality_smeared(a_im: float, center: float, sigma: float,
     detached by re_eps) is also reported: it contains the delta plus a
     regularization background concentrated near b = 0, so the trend
     |smeared| growing as sigma shrinks and the far-center smear staying
-    small are the qualitative delta signatures.
+    small are the qualitative delta signatures.  The smear is one integral
+    over all of R^2 in (u, b), with no window cut around the center: its
+    integrand is four gamma2 line factors, which the 2D trapezoid reads
+    from exact LineTables, times the Gaussian in b.
     """
-    a = re_eps * 0.0 + 1j * a_im  # symbol check is exact at purely imaginary a
+    a = 1j * a_im  # symbol check is exact at purely imaginary a
     cb = mp.cb
     ws = np.linspace(-2.0, 2.0, 9)
     sym = np.array([complex(cap_psi(-1j * a + cb, 1j * a - cb, w + 1j * a - cb, mp)
@@ -217,28 +220,16 @@ def check_orthogonality_smeared(a_im: float, center: float, sigma: float,
     symbol_dev = float(np.abs(sym / norm - 1.0).max())
 
     a = re_eps + 1j * a_im
+    log_dens = _log_g2(mp, cfg.phib_tol, 2 * a, -2 * a)
+    log_norm = np.log(sigma * np.sqrt(2 * _PI))
 
-    def gaussian(x):
-        return np.exp(-x**2 / (2 * sigma**2)) / (sigma * np.sqrt(2 * _PI))
+    def log_f(g2, _phi, v, x):
+        (u, b), (_xu, xb) = v, x
+        return (g2(a, -u) + g2(a, u) + g2(-a, -(u + b)) + g2(-a, u + b) - log_dens
+                - (xb - center)**2 / (2 * sigma**2) - log_norm)
 
-    def kernel(b):
-        dens = complex(hyperbolic_gamma(2 * a, mp, cfg.phib_tol)
-                       * hyperbolic_gamma(-2 * a, mp, cfg.phib_tol))
-
-        def f(u):
-            iu = 1j * u
-            iub = 1j * (u + b)
-            args = np.stack([a - iu, a + iu, -a - iub, -a + iub])
-            return np.prod(hyperbolic_gamma(args, mp, cfg.phib_tol), axis=0) / dens
-
-        return integrate_1d(f, cfg).value
-
-    def outer(bs):
-        return np.array([gaussian(b - center) * kernel(b) for b in bs])
-
-    span = 5.0 * sigma
-    smeared = integrate_1d(outer, cfg, interval=(center - span, center + span)).value
-    prediction = gaussian(0.0 - center)  # unit-coefficient delta at b = 0
+    smeared = integrate_nd(line_integrand(log_f, mp, cfg.phib_tol), 2, cfg).value
+    prediction = np.exp(-center**2 / (2 * sigma**2) - log_norm)  # unit delta at b = 0
     dev = abs(smeared - prediction) / max(abs(prediction), abs(smeared), 1e-300)
     return {"smeared": smeared, "prediction": prediction,
             "rel_deviation": float(dev), "symbol_deviation": symbol_dev,
@@ -292,12 +283,12 @@ def verify_bailey_pair(pair: BaileyPair, w, mp: ModularParameter,
     w = complex(w)
     t = pair.t
 
-    def f(xs):
-        z = 1j * xs
+    def f(p):
+        z = 1j * p[:, 0]
         return (hyper_B(t + w - z, t - w + z, mp, cfg.phib_tol)
                 * pair.alpha(z, t))
 
-    lhs = integrate_1d(f, cfg).value
+    lhs = integrate_nd(f, 1, cfg).value
     rhs = complex(pair.beta(w, t))
     return abs(lhs - rhs) / abs(rhs)
 
@@ -318,13 +309,13 @@ def bailey_step(pair: BaileyPair, s, u, mp: ModularParameter,
     def beta2(w, tt):
         w = complex(w)
 
-        def f(xs):
-            z = 1j * xs
+        def f(p):
+            z = 1j * p[:, 0]
             return (hyper_B(s + w - z, u + z, mp, cfg.phib_tol)
                     * hyper_B(s + 2 * t + u + w, s - w + z, mp, cfg.phib_tol)
                     * pair.beta(z, t))
 
-        return integrate_1d(f, cfg).value
+        return integrate_nd(f, 1, cfg).value
 
     return BaileyPair(alpha2, beta2, s + t)
 

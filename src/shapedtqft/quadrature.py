@@ -2,18 +2,18 @@
 
 All integrands are complex-valued and vectorized: a 1D integrand maps an
 array of abscissas to an array of values, an nD integrand maps an (N, dim)
-array of points to N values.  Infinite domains are truncated at a radius
-where an empirically fitted exponential envelope C*exp(-mu*r), and its tail
-integral C*exp(-mu*r)/mu, drop below abs_tol/(10*dim).  integrate_nd takes
-boxes of dim 1 to 3 with a nested-halving tensor trapezoid, exponentially
-convergent on integrands analytic in a strip around the real state space
-(Trefethen & Weideman, SIAM Review 56, 2014).  Its error is the halving
-difference plus the truncation tail measured on the faces of the box; a
-box whose tail alone exceeds the tolerance is refused with
-QuadratureFailure.  integrate_1d refines Gauss-Kronrod panels, for finite
-intervals and for 1D integrands that are not products of line factors;
-it too meets its tolerance or raises QuadratureFailure.  Sums are
-accumulated in a fixed order so results are reproducible to the bit.
+array of points to N values.  integrate_nd takes every integral over R^n.
+It truncates R^n to a box where an empirically fitted exponential envelope
+C*exp(-mu*r), and its tail integral C*exp(-mu*r)/mu, drop below
+abs_tol/(10*dim), and takes boxes of dim 1 to 3 with a nested-halving
+tensor trapezoid, exponentially convergent on integrands analytic in a
+strip around the real state space (Trefethen & Weideman, SIAM Review 56,
+2014).  Its error is the halving difference plus the truncation tail
+measured on the faces of the box; a box whose tail alone exceeds the
+tolerance is refused with QuadratureFailure.  integrate_1d refines
+Gauss-Kronrod panels on a finite interval; it too meets its tolerance or
+raises QuadratureFailure.  Sums are accumulated in a fixed order so
+results are reproducible to the bit.
 
 Lattice integrands.  Every point the trapezoid and the box probes evaluate
 is a lattice point k*h, with k an integer vector: a trapezoid node at step
@@ -67,7 +67,6 @@ _GK_MAX_PANELS = 60_000     # panels integrate_1d may hold at once
 class QuadratureConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    truncation_radius: float | str = "auto"
     mc_samples: int = 200_000
     rng_seed: int = 0
     phib_tol: float = 1e-13             # precision requested from the special-function kernel
@@ -128,34 +127,11 @@ def estimate_decay(f_abs, radii=(2.0, 4.0, 8.0), floor=1e-280):
     return float(np.exp(intercept)), float(-slope)
 
 
-def _truncation_radius_1d(f, cfg):
-    """(-rm, rp, tail_bound): cut where the fitted envelope is below abs_tol/10."""
-    if cfg.truncation_radius != "auto":
-        r = float(cfg.truncation_radius)
-        return (-r, r, 0.0)
-    c, mu = estimate_decay(lambda r: np.abs(f(np.array([r])))[0])
-    c2, mu2 = estimate_decay(lambda r: np.abs(f(np.array([-r])))[0])
-    target = max(cfg.abs_tol / 10.0, 1e-280)
-    rp = max(6.0, np.log(max(c / target, 1.0)) / mu + 1.0)
-    rm = max(6.0, np.log(max(c2 / target, 1.0)) / mu2 + 1.0)
-    rp, rm = min(rp, 200.0), min(rm, 200.0)
-    # safety factor 4: radial samples of an oscillatory |f| can sit below the
-    # true envelope (e.g. at cosine minima), biasing the fitted amplitude low
-    tail = 4.0 * ((c / mu) * np.exp(-mu * rp) + (c2 / mu2) * np.exp(-mu2 * rm))
-    return (-rm, rp, float(tail))
-
-
-def integrate_1d(f, cfg: QuadratureConfig, interval=None) -> IntegralResult:
-    """Adaptive GK15 integration of a vectorized complex integrand.
-
-    interval defaults to a symmetric truncation of the real line sized from
-    the decay estimate (cfg.truncation_radius overrides).
+def integrate_1d(f, cfg: QuadratureConfig, interval) -> IntegralResult:
+    """Adaptive GK15 integration of a vectorized complex integrand over the
+    finite interval (a, b) = interval.  Integrals over R take integrate_nd.
     """
-    tail = 0.0
-    if interval is None:
-        a, b, tail = _truncation_radius_1d(f, cfg)
-    else:
-        a, b = float(interval[0]), float(interval[1])
+    a, b = float(interval[0]), float(interval[1])
     counter = [0]
     width = b - a
     n0 = max(8, min(256, int(np.ceil(width / 1.0))))
@@ -185,10 +161,10 @@ def integrate_1d(f, cfg: QuadratureConfig, interval=None) -> IntegralResult:
         panels = keep + children
     panels.sort(key=lambda p: p[0])
     value = sum(p[2] for p in panels)
-    err_total = float(sum(p[3] for p in panels)) + tail
+    err_total = float(sum(p[3] for p in panels))
     tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
     if err_total > tol:
-        raise QuadratureFailure(f"panels and tail leave error {err_total:.3g} above tolerance "
+        raise QuadratureFailure(f"panels leave error {err_total:.3g} above tolerance "
                                 f"{tol:.3g} after {len(panels)} panels")
     return IntegralResult(complex(value), err_total, counter[0], "adaptive")
 

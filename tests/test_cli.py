@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, schemas, reproducibility."""
 import json
+import os
 import subprocess
 import sys
 
@@ -36,6 +37,28 @@ def test_special_gamma2_inversion_check():
 def test_special_unknown_function_exits_2():
     r = run_cli("special", "nosuch", "--z", "1")
     assert r.returncode == 2
+
+
+def test_special_refuses_out_of_range_tol(capsys):
+    # a tolerance the kernel cannot honour is refused, not clipped into range
+    r = run_cli("special", "phi_b", "--tol", "1e-16")
+    assert r.returncode == 2 and "outside [1e-14, 1e-06]" in r.stderr
+    assert cli.main(["special", "gamma2", "--z", "0.4", "--tol", "1e-3"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_import_pins_blas_threads(preset):
+    # run on its own, the CLI gets one BLAS thread unless the caller chose
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    if preset is not None:
+        env.update(dict.fromkeys(names, preset))
+    code = "import os, shapedtqft; print([os.environ[n] for n in %r])" % (names,)
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                       text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == str([preset or "1"] * 3)
 
 
 def test_partition_trefoil(tmp_path):
@@ -141,6 +164,12 @@ def test_verify_bailey_reports_parameters(capsys):
     q = ModularParameter(1.0).q_total
     for par in rep["parameters"]:
         assert abs(2 * par["t"] + sum(par["alpha"]) + sum(par["beta"]) - q) < 1e-12
+
+
+def test_verify_orthogonality_suite(capsys):
+    assert cli.main(["verify", "orthogonality"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert len(rep["residuals"]) == 2 and rep["worst"] < 1e-8
 
 
 def test_verify_gauge_suite():

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from shapedtqft import identities
+from shapedtqft import identities, quadrature
 from shapedtqft.errors import ConstraintViolation
 from shapedtqft.identities import (BalancedParams33, BalancedParams6,
                                    bailey_pair_seed, bailey_step,
@@ -25,6 +25,14 @@ from tests.conftest import (LATTICE_STEPS, capture_integrands, count_line_caches
 @pytest.fixture(scope="module")
 def cfg():
     return QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
+
+
+@pytest.fixture
+def no_gauss_kronrod(monkeypatch):
+    """Make any Gauss-Kronrod panel raise: integrals over R take the trapezoid."""
+    def refuse(*args):
+        raise AssertionError("an integral over R reached Gauss-Kronrod panels")
+    monkeypatch.setattr(quadrature, "_panel_eval", refuse)
 
 
 def test_pentagon_symmetric_point(mp1, cfg):
@@ -107,7 +115,7 @@ def test_elliptic_beta_balancing_sensitivity():
     assert bad > 1e-3
 
 
-def test_classical_pentagon_symmetric(cfg):
+def test_classical_pentagon_symmetric(cfg, no_gauss_kronrod):
     assert check_classical_pentagon(0.2, 0.2, 0.2, 0.2, 0.2, cfg) < 1e-8
 
 
@@ -127,7 +135,7 @@ def test_classical_pentagon_swap_symmetry(cfg):
 
 # -- orthogonality -----------------------------------------------------------------
 
-def test_orthogonality_symbol_and_locality(mp1):
+def test_orthogonality_symbol_and_locality(mp1, no_gauss_kronrod):
     cfg = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-7)
     near = check_orthogonality_smeared(0.2, 0.0, 0.5, mp1, cfg)
     # the Fourier symbol of the kernel is constant: the delta normalization
@@ -141,7 +149,7 @@ def test_orthogonality_symbol_and_locality(mp1):
 
 # -- Bailey / octahedron -------------------------------------------------------------
 
-def test_bailey_seed_verifies(mp1, cfg):
+def test_bailey_seed_verifies(mp1, cfg, no_gauss_kronrod):
     rng = np.random.default_rng(26)
     q = mp1.q_total
     for _ in range(5):
@@ -157,7 +165,7 @@ def test_bailey_seed_balancing_enforced(mp1):
         bailey_pair_seed((0.2, 0.2), (0.2, 0.2), 0.7, mp1)
 
 
-def test_bailey_step_produces_valid_pair(mp1):
+def test_bailey_step_produces_valid_pair(mp1, no_gauss_kronrod):
     # the stepped pair satisfies the defining transform with respect to s + t
     cfg = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8)
     q = mp1.q_total
@@ -189,17 +197,16 @@ def test_octahedron_skew_sensitivity(mp1):
 
 def test_octahedron_one_integral_per_side(mp1, monkeypatch):
     # Z4 is one 1D integral and Z5 one 2D integral, both on the trapezoid:
-    # no nested quadrature and no Gauss-Kronrod panels
-    calls = {"integrate_1d": 0, "integrate_nd": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(identities, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(identities, name, counted)
+    # no nested quadrature, and identities cannot reach Gauss-Kronrod panels
+    assert not hasattr(identities, "integrate_1d")
+    calls = []
+    integrate = identities.integrate_nd
+    monkeypatch.setattr(identities, "integrate_nd",
+                        lambda f, dim, cfg: calls.append(dim) or integrate(f, dim, cfg))
     cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
     al, be, t, s, u, w = random_octahedron_params(np.random.default_rng(29), mp1)
     assert check_octahedron_duality(al, be, t, s, u, w, mp1, cfg) < 1e-4
-    assert calls == {"integrate_1d": 0, "integrate_nd": 2}
+    assert calls == [1, 2]
 
 
 def criterion13_octahedron(mp):
@@ -211,10 +218,14 @@ def criterion13_octahedron(mp):
 
 @pytest.mark.parametrize("h", LATTICE_STEPS)
 def test_octahedron_z5_lattice_matches_direct(mp1, monkeypatch, h):
+    # the 2D identity integrands: the octahedron's Z5 and the orthogonality
+    # smear, whose line factors sit 0.02 from the pole lattice
     seen = capture_integrands(monkeypatch, identities)
     identities._octahedron_z5(*criterion13_octahedron(mp1), mp1, QuadratureConfig())
-    (f, dim), = seen
-    assert lattice_mismatch(f, dim, h) <= 1e-12
+    check_orthogonality_smeared(0.2, 0.75, 0.25, mp1, QuadratureConfig())
+    assert [dim for _f, dim in seen] == [2, 2]
+    for f, dim in seen:
+        assert lattice_mismatch(f, dim, h) <= 1e-12
 
 
 @pytest.mark.parametrize("h", LATTICE_STEPS)

@@ -1,4 +1,5 @@
-"""Adaptive panels, truncation by decay estimate, trapezoid, tensor and Monte-Carlo paths."""
+"""Adaptive panels on finite intervals, truncation by decay estimate, trapezoid,
+tensor and Monte-Carlo paths."""
 import numpy as np
 import pytest
 from scipy.special import k1
@@ -10,7 +11,7 @@ from shapedtqft.quadrature import QuadratureConfig, integrate_1d, integrate_nd
 
 def test_gaussian_1d():
     cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
-    res = integrate_1d(lambda t: np.exp(-np.pi * t**2) + 0j, cfg)
+    res = integrate_1d(lambda t: np.exp(-np.pi * t**2) + 0j, cfg, interval=(-8.0, 8.0))
     assert abs(res.value - 1.0) < 1e-12
     assert res.error_estimate < 1e-10
     assert res.method == "adaptive"
@@ -19,16 +20,22 @@ def test_gaussian_1d():
 def test_oscillatory_1d():
     # int e^{-t^2} cos(8 t) dt = sqrt(pi) e^{-16}
     cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-10)
-    res = integrate_1d(lambda t: np.exp(-t**2) * np.cos(8 * t) + 0j, cfg)
+    res = integrate_1d(lambda t: np.exp(-t**2) * np.cos(8 * t) + 0j, cfg, interval=(-8.0, 8.0))
     assert abs(res.value - np.sqrt(np.pi) * np.exp(-16.0)) < 1e-12
 
 
 def test_gk_refuses_unmet_tolerance():
-    # exp(-0.05|t|) is cut at the radius cap 200, where its tail is still
-    # ~7e-3: refused rather than returned with that error estimate
-    cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10)
-    with pytest.raises(QuadratureFailure):
-        integrate_1d(lambda t: np.exp(-0.05 * np.abs(t)) + 0j, cfg)
+    # a jump at t = 1/3 keeps its panel's error at ~3e-9 after the last
+    # splitting round: refused rather than returned with that error estimate
+    cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
+    with pytest.raises(QuadratureFailure, match="after 30 panels"):
+        integrate_1d(lambda t: np.where(t < 1 / 3, 1.0, 2.0) + 0j, cfg, interval=(-1.0, 1.0))
+
+
+def test_integrate_1d_needs_an_interval():
+    # integrals over R take integrate_nd; Gauss-Kronrod keeps finite intervals
+    with pytest.raises(TypeError):
+        integrate_1d(lambda t: np.exp(-np.pi * t**2) + 0j, QuadratureConfig())
 
 
 def test_trapezoid_1d_sizes_slowly_decaying_rays(monkeypatch):
@@ -104,8 +111,8 @@ def test_tolerance_tightening_consistency():
     def f(t):
         return np.exp(-np.abs(t)) * np.cos(3 * t) + 0j
 
-    r1 = integrate_1d(f, QuadratureConfig(abs_tol=1e-6, rel_tol=1e-6))
-    r2 = integrate_1d(f, QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10))
+    r1 = integrate_1d(f, QuadratureConfig(abs_tol=1e-6, rel_tol=1e-6), interval=(-40.0, 40.0))
+    r2 = integrate_1d(f, QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10), interval=(-40.0, 40.0))
     assert abs(r1.value - r2.value) <= r1.error_estimate + r2.error_estimate
 
 
@@ -113,12 +120,6 @@ def test_decay_estimate_failure():
     cfg = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8)
     with pytest.raises(DecayEstimateFailure):
         integrate_nd(lambda p: np.exp(0.2 * np.abs(p).sum(axis=1)) + 0j, 2, cfg)
-
-
-def test_truncation_radius_override():
-    cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10, truncation_radius=9.0)
-    res = integrate_1d(lambda t: np.exp(-np.pi * t**2) + 0j, cfg)
-    assert abs(res.value - 1.0) < 1e-10
 
 
 def test_tensor4_gaussian():
