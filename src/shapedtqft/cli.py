@@ -21,7 +21,7 @@ from .errors import (InputSchemaError, NotApplicable, PoleHit, ShapedTqftError,
 from .geometry import gluing_residual, maximize_volume_in_gauge_class, shape_volume
 from .identities import (check_elliptic_beta_integral, check_entropy_pentagon,
                          check_hyperbolic_pentagon, check_octahedron_duality,
-                         check_orthogonality_smeared, random_balanced_33,
+                         orthogonality_symbol_deviation, random_balanced_33,
                          random_entropy_tuple, random_octahedron_params)
 from .params import EllipticBases, ModularParameter
 from .qdilog import phi_b
@@ -209,9 +209,9 @@ def cmd_verify(args):
     elif name == "orthogonality":
         # residual = constancy of the Fourier symbol (the delta normalization)
         threshold = args.max_residual or 1e-8
-        for sigma in (0.5, 0.25):
-            rep = check_orthogonality_smeared(0.2, 0.2, sigma, mp, cfg)
-            residuals.append(rep["symbol_deviation"])
+        for a_im in (0.2, 0.1):
+            params.append({"a_im": a_im})
+            residuals.append(orthogonality_symbol_deviation(a_im, mp, cfg))
     elif name == "bailey":
         from .identities import bailey_pair_seed, verify_bailey_pair
         threshold = args.max_residual or 1e-5

@@ -21,6 +21,7 @@ __all__ = [
     "BalancedParams33", "BalancedParams6", "check_hyperbolic_pentagon",
     "check_hyperbolic_beta_integral", "check_elliptic_beta_integral",
     "check_classical_pentagon", "check_orthogonality_smeared",
+    "orthogonality_symbol_deviation",
     "BaileyPair", "bailey_pair_seed", "bailey_step", "verify_bailey_pair",
     "check_octahedron_duality", "check_entropy_pentagon",
     "random_balanced_33", "random_balanced_6", "random_entropy_tuple",
@@ -186,6 +187,28 @@ def check_classical_pentagon(a1, a2, a3, b1, b2, cfg: QuadratureConfig) -> float
     return abs(lhs - rhs) / abs(rhs)
 
 
+def orthogonality_symbol_deviation(a_im: float, mp: ModularParameter,
+                                   cfg: QuadratureConfig) -> float:
+    """Residual of the delta normalization of the shift-form B-kernel
+    orthogonality, in Fourier space.
+
+    With a = i a_im, f(u) = gamma2(a - iu) gamma2(a + iu) and g its
+    reflection at -a, the closed-form transforms multiply to the CONSTANT
+    symbol fhat(-w) ghat(w) = gamma2(2a) gamma2(-2a), which is exactly the
+    delta with unit coefficient after the B normalization.  Returns the
+    largest relative deviation from that constant on a w-grid.
+    """
+    a = 1j * a_im  # the symbol check is exact at purely imaginary a
+    cb = mp.cb
+    ws = np.linspace(-2.0, 2.0, 9)
+    sym = np.array([complex(cap_psi(-1j * a + cb, 1j * a - cb, w + 1j * a - cb, mp)
+                            * cap_psi(1j * a + cb, -1j * a - cb, -w - 1j * a - cb, mp))
+                    for w in ws])
+    norm = complex(hyperbolic_gamma(2 * a, mp, cfg.phib_tol)
+                   * hyperbolic_gamma(-2 * a, mp, cfg.phib_tol))
+    return float(np.abs(sym / norm - 1.0).max())
+
+
 def check_orthogonality_smeared(a_im: float, center: float, sigma: float,
                                 mp: ModularParameter, cfg: QuadratureConfig,
                                 re_eps: float = 0.02):
@@ -193,12 +216,8 @@ def check_orthogonality_smeared(a_im: float, center: float, sigma: float,
 
         int_R B(a - iu, a + iu) B(-a - i(u+b), -a + i(u+b)) du  ->  delta(b).
 
-    The sharp statement lives in Fourier space: with f(u) = gamma2(a - iu)
-    gamma2(a + iu) and g its reflection at -a, the closed-form transforms
-    multiply to the CONSTANT symbol fhat(-w) ghat(w) = gamma2(2a)
-    gamma2(-2a), which is exactly the delta with unit coefficient after the
-    B normalization.  `symbol_deviation` measures that constancy on a
-    w-grid and is the quantitative residual.
+    The sharp statement lives in Fourier space: `symbol_deviation` is
+    orthogonality_symbol_deviation(a_im), the quantitative residual.
 
     The real-space Gaussian smear of the straight-contour kernel (poles
     detached by re_eps) is also reported: it contains the delta plus a
@@ -209,16 +228,7 @@ def check_orthogonality_smeared(a_im: float, center: float, sigma: float,
     integrand is four gamma2 line factors, which the 2D trapezoid reads
     from exact LineTables, times the Gaussian in b.
     """
-    a = 1j * a_im  # symbol check is exact at purely imaginary a
-    cb = mp.cb
-    ws = np.linspace(-2.0, 2.0, 9)
-    sym = np.array([complex(cap_psi(-1j * a + cb, 1j * a - cb, w + 1j * a - cb, mp)
-                            * cap_psi(1j * a + cb, -1j * a - cb, -w - 1j * a - cb, mp))
-                    for w in ws])
-    norm = complex(hyperbolic_gamma(2 * a, mp, cfg.phib_tol)
-                   * hyperbolic_gamma(-2 * a, mp, cfg.phib_tol))
-    symbol_dev = float(np.abs(sym / norm - 1.0).max())
-
+    symbol_dev = orthogonality_symbol_deviation(a_im, mp, cfg)
     a = re_eps + 1j * a_im
     log_dens = _log_g2(mp, cfg.phib_tol, 2 * a, -2 * a)
     log_norm = np.log(sigma * np.sqrt(2 * _PI))

@@ -17,14 +17,16 @@ results are reproducible to the bit.
 
 Lattice integrands.  Every point the trapezoid and the box probes evaluate
 is a lattice point k*h, with k an integer vector: a trapezoid node at step
-h, an axis probe r*e_j as (k = e_j, h = r), a diagonal probe (r/sqrt(dim))*s
-for a sign vector s as (k = s, h = r/sqrt(dim)).  An nD integrand f may
-carry an attribute f.lattice, a callable (k, h) -> values at the points
-k*h for an (N, dim) integer array k; these two rules call it instead of
-f(k*h), so that f can index exact per-step tables rather than interpolate.
-The points, the box, the step sequence and the evaluation count are the
-same either way.  Gauss-Kronrod panels, the dim-4 tensor grid and Monte
-Carlo evaluate off the lattice and always call f itself.
+h; an axis probe at radius r = 2, 4, 8 as (k = (r/2) e_j, h = 2); a
+diagonal probe (r/sqrt(dim))*s for a sign vector s as (k = (r/2) s,
+h = 2/sqrt(dim)).  The probes of one ray family share their step and take
+one call.  An nD integrand f may carry an attribute f.lattice, a callable
+(k, h) -> values at the points k*h for an (N, dim) integer array k; these
+two rules call it instead of f(k*h), so that f can index exact per-step
+tables rather than interpolate.  The points, the box, the step sequence
+and the evaluation count are the same either way.  Gauss-Kronrod panels,
+the dim-4 tensor grid and Monte Carlo evaluate off the lattice and always
+call f itself.
 """
 from __future__ import annotations
 
@@ -61,6 +63,7 @@ _TRAP_CHUNK = 1 << 15       # points per integrand call; bounds peak memory
 _TRAP_MAX_POINTS = 1 << 24  # largest grid the trapezoid may halve to
 _GK_MAX_ROUNDS = 22         # panel-splitting rounds of integrate_1d
 _GK_MAX_PANELS = 60_000     # panels integrate_1d may hold at once
+_PROBE_RADII = (2.0, 4.0, 8.0)  # radii of the box probes along each ray
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,7 @@ def _panel_eval(f, a, b, counter):
     return ik, err
 
 
-def estimate_decay(f_abs, radii=(2.0, 4.0, 8.0), floor=1e-280):
+def estimate_decay(f_abs, radii=_PROBE_RADII, floor=1e-280):
     """Fit |f| ~ C exp(-mu r) along one ray; returns (C, mu).
 
     f_abs maps radius -> |f|.  Raises DecayEstimateFailure when the samples
@@ -176,38 +179,41 @@ def _on_lattice(f, k, h):
     return np.asarray(lattice(k, h) if lattice is not None else f(k * h), dtype=complex)
 
 
+def _probe_rays(f, rays):
+    """Fitted (C, mu) of |f| along each row d of the integer array rays
+    (all of one length |d|), from one lattice call: the probe at radius r
+    is the node k = d r / r0 at step h = r0 / |d|, r0 = _PROBE_RADII[0]."""
+    r0 = _PROBE_RADII[0]
+    scale = (np.array(_PROBE_RADII) / r0).astype(int)
+    k = (rays[:, None, :] * scale[None, :, None]).reshape(-1, rays.shape[1])
+    mags = np.abs(_on_lattice(f, k, r0 / np.linalg.norm(rays[0]))).reshape(len(rays), -1)
+    return [estimate_decay(dict(zip(_PROBE_RADII, row)).__getitem__, _PROBE_RADII)
+            for row in mags]
+
+
 def _estimate_box(f, dim, cfg):
     """Per-axis truncation radii with a diagonal safety check, and the
     fitted decay rates along the +ax and -ax rays (rates[ax]).
 
     Each axis ray is cut where both the fitted envelope c e^{-mu r} and its
-    tail integral c e^{-mu r}/mu are below target.  In 1D the diagonals are
-    the axis rays, so only dim 2 and up take diagonal probes.
+    tail integral c e^{-mu r}/mu are below target.  The probes of one ray
+    family take one lattice call: the axis rays +-e_j at step 2, the
+    diagonals s at step 2/sqrt(dim).  In 1D the diagonals are the axis
+    rays, so only dim 2 and up take diagonal probes.
     """
     target = max(cfg.abs_tol / (10.0 * dim), 1e-280)
-    radii, rates = [], np.zeros((dim, 2))
-    for ax in range(dim):
-        r_axis = 4.0
-        for sgn in (+1, -1):
-            def probe(r, ax=ax, sgn=sgn):
-                k = np.zeros((1, dim), dtype=int)
-                k[0, ax] = sgn
-                return abs(_on_lattice(f, k, r)[0])
-            c, mu = estimate_decay(probe)
-            rates[ax, int(sgn < 0)] = mu
-            r_axis = max(r_axis, np.log(max(c / (target * min(mu, 1.0)), 1.0)) / mu + 1.0)
-        radii.append(min(r_axis, 120.0))
-    radii = np.array(radii)
+    eye = np.eye(dim, dtype=int)
+    axis = _probe_rays(f, np.stack([eye, -eye], axis=1).reshape(-1, dim))  # +e_0, -e_0, ...
+    rates = np.array([mu for _c, mu in axis]).reshape(dim, 2)
+    need = [np.log(max(c / (target * min(mu, 1.0)), 1.0)) / mu + 1.0 for c, mu in axis]
+    radii = np.minimum(np.maximum(np.reshape(need, (dim, 2)).max(axis=1), 4.0), 120.0)
     if dim == 1:
-        diags = []
-    elif dim <= 3:
-        diags = [np.array(s) for s in itertools.product((1, -1), repeat=dim)]
+        return radii, rates
+    if dim <= 3:
+        diags = np.array(list(itertools.product((1, -1), repeat=dim)))
     else:
-        diags = [np.ones(dim, dtype=int)]
-    for d in diags:
-        def probe(r, d=d):
-            return abs(_on_lattice(f, d[None, :], r / np.sqrt(dim))[0])
-        c, mu = estimate_decay(probe)  # raises on growth along the diagonal
+        diags = np.ones((1, dim), dtype=int)
+    for c, mu in _probe_rays(f, diags):  # raises on growth along a diagonal
         r_need = np.log(max(c / target, 1.0)) / mu + 1.0
         if r_need > np.linalg.norm(radii):
             radii *= min(1.8, float(r_need / np.linalg.norm(radii)) + 0.1)

@@ -149,7 +149,10 @@ class LineTables:
     through the zero/pole lattice raises PoleHit.  A call that reaches past
     the range extends it at the end it passes, and no table is ever
     rebuilt, so an entry once computed never changes.  The range is the
-    span of the m asked for, which the quadrature box bounds.
+    span of the m asked for, which the quadrature box bounds.  A table at
+    step h whose step-parent (same z0, step 2h) exists, as each halving of
+    the trapezoid finds, takes its even m from the parent (extending it if
+    need be) and fills only its odd m, so each Phi_b entry is computed once.
     """
 
     def __init__(self, mp: ModularParameter, tol: float = 1e-13):
@@ -192,8 +195,21 @@ class LineTables:
         z0, h = key
         if abs(abs(z0.imag) - self.eng.cb_abs) < 1e-9:
             raise PoleHit(f"line Im z = {z0.imag} runs through the zero/pole lattice")
-        x = z0.real + h * (lo + np.arange(n))
-        logs = self.eng.line(float(x.min()), abs(h), n, z0.imag)
+        if (z0, 2.0 * h) not in self._tables:
+            return self._line(z0, h, lo, n, 1)
+        m = lo + np.arange(n)
+        odd = m % 2 == 1
+        out = np.empty(n, dtype=complex)
+        out[~odd] = self.phi(z0, 2.0 * h, m[~odd] // 2)
+        if odd.any():   # a grid of step 2h through the odd m
+            out[odd] = self._line(z0, h, int(m[odd][0]), int(odd.sum()), 2)
+        return out
+
+    def _line(self, z0, h, lo, n, stride):
+        """log Phi_b(z0 + m h) at m = lo, lo + stride, ..., n entries, by one
+        FaddeevDilog.line call."""
+        x = z0.real + h * (lo + stride * np.arange(n))
+        logs = self.eng.line(float(x.min()), abs(h) * stride, n, z0.imag)
         return logs if h > 0 else logs[::-1]    # FaddeevDilog.line runs left to right
 
 

@@ -20,8 +20,9 @@ from shapedtqft.params import ModularParameter  # noqa: E402
 from shapedtqft.quadrature import IntegralResult, QuadratureConfig  # noqa: E402
 
 ACCEPTANCE_LINES = []
-# trapezoid steps: the first level, a fine level, and a diagonal box probe in 3D
-LATTICE_STEPS = (0.8, 0.1, 8 / np.sqrt(3))
+# trapezoid steps: the first level, a fine level, a coarse step, and the
+# diagonal box-probe step in 3D
+LATTICE_STEPS = (0.8, 0.1, 8 / np.sqrt(3), 2 / np.sqrt(3))
 
 
 def capture_integrands(monkeypatch, module):

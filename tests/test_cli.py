@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from shapedtqft import cli
+from shapedtqft import cli, identities, quadrature
 from shapedtqft.data import path_of
 from shapedtqft.params import ModularParameter
 from shapedtqft.quadrature import QuadratureConfig
@@ -166,9 +166,15 @@ def test_verify_bailey_reports_parameters(capsys):
         assert abs(2 * par["t"] + sum(par["alpha"]) + sum(par["beta"]) - q) < 1e-12
 
 
-def test_verify_orthogonality_suite(capsys):
+def test_verify_orthogonality_suite(capsys, monkeypatch):
+    # the suite reports the Fourier-symbol residuals only: no smear is integrated
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("verify orthogonality must not integrate")
+    monkeypatch.setattr(identities, "integrate_nd", refuse)
+    monkeypatch.setattr(quadrature, "integrate_nd", refuse)
     assert cli.main(["verify", "orthogonality"]) == 0
     rep = json.loads(capsys.readouterr().out)
+    assert rep["parameters"] == [{"a_im": 0.2}, {"a_im": 0.1}]
     assert len(rep["residuals"]) == 2 and rep["worst"] < 1e-8
 
 

@@ -246,6 +246,31 @@ def test_1d_identity_lattice_forms_match_direct(mp1, monkeypatch, h):
         assert lattice_mismatch(f, dim, h) <= 1e-12
 
 
+def test_identity_quadrature_work_is_pinned(mp1, monkeypatch):
+    # the evaluation counts of criterion 3's first pentagon at each coupling
+    # (its draws 1 and 11) and of Z4 and Z5 of criterion 13's first
+    # octahedron: a change to the tables or the box probes must not move the
+    # box or the step sequence of the trapezoid
+    counts = []
+    integrate = identities.integrate_nd
+
+    def counted(f, dim, cfg):
+        res = integrate(f, dim, cfg)
+        counts.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(identities, "integrate_nd", counted)
+    rng = np.random.default_rng(2026)
+    cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
+    for b in (1.0, 1.3):
+        mp = ModularParameter(b)
+        first, *_rest = [random_balanced_33(rng, mp) for _ in range(10)]
+        assert check_hyperbolic_pentagon(first, mp, cfg) <= 1e-12
+    cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
+    assert check_octahedron_duality(*criterion13_octahedron(mp1), mp1, cfg) <= 1e-12
+    assert counts == [639, 639, 159, 408_321]
+
+
 def test_identity_checks_build_no_line_cache(mp1, monkeypatch):
     # criterion 3's first draw at each coupling and criterion 13's first
     # octahedron, whose Z4 and Z5 both read the lattice tables

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import k1
 
-from shapedtqft import quadrature
+from shapedtqft import quadrature, tqft
 from shapedtqft.errors import DecayEstimateFailure, QuadratureFailure
 from shapedtqft.quadrature import QuadratureConfig, integrate_1d, integrate_nd
+from shapedtqft.tqft import partition_function
+from tests.conftest import capture_integrands
 
 
 def test_gaussian_1d():
@@ -50,6 +52,40 @@ def test_trapezoid_1d_sizes_slowly_decaying_rays(monkeypatch):
     res = integrate_nd(lambda p: 0.1 * np.exp(-0.3 * np.sqrt(1 + p[:, 0]**2)) + 0j, 1, cfg)
     assert res.method == "trapezoid" and len(fits) == 2
     assert abs(res.value - 0.2 * k1(0.3)) <= res.error_estimate <= 1e-10
+
+
+def _gaussian(dim):
+    a = np.array([0.5, 0.3, 0.4])[:dim]
+    return lambda p: np.exp(-(a * p**2).sum(axis=1) - 0.1 * p[:, 0] * p[:, -1] + 1j * p[:, 0])
+
+
+def test_box_probes_one_lattice_call_per_family(fig8, mp1, monkeypatch):
+    # each ray family (axis rays, diagonals) takes its probes in one lattice
+    # call, and the box and rates are those of probing each radius r along
+    # each ray d by its own call at the node d of step r/|d|
+    x, angles = fig8
+    seen = capture_integrands(monkeypatch, tqft)
+    partition_function(x, angles, mp=mp1, cfg=QuadratureConfig(abs_tol=2e-5, rel_tol=2e-5,
+                                                               phib_tol=1e-11))
+    on_lattice = quadrature._on_lattice
+
+    def per_probe(f, k, h):
+        n = np.abs(k).max(axis=1)
+        return np.array([on_lattice(f, row[None] // m, m * h)[0] for row, m in zip(k, n)])
+
+    for f, dim, cfg in ((_gaussian(1), 1, QuadratureConfig()),
+                        (_gaussian(2), 2, QuadratureConfig()),
+                        (_gaussian(3), 3, QuadratureConfig()),
+                        (seen[0][0], 3, QuadratureConfig(abs_tol=2e-5, rel_tol=2e-5))):
+        calls = []
+        monkeypatch.setattr(quadrature, "_on_lattice",
+                            lambda f, k, h: calls.append(len(k)) or on_lattice(f, k, h))
+        radii, rates = quadrature._estimate_box(f, dim, cfg)
+        assert calls == ([6] if dim == 1 else [6 * dim, 3 * 2**dim])
+        monkeypatch.setattr(quadrature, "_on_lattice", per_probe)
+        ref_radii, ref_rates = quadrature._estimate_box(f, dim, cfg)
+        assert np.abs(radii - ref_radii).max() <= 1e-12 * np.abs(ref_radii).max()
+        assert np.abs(rates - ref_rates).max() <= 1e-12 * np.abs(ref_rates).max()
 
 
 def test_product_gaussian_3d():

@@ -150,6 +150,35 @@ def test_line_tables_extend_without_rebuild(b, monkeypatch):
         assert np.abs(np.exp(wider) / direct(m) - 1).max() <= 1e-12
 
 
+@pytest.mark.parametrize("b", [1.0, 1.3])
+def test_line_tables_reuse_coarser_step(b, monkeypatch):
+    # a table at step h/2 takes its even entries from the step-h table, bit
+    # for bit, and fills only its odd entries, in one grid call; the gamma2
+    # lookup runs the same reuse at step -h
+    mp = ModularParameter(b)
+    filled = []
+    grid = FaddeevDilog.line
+
+    def counted(self, x0, dx, n, y):
+        filled.append((n, dx))
+        return grid(self, x0, dx, n, y)
+
+    monkeypatch.setattr(FaddeevDilog, "line", counted)
+    tables = LineTables(mp)
+    c, z0, h = 0.4 * mp.q_total + 0.1j, 0.3 + 0.2j, 0.1
+    coarse, fine = np.arange(-20, 21), np.arange(-40, 41)
+    for lookup, direct in ((lambda m, step: tables.gamma2(c, step, m),
+                            lambda m: hyperbolic_gamma(c + 1j * m * h / 2, mp)),
+                           (lambda m, step: tables.phi(z0, step, m),
+                            lambda m: phi_b(z0 + m * h / 2, mp))):
+        parent = lookup(coarse, h)
+        filled.clear()
+        child = lookup(fine, h / 2)
+        assert filled == [(40, h)]     # the odd m, on a grid of step h
+        assert np.array_equal(child[::2], parent)
+        assert np.abs(np.exp(child) / direct(fine) - 1).max() <= 1e-12
+
+
 # -- B kernel -------------------------------------------------------------------
 
 def test_hyper_b_two_forms_agree():
