@@ -14,8 +14,8 @@ import numpy as np
 from .errors import ConstraintViolation
 from .params import EllipticBases, ModularParameter
 from .quadrature import QuadratureConfig, integrate_nd
-from .special import (cap_psi, classical_beta, elliptic_gamma, hyper_B, hyperbolic_gamma,
-                      line_integrand)
+from .special import (LineTables, cap_psi, classical_beta, elliptic_gamma, hyper_B,
+                      hyperbolic_gamma, line_integrand)
 
 __all__ = [
     "BalancedParams33", "BalancedParams6", "check_hyperbolic_pentagon",
@@ -340,9 +340,10 @@ def check_octahedron_duality(alpha_params, beta_params, t, s, u, w,
     Z5 re-expands the seed transform into a 2D integral over (x, y) (five
     B-factors), taken in one call to the 2D trapezoid.  Equality is the
     pentagon identity acting inside the composition.  All gamma factors run
-    along fixed horizontal lines, and both sides read them from exact
-    LineTables on the trapezoid lattice (1D for Z4, 2D for Z5); each
-    integrand sums their logs and takes one exp per point.
+    along fixed horizontal lines, and both sides read them from one set of
+    exact LineTables on the trapezoid lattice (1D for Z4, 2D for Z5), so the
+    factors they share are filled once; each integrand sums their logs and
+    takes one exp per point.
 
     `skew` shifts the kernel parameter on the Z4 side only (negative
     control: a nonzero skew must produce a macroscopic residual).  Note the
@@ -360,8 +361,9 @@ def check_octahedron_duality(alpha_params, beta_params, t, s, u, w,
     _require_window(mp, *al, *be, t, s, u, s + t + w, s + t - w, t + u, 2 * s,
                     t + u + 2 * s, s + w, s - w, q - 2 * s - 2 * t - u,
                     s + 2 * t + u + w, 2 * t)
-    z4 = _octahedron_z4(al, be, t, s, u, w, mp, cfg, skew)
-    z5 = _octahedron_z5(al, be, t, s, u, w, mp, cfg)
+    tables = LineTables(mp, cfg.phib_tol)
+    z4 = _octahedron_z4(al, be, t, s, u, w, mp, cfg, skew, tables)
+    z5 = _octahedron_z5(al, be, t, s, u, w, mp, cfg, tables)
     return abs(z4 - z5) / max(abs(z4), abs(z5))
 
 
@@ -370,7 +372,7 @@ def _log_g2(mp, tol, *cs):
     return np.log(hyperbolic_gamma(np.array(cs), mp, tol)).sum()
 
 
-def _octahedron_z4(al, be, t, s, u, w, mp, cfg, skew):
+def _octahedron_z4(al, be, t, s, u, w, mp, cfg, skew, tables=None):
     """Z4 as one 1D trapezoid over x = i xs."""
     ptol = cfg.phib_tol
     st = s + t + skew
@@ -383,10 +385,10 @@ def _octahedron_z4(al, be, t, s, u, w, mp, cfg, skew):
         return (g2(st + w, -xs) + g2(st - w, xs) + g2(t + u, xs) - g2(t + u + 2 * s, xs)
                 + sum(g2(a, -xs) + g2(b, xs) for a, b in zip(al, be)) + log_c4)
 
-    return integrate_nd(line_integrand(log_z4, mp, ptol), 1, cfg).value
+    return integrate_nd(line_integrand(log_z4, mp, ptol, tables), 1, cfg).value
 
 
-def _octahedron_z5(al, be, t, s, u, w, mp, cfg):
+def _octahedron_z5(al, be, t, s, u, w, mp, cfg, tables=None):
     """Z5 as one 2D trapezoid over (x, y) = (i xs, i ys)."""
     ptol = cfg.phib_tol
     log_c5 = (_log_g2(mp, ptol, s + 2 * t + u + w) - _log_g2(mp, ptol, s + w + u, 2 * t)
@@ -399,7 +401,7 @@ def _octahedron_z5(al, be, t, s, u, w, mp, cfg):
                 + g2(t, xs - ys) + g2(t, ys - xs)
                 + sum(g2(a, -ys) + g2(b, ys) for a, b in zip(al, be)) + log_c5)
 
-    return integrate_nd(line_integrand(log_z5, mp, ptol), 2, cfg).value
+    return integrate_nd(line_integrand(log_z5, mp, ptol, tables), 2, cfg).value
 
 
 # -- entropy pentagon -----------------------------------------------------------

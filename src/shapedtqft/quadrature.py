@@ -8,9 +8,14 @@ C*exp(-mu*r), and its tail integral C*exp(-mu*r)/mu, drop below
 abs_tol/(10*dim), and takes boxes of dim 1 to 3 with a nested-halving
 tensor trapezoid, exponentially convergent on integrands analytic in a
 strip around the real state space (Trefethen & Weideman, SIAM Review 56,
-2014).  Its error is the halving difference plus the truncation tail
-measured on the faces of the box; a box whose tail alone exceeds the
-tolerance is refused with QuadratureFailure.  integrate_1d refines
+2014).  On such integrands the error squares with each halving, so with
+d_k = |T(h_k) - T(h_{k-1})| its error estimate is d_k^2 / d_{k-1} when
+d_k < d_{k-1}, else d_k (Bailey, Jeyabalan & Li, Exp. Math. 14, 2005),
+floored at cfg.phib_tol * h^dim * sum |f|, the precision of the line
+factors; the reported error is that plus the truncation tail measured on
+the faces of the box.  A request below the floor, and a box whose tail
+alone exceeds the tolerance, are refused with QuadratureFailure; the grid
+cap, not a radius cap, bounds the box.  integrate_1d refines
 Gauss-Kronrod panels on a finite interval; it too meets its tolerance or
 raises QuadratureFailure.  Sums are accumulated in a fixed order so
 results are reproducible to the bit.
@@ -31,6 +36,7 @@ call f itself.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,7 +212,7 @@ def _estimate_box(f, dim, cfg):
     axis = _probe_rays(f, np.stack([eye, -eye], axis=1).reshape(-1, dim))  # +e_0, -e_0, ...
     rates = np.array([mu for _c, mu in axis]).reshape(dim, 2)
     need = [np.log(max(c / (target * min(mu, 1.0)), 1.0)) / mu + 1.0 for c, mu in axis]
-    radii = np.minimum(np.maximum(np.reshape(need, (dim, 2)).max(axis=1), 4.0), 120.0)
+    radii = np.maximum(np.reshape(need, (dim, 2)).max(axis=1), 4.0)
     if dim == 1:
         return radii, rates
     if dim <= 3:
@@ -224,27 +230,34 @@ def _trapezoid(f, dim, cfg, radii, rates, counter):
     """Nested-halving tensor trapezoid on the box prod_j [-r_j, r_j].
 
     Nodes sit at k*h; each halving evaluates only the new nodes (an odd
-    index on some axis), in C-order slices.  The error of T(h/2) is
-    |T(h) - T(h/2)| plus a tail bound: for each face, 4 * (integral of |f|
-    over the outermost layer of odd index, new in the last halving) / (the
-    fitted rate of that ray).  The layer is measured rather than
-    extrapolated from the fit on the axis, because the integrand's ridge can
-    leave the box off the axis.  Returns T(h/2) once that error meets the
-    tolerance.  Raises QuadratureFailure when the halving difference meets
-    it but the tail alone exceeds it: the box is too small, and halving h
-    further would only move the measured layer towards the faces.  (On a
-    coarse grid the tail is measured further inside the box, so it is not
-    judged alone before the halving difference has converged.)
+    index on some axis), in C-order slices.  With d_k = |T(h_k) - T(h_{k-1})|
+    the halving estimate of the error of T(h_k) is d_k^2 / d_{k-1} when
+    d_k < d_{k-1}, else d_k: d_k is the error of T(h_{k-1}), and on an
+    analytic integrand the error squares with each halving.  The squared
+    estimate also squares away the roundoff and Phi_b noise that d_k
+    carries, so it is floored at cfg.phib_tol * h^dim * sum |f|.  The
+    reported error is max(estimate, floor) plus a tail bound: for each
+    face, 4 * (integral of |f| over the outermost layer of odd index, new in
+    the last halving) / (the fitted rate of that ray).
+    The layer is measured rather than extrapolated from the fit on the axis,
+    because the integrand's ridge can leave the box off the axis.  Returns
+    T(h) once that error meets the tolerance.  Raises QuadratureFailure when
+    the floor alone exceeds the tolerance, at the first level; and when the
+    halving estimate meets it but the tail alone exceeds it: the box is too
+    small, and halving h further would only move the measured layer towards
+    the faces.  (On a coarse grid the tail is measured further inside the
+    box, so it is not judged alone before the halving estimate has
+    converged.)
     """
-    h, total, value, err = 2.0 * _TRAP_H0, 0j, None, np.inf
+    h, total, mass, value, diff, est = 2.0 * _TRAP_H0, 0j, 0.0, None, None, np.inf
     while True:
         h *= 0.5
         kmax = (radii // h).astype(int)
-        shape = tuple(2 * kmax + 1)
-        n = int(np.prod(shape))
+        shape = tuple(int(m) for m in 2 * kmax + 1)
+        n = math.prod(shape)           # Python ints: an unbounded box must not wrap
         if n > _TRAP_MAX_POINTS:
             raise QuadratureFailure(f"trapezoid grid at h={h:.3g} would exceed {_TRAP_MAX_POINTS} "
-                                    f"nodes; last halving difference {err:.3g} above tolerance")
+                                    f"nodes; last halving estimate {est:.3g} above tolerance")
         edge = kmax - (kmax % 2 == 0)  # outermost odd index per axis
         layers = np.zeros((dim, 2))     # sum of |f| on the layers k_j = +edge_j, -edge_j
         for lo in range(0, n, _TRAP_CHUNK):
@@ -256,17 +269,25 @@ def _trapezoid(f, dim, cfg, radii, rates, counter):
             total += complex(np.sum(vals))
             counter[0] += len(vals)
             mag = np.abs(vals)
+            mass += float(mag.sum())
             layers += [[mag[kj == e].sum(), mag[kj == -e].sum()] for kj, e in zip(kt, edge)]
         prev, value = value, h ** dim * total
-        if prev is not None:
-            err = abs(value - prev)
-            tail = 4.0 * h ** (dim - 1) * float(np.sum(layers / rates))
-            tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
-            if err + tail <= tol:
-                return value, err + tail
-            if err <= tol < tail:
-                raise QuadratureFailure(f"truncation tail {tail:.3g} measured on the faces of the "
-                                        f"box exceeds tolerance {tol:.3g}; the box is too small")
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+        floor = cfg.phib_tol * h ** dim * mass
+        if floor > tol:
+            raise QuadratureFailure(f"Phi_b precision floor {floor:.3g} (phib_tol {cfg.phib_tol:.3g}) "
+                                    f"exceeds tolerance {tol:.3g}")
+        if prev is None:
+            continue
+        prev_diff, diff = diff, abs(value - prev)
+        est = diff * diff / prev_diff if prev_diff is not None and diff < prev_diff else diff
+        est = max(est, floor)
+        tail = 4.0 * h ** (dim - 1) * float(np.sum(layers / rates))
+        if est + tail <= tol:
+            return value, est + tail
+        if est <= tol < tail:
+            raise QuadratureFailure(f"truncation tail {tail:.3g} measured on the faces of the "
+                                    f"box exceeds tolerance {tol:.3g}; the box is too small")
 
 
 def _tensor4(f, cfg, radii, counter):

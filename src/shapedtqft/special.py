@@ -213,7 +213,8 @@ class LineTables:
         return logs if h > 0 else logs[::-1]    # FaddeevDilog.line runs left to right
 
 
-def line_integrand(log_body, mp: ModularParameter, tol: float = 1e-13):
+def line_integrand(log_body, mp: ModularParameter, tol: float = 1e-13,
+                   tables: LineTables | None = None):
     """nD integrand exp(log_body(g2, phi, v, x)) with a lattice form on LineTables.
 
     v and x hold one row per variable.  log_body sums the logs of its line
@@ -222,10 +223,12 @@ def line_integrand(log_body, mp: ModularParameter, tol: float = 1e-13):
     and may add terms in the coordinates x themselves.  f(x) for points x of
     shape (N, dim) runs on the direct engine (v = x, h = 1); f.lattice(k, h),
     which the trapezoid and the box probes call at the nodes k h, reads the
-    exact tables (v = k, x = k h).
+    exact tables (v = k, x = k h).  Integrands that share line factors may
+    share tables (built for the same mp and tol), so each entry is filled once.
     """
     eng = get_engine(mp.b, tol)
-    tables = LineTables(mp, tol)
+    if tables is None:
+        tables = LineTables(mp, tol)
 
     def f(x):
         x = np.asarray(x, dtype=float).T

@@ -20,6 +20,7 @@ from shapedtqft.params import ModularParameter  # noqa: E402
 from shapedtqft.quadrature import IntegralResult, QuadratureConfig  # noqa: E402
 
 ACCEPTANCE_LINES = []
+CALIBRATION_LINES = []
 # trapezoid steps: the first level, a fine level, a coarse step, and the
 # diagonal box-probe step in 3D
 LATTICE_STEPS = (0.8, 0.1, 8 / np.sqrt(3), 2 / np.sqrt(3))
@@ -60,10 +61,12 @@ def count_line_caches(monkeypatch):
 
 
 def pytest_terminal_summary(terminalreporter):
-    if ACCEPTANCE_LINES:
-        terminalreporter.write_sep("=", "acceptance criteria")
-        for line in ACCEPTANCE_LINES:
-            terminalreporter.write_line(line)
+    for title, lines in (("acceptance criteria", ACCEPTANCE_LINES),
+                         ("error calibration", CALIBRATION_LINES)):
+        if lines:
+            terminalreporter.write_sep("=", title)
+            for line in lines:
+                terminalreporter.write_line(line)
 
 
 @pytest.fixture(scope="session")

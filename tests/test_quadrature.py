@@ -54,6 +54,34 @@ def test_trapezoid_1d_sizes_slowly_decaying_rays(monkeypatch):
     assert abs(res.value - 0.2 * k1(0.3)) <= res.error_estimate <= 1e-10
 
 
+@pytest.mark.parametrize("dim,tol,nodes,exact", [
+    (1, 1e-9, 39, 1.0),              # e^{-pi t^2}
+    (2, 1e-12, 104_329, np.pi**2),   # sech x sech y
+])
+def test_squared_halving_estimate_bounds_analytic_integrands(dim, tol, nodes, exact):
+    # the error squares with each halving, so d_k^2 / d_{k-1} bounds the
+    # error of T(h_k) and stops one halving before d_k would (79 and 418,609 nodes)
+    f = {1: lambda p: np.exp(-np.pi * p[:, 0]**2) + 0j,
+         2: lambda p: 1 / (np.cosh(p[:, 0]) * np.cosh(p[:, 1])) + 0j}[dim]
+    res = integrate_nd(f, dim, QuadratureConfig(abs_tol=tol, rel_tol=tol))
+    assert res.method == "trapezoid" and res.evaluations == nodes
+    assert abs(res.value - exact) <= res.error_estimate
+
+
+def test_trapezoid_refuses_tolerance_below_phib_floor():
+    # the floor phib_tol * integral of |f| = 1e-13 exceeds tol 1e-14: refused
+    # after the first level (one probe call and one grid call), not at the grid cap
+    calls = []
+
+    def f(p):
+        calls.append(len(p))
+        return np.exp(-np.pi * p[:, 0]**2) + 0j
+
+    with pytest.raises(QuadratureFailure, match="floor"):
+        integrate_nd(f, 1, QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14))
+    assert calls == [6, 11]
+
+
 def _gaussian(dim):
     a = np.array([0.5, 0.3, 0.4])[:dim]
     return lambda p: np.exp(-(a * p**2).sum(axis=1) - 0.1 * p[:, 0] * p[:, -1] + 1j * p[:, 0])
@@ -121,8 +149,9 @@ def test_trapezoid_reproducible():
 
 def test_trapezoid_refuses_unattainable_tolerance():
     # the kink at the origin limits the trapezoid to O(h^2): tol 1e-14 is
-    # refused once the next halving would exceed the grid cap
-    cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14)
+    # refused once the next halving would exceed the grid cap (phib_tol is
+    # set below the tolerance, which the Phi_b floor would refuse at once)
+    cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14, phib_tol=1e-16)
     with pytest.raises(QuadratureFailure, match="would exceed"):
         integrate_nd(lambda p: np.exp(-np.abs(p).sum(axis=1)) + 0j, 2, cfg)
 

@@ -22,6 +22,16 @@ def test_ratio_integral_contour_shift_independence(mp1):
     assert abs(vals[1].imag) < 1e-10  # the full integral is real here
 
 
+@pytest.mark.parametrize("frac", [0.03, 0.02])
+def test_ratio_integral_small_shift_needs_a_wide_box(mp1, frac):
+    # the integrand decays at rate 2 pi shift only (0.19 and 0.13), so the box
+    # must reach past radius 120; the grid cap, not a radius cap, bounds the work
+    cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10)
+    ref = ratio_integral_fig8(mp1, cfg)
+    res = ratio_integral_fig8(mp1, cfg, shift=frac * abs(mp1.cb))
+    assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
+
+
 def test_triple_ratio_shift_independence(mp1):
     cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10)
     v1 = triple_ratio_52(mp1, cfg, shift=0.1).value
