@@ -19,10 +19,11 @@ from .complexes import GaugeFixing, pachner_32, random_bipyramid_angles
 from .errors import (InputSchemaError, NotApplicable, PoleHit, ShapedTqftError,
                      ShapeViolation, UsageError)
 from .geometry import gluing_residual, maximize_volume_in_gauge_class, shape_volume
-from .identities import (check_elliptic_beta_integral, check_entropy_pentagon,
-                         check_hyperbolic_pentagon, check_octahedron_duality,
-                         orthogonality_symbol_deviation, random_balanced_33,
-                         random_entropy_tuple, random_octahedron_params)
+from .identities import (BalancedParams33, check_elliptic_beta_integral,
+                         check_entropy_pentagon, check_hyperbolic_pentagon,
+                         check_octahedron_duality, orthogonality_symbol_deviation,
+                         random_balanced_33, random_elliptic_params, random_entropy_tuple,
+                         random_octahedron_params)
 from .params import EllipticBases, ModularParameter
 from .qdilog import phi_b
 from .quadrature import QuadratureConfig
@@ -200,12 +201,9 @@ def cmd_verify(args):
         threshold = args.max_residual or 1e-8
         bases = EllipticBases(0.3, 0.3)
         for _ in range(args.trials):
-            s = rng.uniform(0.2, 0.7, 5) * np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
-            s6 = bases.p * bases.q / np.prod(s)
-            if abs(s6) >= 0.95:
-                continue
-            params.append([str(v) for v in np.append(s, s6)])
-            residuals.append(check_elliptic_beta_integral(np.append(s, s6), bases))
+            s = random_elliptic_params(rng, bases)
+            params.append([str(v) for v in s])
+            residuals.append(check_elliptic_beta_integral(s, bases))
     elif name == "orthogonality":
         # residual = constancy of the Fourier symbol (the delta normalization)
         threshold = args.max_residual or 1e-8
@@ -213,17 +211,17 @@ def cmd_verify(args):
             params.append({"a_im": a_im})
             residuals.append(orthogonality_symbol_deviation(a_im, mp, cfg))
     elif name == "bailey":
-        from .identities import bailey_pair_seed, verify_bailey_pair
+        # the seed Bailey transform of B(al_i - z, be_i + z) is the pentagon
         threshold = args.max_residual or 1e-5
         q = mp.q_total
         for _ in range(args.trials):
             parts = rng.dirichlet(np.ones(5)) * q * 0.5 + q * 0.05
             al, be = (parts[0], parts[1]), (parts[2], parts[3])
             t = (q - parts[0] - parts[1] - parts[2] - parts[3]) / 2
-            pair = bailey_pair_seed(al, be, t, mp)
             w = rng.uniform(-0.1, 0.1) * q
             params.append({"alpha": list(al), "beta": list(be), "t": t, "w": w})
-            residuals.append(verify_bailey_pair(pair, w, mp, cfg))
+            p = BalancedParams33((t + w, *al), (t - w, *be))
+            residuals.append(check_hyperbolic_pentagon(p, mp, cfg))
     elif name == "octahedron":
         threshold = args.max_residual or 1e-3
         q = mp.q_total

@@ -11,20 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from .errors import ConstraintViolation
+from .errors import ConstraintViolation, QuadratureFailure
 from .params import EllipticBases, ModularParameter
-from .quadrature import QuadratureConfig, integrate_nd
+from .quadrature import QuadratureConfig, halving_estimate, integrate_nd
 from .special import (LineTables, cap_psi, classical_beta, elliptic_gamma, hyper_B,
-                      hyperbolic_gamma, line_integrand)
+                      hyperbolic_gamma, line_integrand, theta_fn)
 
 __all__ = [
     "BalancedParams33", "BalancedParams6", "check_hyperbolic_pentagon",
     "check_hyperbolic_beta_integral", "check_elliptic_beta_integral",
     "check_classical_pentagon", "check_orthogonality_smeared",
-    "orthogonality_symbol_deviation",
-    "BaileyPair", "bailey_pair_seed", "bailey_step", "verify_bailey_pair",
-    "check_octahedron_duality", "check_entropy_pentagon",
-    "random_balanced_33", "random_balanced_6", "random_entropy_tuple",
+    "orthogonality_symbol_deviation", "check_octahedron_duality", "check_entropy_pentagon",
+    "random_balanced_33", "random_balanced_6", "random_elliptic_params", "random_entropy_tuple",
 ]
 
 _PI = np.pi
@@ -85,6 +83,17 @@ def random_balanced_6(rng, mp):
     return BalancedParams6(tuple(parts.astype(complex)))
 
 
+def random_elliptic_params(rng, bases: EllipticBases):
+    """Six elliptic beta parameters with prod s_i = p q and each |s_i| away
+    from 1: moduli |pq|^{w_i}, w = 0.7 Dirichlet(1^6) + 0.05, so that
+    |pq|^{3/4} <= |s_i| <= |pq|^{1/20}, and phases that sum to arg(p q)."""
+    pq = complex(bases.p) * complex(bases.q)
+    w = 0.7 * rng.dirichlet(np.ones(6)) + 0.05
+    phases = rng.uniform(0, 2 * _PI, 6)
+    phases[5] = np.angle(pq) - phases[:5].sum()
+    return abs(pq) ** w * np.exp(1j * phases)
+
+
 def check_hyperbolic_pentagon(p: BalancedParams33, mp: ModularParameter,
                               cfg: QuadratureConfig) -> float:
     """Relative residual of the five-term B-kernel identity."""
@@ -129,8 +138,12 @@ def check_elliptic_beta_integral(s_params, bases: EllipticBases, tol: float = 1e
                                  require_balanced: bool = True) -> float:
     """Relative residual of the elliptic beta integral on the unit circle.
 
-    Trapezoidal nodes on |z| = 1 are doubled until two successive values
-    agree below tol (spectral convergence for the analytic integrand).
+    The measure 1/(Gamma(z^2) Gamma(z^-2)) is written as
+    theta(z^2; p) theta(z^-2; q), so the integrand is finite (zero) at
+    z = +-1 and the trapezoid nodes z = exp(2 pi i k/n) nest: each doubling
+    of n, from 64, evaluates only the new nodes.  It stops when the shared
+    halving_estimate is at most tol * max(1, |value|), and raises
+    QuadratureFailure when that needs more than 16384 nodes.
     """
     s = np.asarray(s_params, dtype=complex)
     if len(s) != 6 or (np.abs(s) >= 1.0).any():
@@ -145,24 +158,26 @@ def check_elliptic_beta_integral(s_params, bases: EllipticBases, tol: float = 1e
         qq = np.prod(1.0 - q ** np.arange(1, n))
         return pp * qq / 2.0
 
-    def integrand(z):
-        num = np.ones(z.shape, dtype=complex)
+    def node_sum(k, n):
+        z = np.exp(2j * _PI * k / n)
+        vals = theta_fn(z**2, p, tol) * theta_fn(z**-2, q, tol)
         for si in s:
-            num = num * elliptic_gamma(si * z, bases, tol) * elliptic_gamma(si / z, bases, tol)
-        den = elliptic_gamma(z**2, bases, tol) * elliptic_gamma(z**-2, bases, tol)
-        return num / den
+            vals = vals * elliptic_gamma(si * z, bases, tol) * elliptic_gamma(si / z, bases, tol)
+        return complex(np.sum(vals))
 
-    prev = None
     n = 64
-    while n <= 16384:
-        th = 2 * _PI * (np.arange(n) + 0.5) / n
-        z = np.exp(1j * th)
-        val = integrand(z).mean()  # dz/(2 pi i z) = dtheta/(2 pi)
-        if prev is not None and abs(val - prev) < tol * max(1.0, abs(val)):
-            break
-        prev = val
+    total = node_sum(np.arange(n), n)
+    value, diff, est = total / n, None, np.inf
+    while est > tol * max(1.0, abs(value)):
+        if n >= 16384:
+            raise QuadratureFailure(f"elliptic beta integral needs more than 16384 nodes; "
+                                    f"halving estimate {est:.3g} above tolerance")
+        total += node_sum(np.arange(1, 2 * n, 2), 2 * n)  # dz/(2 pi i z) = dtheta/(2 pi)
         n *= 2
-    lhs = kappa() * val
+        prev, value = value, total / n
+        prev_diff, diff = diff, abs(value - prev)
+        est = halving_estimate(diff, prev_diff)
+    lhs = kappa() * value
     rhs = 1.0 + 0.0j
     for i in range(6):
         for j in range(i + 1, 6):
@@ -244,90 +259,6 @@ def check_orthogonality_smeared(a_im: float, center: float, sigma: float,
     return {"smeared": smeared, "prediction": prediction,
             "rel_deviation": float(dev), "symbol_deviation": symbol_dev,
             "sigma": sigma}
-
-
-# -- Bailey machinery ----------------------------------------------------------
-
-@dataclass
-class BaileyPair:
-    """Functions (alpha, beta) with beta(w,t) = int B(t+w-z, t-w+z) alpha(z,t) dz
-    (z = i x parametrization); t is the kernel parameter."""
-    alpha: callable   # alpha(z, t) -> complex, z complex
-    beta: callable    # beta(w, t) -> complex
-    t: complex
-
-
-def bailey_pair_seed(alpha_params, beta_params, t, mp: ModularParameter,
-                     tol: float = 1e-13) -> BaileyPair:
-    """Seed pair built from two B-kernels; needs 2t + sum(alpha+beta) = Q.
-
-    beta follows from the pentagon identity (note the crossed indices):
-    beta(w,t) = B(t-w+alpha_1, t+w+beta_2) B(t-w+alpha_2, t+w+beta_1).
-    """
-    al = tuple(complex(v) for v in alpha_params)
-    be = tuple(complex(v) for v in beta_params)
-    total = 2 * complex(t) + sum(al) + sum(be)
-    if abs(total - mp.q_total) > 1e-12:
-        raise ConstraintViolation(f"Bailey balancing 2t + sum = {total} != {mp.q_total}")
-
-    def alpha_fn(z, tt):
-        z = np.asarray(z, dtype=complex)
-        out = np.ones(z.shape, dtype=complex)
-        for i in range(2):
-            out = out * hyper_B(al[i] - z, be[i] + z, mp, tol)
-        return out
-
-    def beta_fn(w, tt):
-        w = np.asarray(w, dtype=complex)
-        out = np.ones(w.shape, dtype=complex)
-        for i in range(2):
-            out = out * hyper_B(tt - w + al[i], tt + w + be[1 - i], mp, tol)
-        return out
-
-    return BaileyPair(alpha_fn, beta_fn, complex(t))
-
-
-def verify_bailey_pair(pair: BaileyPair, w, mp: ModularParameter,
-                       cfg: QuadratureConfig) -> float:
-    """Quadrature check of the defining transform at one w."""
-    w = complex(w)
-    t = pair.t
-
-    def f(p):
-        z = 1j * p[:, 0]
-        return (hyper_B(t + w - z, t - w + z, mp, cfg.phib_tol)
-                * pair.alpha(z, t))
-
-    lhs = integrate_nd(f, 1, cfg).value
-    rhs = complex(pair.beta(w, t))
-    return abs(lhs - rhs) / abs(rhs)
-
-
-def bailey_step(pair: BaileyPair, s, u, mp: ModularParameter,
-                cfg: QuadratureConfig) -> BaileyPair:
-    """One kernel-composition step: new pair with respect to s + t.
-
-    alpha'(w, s+t) = B(t+u+w, 2s) alpha(w, t)
-    beta'(w, s+t)  = int B(s+w-x, u+x) B(s+2t+u+w, s-w+x) beta(x, t) dx
-    """
-    s, u = complex(s), complex(u)
-    t = pair.t
-
-    def alpha2(z, tt):
-        return hyper_B(t + u + z, 2 * s, mp, cfg.phib_tol) * pair.alpha(z, t)
-
-    def beta2(w, tt):
-        w = complex(w)
-
-        def f(p):
-            z = 1j * p[:, 0]
-            return (hyper_B(s + w - z, u + z, mp, cfg.phib_tol)
-                    * hyper_B(s + 2 * t + u + w, s - w + z, mp, cfg.phib_tol)
-                    * pair.beta(z, t))
-
-        return integrate_nd(f, 1, cfg).value
-
-    return BaileyPair(alpha2, beta2, s + t)
 
 
 def check_octahedron_duality(alpha_params, beta_params, t, s, u, w,

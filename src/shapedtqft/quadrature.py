@@ -8,9 +8,10 @@ C*exp(-mu*r), and its tail integral C*exp(-mu*r)/mu, drop below
 abs_tol/(10*dim), and takes boxes of dim 1 to 3 with a nested-halving
 tensor trapezoid, exponentially convergent on integrands analytic in a
 strip around the real state space (Trefethen & Weideman, SIAM Review 56,
-2014).  On such integrands the error squares with each halving, so with
-d_k = |T(h_k) - T(h_{k-1})| its error estimate is d_k^2 / d_{k-1} when
-d_k < d_{k-1}, else d_k (Bailey, Jeyabalan & Li, Exp. Math. 14, 2005),
+2014).  Its error estimate is halving_estimate, which every nested rule
+of the package shares: with d_k = |T(h_k) - T(h_{k-1})| and
+r = d_k / d_{k-1}, it is d_k r / (1 - r) when r < 1/4, else d_k (Bailey,
+Jeyabalan & Li, Exp. Math. 14, 2005),
 floored at cfg.phib_tol * h^dim * sum |f|, the precision of the line
 factors; the reported error is that plus the truncation tail measured on
 the faces of the box.  A request below the floor, and a box whose tail
@@ -43,7 +44,8 @@ import numpy as np
 
 from .errors import DecayEstimateFailure, QuadratureFailure
 
-__all__ = ["QuadratureConfig", "IntegralResult", "integrate_1d", "integrate_nd", "estimate_decay"]
+__all__ = ["QuadratureConfig", "IntegralResult", "integrate_1d", "integrate_nd", "estimate_decay",
+           "halving_estimate"]
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].
 _XGK = np.array([
@@ -226,15 +228,28 @@ def _estimate_box(f, dim, cfg):
     return radii, rates
 
 
+def halving_estimate(diff, prev_diff):
+    """Error of the finer of two nested-rule values diff apart, when the
+    halving before moved the value by prev_diff (None at the first).
+
+    With r = diff / prev_diff, the later moves sum to diff * r / (1 - r) if
+    they keep shrinking by r or faster, as on an analytic integrand, where
+    the error squares.  r >= 1/4 is the O(h^2) rate of a kink, or no
+    convergence yet: then diff, the error of the coarser value, is reported.
+    """
+    if prev_diff is not None and diff < 0.25 * prev_diff:
+        r = diff / prev_diff
+        return diff * r / (1.0 - r)
+    return diff
+
+
 def _trapezoid(f, dim, cfg, radii, rates, counter):
     """Nested-halving tensor trapezoid on the box prod_j [-r_j, r_j].
 
     Nodes sit at k*h; each halving evaluates only the new nodes (an odd
-    index on some axis), in C-order slices.  With d_k = |T(h_k) - T(h_{k-1})|
-    the halving estimate of the error of T(h_k) is d_k^2 / d_{k-1} when
-    d_k < d_{k-1}, else d_k: d_k is the error of T(h_{k-1}), and on an
-    analytic integrand the error squares with each halving.  The squared
-    estimate also squares away the roundoff and Phi_b noise that d_k
+    index on some axis), in C-order slices.  The error of T(h_k) is
+    estimated by halving_estimate of d_k = |T(h_k) - T(h_{k-1})| and d_{k-1}.
+    Its squared form also squares away the roundoff and Phi_b noise that d_k
     carries, so it is floored at cfg.phib_tol * h^dim * sum |f|.  The
     reported error is max(estimate, floor) plus a tail bound: for each
     face, 4 * (integral of |f| over the outermost layer of odd index, new in
@@ -280,8 +295,7 @@ def _trapezoid(f, dim, cfg, radii, rates, counter):
         if prev is None:
             continue
         prev_diff, diff = diff, abs(value - prev)
-        est = diff * diff / prev_diff if prev_diff is not None and diff < prev_diff else diff
-        est = max(est, floor)
+        est = max(halving_estimate(diff, prev_diff), floor)
         tail = 4.0 * h ** (dim - 1) * float(np.sum(layers / rates))
         if est + tail <= tol:
             return value, est + tail

@@ -291,10 +291,6 @@ def cap_psi_direct(u, v, w, mp: ModularParameter, cfg: QuadratureConfig) -> Inte
     return IntegralResult(core.value + tail, core.error_estimate, core.evaluations, "adaptive")
 
 
-def _log1p_sum(z):
-    return np.sum(np.log1p(z), axis=-1)
-
-
 def elliptic_gamma(z, bases: EllipticBases, tol: float = 1e-14):
     """Elliptic gamma: prod_{i,j>=0} (1 - p^{i+1} q^{j+1}/z) / (1 - z p^i q^j)."""
     p, q = complex(bases.p), complex(bases.q)
@@ -317,19 +313,19 @@ def elliptic_gamma(z, bases: EllipticBases, tol: float = 1e-14):
     den_args = -np.multiply.outer(z, pq_den)
     if (np.abs(1.0 + den_args) < 1e-12).any():
         raise PoleHit("z within tolerance of an elliptic gamma pole p^{-i} q^{-j}")
-    return np.exp(_log1p_sum(num_args) - _log1p_sum(den_args))
+    return np.prod(1.0 + num_args, axis=-1) / np.prod(1.0 + den_args, axis=-1)
 
 
 def theta_fn(z, p: complex, tol: float = 1e-14):
-    """theta(z; p) = (z; p)_inf (p/z; p)_inf."""
+    """theta(z; p) = (z; p)_inf (p/z; p)_inf; exactly 0 at the zeros z = 1 and z = p."""
     p = complex(p)
     if abs(p) >= 1.0:
         raise NonConvergence("theta needs |p| < 1")
     z = np.asarray(z, dtype=complex)
     n = max(int(np.ceil(np.log(tol * (1 - abs(p))) / np.log(abs(p)))) + 2, 4)
     ks = p ** np.arange(n)
-    return np.exp(_log1p_sum(-np.multiply.outer(z, ks)) +
-                  _log1p_sum(-np.multiply.outer(p / z, ks)))
+    return np.prod(1.0 - np.multiply.outer(z, ks), axis=-1) * np.prod(
+        1.0 - np.multiply.outer(p / z, ks), axis=-1)
 
 
 def classical_beta(x, y):

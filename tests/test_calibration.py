@@ -16,7 +16,7 @@ from shapedtqft.identities import (check_hyperbolic_beta_integral, check_hyperbo
                                    random_balanced_33, random_octahedron_params)
 from shapedtqft.params import ModularParameter
 from shapedtqft.qdilog import phi_b
-from shapedtqft.quadrature import QuadratureConfig
+from shapedtqft.quadrature import QuadratureConfig, integrate_nd
 from shapedtqft.reduced import ratio_integral_fig8, tilde52_reduced2d, triple_ratio_52
 from shapedtqft.special import hyper_B, hyperbolic_gamma
 from shapedtqft.tqft import knot_quad_angle, partition_function
@@ -140,3 +140,14 @@ def test_knot52_reduced_form():
         res = tilde52_reduced2d(beta1, beta1, beta1, np.pi - beta1, mp, tol_cfg(tol))
         slacks.append(abs(res.value - ref) / (res.error_estimate + ref_err))
     assert report("5_2 reduced form", slacks) <= 1.0
+
+
+def test_kink_at_the_origin():
+    # e^{-|x|} integrates to 2, but its kink makes the trapezoid error O(h^2):
+    # the error shrinks by 4 per halving instead of squaring, so the stop rule
+    # must not report the squared estimate
+    slacks = []
+    for tol in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
+        res = integrate_nd(lambda p: np.exp(-np.abs(p[:, 0])) + 0j, 1, tol_cfg(tol))
+        slacks.append(abs(res.value - 2) / res.error_estimate)
+    assert report("e^-|x| kink", slacks) <= 1.0

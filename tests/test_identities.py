@@ -3,9 +3,8 @@ import numpy as np
 import pytest
 
 from shapedtqft import identities, quadrature, special
-from shapedtqft.errors import ConstraintViolation
+from shapedtqft.errors import ConstraintViolation, QuadratureFailure
 from shapedtqft.identities import (BalancedParams33, BalancedParams6,
-                                   bailey_pair_seed, bailey_step,
                                    check_classical_pentagon,
                                    check_elliptic_beta_integral,
                                    check_entropy_pentagon,
@@ -15,7 +14,7 @@ from shapedtqft.identities import (BalancedParams33, BalancedParams6,
                                    check_orthogonality_smeared,
                                    random_balanced_33, random_balanced_6,
                                    random_entropy_tuple, random_octahedron_params,
-                                   solve_symmetric_entropy_tuple, verify_bailey_pair)
+                                   solve_symmetric_entropy_tuple)
 from shapedtqft.params import EllipticBases, ModularParameter
 from shapedtqft.quadrature import QuadratureConfig
 from tests.conftest import (LATTICE_STEPS, capture_integrands, count_line_caches,
@@ -70,6 +69,19 @@ def test_pentagon_balancing_enforced(mp1, cfg):
                                   mp1, cfg)
 
 
+def test_pentagon_at_bailey_parameters(mp1, cfg, no_gauss_kronrod):
+    # the seed Bailey transform of B(al_i - z, be_i + z) with kernel
+    # B(t + w - z, t - w + z) is the pentagon at a = (t + w, al), b = (t - w, be)
+    rng = np.random.default_rng(26)
+    q = mp1.q_total
+    for _ in range(5):
+        parts = rng.uniform(0.08, 0.18, 4) * q
+        t = (q - parts.sum()) / 2
+        w = rng.uniform(-0.12, 0.12) * q
+        p = BalancedParams33((t + w, *parts[:2]), (t - w, *parts[2:]))
+        assert check_hyperbolic_pentagon(p, mp1, cfg) < 1e-5
+
+
 def test_hyperbolic_beta_symmetric(mp1, cfg):
     p = BalancedParams6((mp1.q_total / 6,) * 6)
     assert check_hyperbolic_beta_integral(p, mp1, cfg) < 1e-5
@@ -106,6 +118,37 @@ def test_elliptic_beta_random_balanced():
             continue
         assert check_elliptic_beta_integral(np.append(s, s6), bases) < 1e-8
         done += 1
+
+
+def test_elliptic_beta_nodes_nest(monkeypatch):
+    # criterion 4's first three draws: each doubling evaluates only the new
+    # nodes, so a draw takes at most 512 nodes (the un-nested loop took up to 960)
+    nodes = []
+    theta = identities.theta_fn
+    monkeypatch.setattr(identities, "theta_fn",
+                        lambda z, p, tol: nodes.append(np.size(z)) or theta(z, p, tol))
+    rng = np.random.default_rng(2027)
+    bases = EllipticBases(0.3, 0.3)
+    per_draw = []
+    while len(per_draw) < 3:
+        s = rng.uniform(0.25, 0.7, 5) * np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
+        s6 = bases.p * bases.q / np.prod(s)
+        if abs(s6) >= 0.9:
+            continue
+        nodes.clear()
+        assert check_elliptic_beta_integral(np.append(s, s6), bases) <= 1e-12
+        per_draw.append(sum(nodes) // 2)  # theta(z^2; p) and theta(z^-2; q) at each node
+    assert per_draw == [256, 512, 256]
+
+
+def test_elliptic_beta_refuses_at_node_cap(monkeypatch):
+    # an integrand whose node values never settle: refused at 16384 nodes
+    noise = np.random.default_rng(0)
+    monkeypatch.setattr(identities, "elliptic_gamma", lambda z, *_a: np.ones(np.shape(z)))
+    monkeypatch.setattr(identities, "theta_fn", lambda z, *_a: noise.normal(size=np.shape(z)))
+    bases = EllipticBases(0.3, 0.3)
+    with pytest.raises(QuadratureFailure, match="16384 nodes"):
+        check_elliptic_beta_integral(0.09 ** (1 / 6) * np.ones(6), bases)
 
 
 def test_elliptic_beta_balancing_sensitivity():
@@ -147,41 +190,17 @@ def test_orthogonality_symbol_and_locality(mp1, no_gauss_kronrod):
     assert abs(far["smeared"]) < 0.5 * abs(tighter["smeared"])
 
 
-# -- Bailey / octahedron -------------------------------------------------------------
-
-def test_bailey_seed_verifies(mp1, cfg, no_gauss_kronrod):
-    rng = np.random.default_rng(26)
-    q = mp1.q_total
-    for _ in range(5):
-        parts = rng.uniform(0.08, 0.18, 4) * q
-        t = (q - parts.sum()) / 2
-        pair = bailey_pair_seed(parts[:2], parts[2:], t, mp1)
-        w = rng.uniform(-0.12, 0.12) * q
-        assert verify_bailey_pair(pair, w, mp1, cfg) < 1e-5
-
-
-def test_bailey_seed_balancing_enforced(mp1):
-    with pytest.raises(ConstraintViolation):
-        bailey_pair_seed((0.2, 0.2), (0.2, 0.2), 0.7, mp1)
-
-
-def test_bailey_step_produces_valid_pair(mp1, no_gauss_kronrod):
-    # the stepped pair satisfies the defining transform with respect to s + t
-    cfg = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8)
-    q = mp1.q_total
-    al, be = (0.24, 0.20), (0.28, 0.22)
-    t = (q - sum(al) - sum(be)) / 2
-    seed = bailey_pair_seed(al, be, t, mp1)
-    stepped = bailey_step(seed, 0.2, 0.24, mp1, cfg)
-    assert abs(stepped.t - (0.2 + t)) < 1e-14
-    assert verify_bailey_pair(stepped, 0.06, mp1, cfg) < 1e-5
-
+# -- octahedron -------------------------------------------------------------------
 
 def test_octahedron_duality_points(mp1):
+    # three random octahedra and one Bailey composition step: kernel
+    # parameter s = 0.2 and u = 0.24 on the seed alpha (0.24, 0.20), beta (0.28, 0.22)
     cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
     rng = np.random.default_rng(27)
-    for _ in range(3):
-        al, be, t, s, u, w = random_octahedron_params(rng, mp1)
+    points = [random_octahedron_params(rng, mp1) for _ in range(3)]
+    al, be = (0.24, 0.20), (0.28, 0.22)
+    points.append((al, be, (mp1.q_total - sum(al) - sum(be)) / 2, 0.2, 0.24, 0.06))
+    for al, be, t, s, u, w in points:
         assert check_octahedron_duality(al, be, t, s, u, w, mp1, cfg) < 1e-4
 
 

@@ -59,8 +59,9 @@ def test_trapezoid_1d_sizes_slowly_decaying_rays(monkeypatch):
     (2, 1e-12, 104_329, np.pi**2),   # sech x sech y
 ])
 def test_squared_halving_estimate_bounds_analytic_integrands(dim, tol, nodes, exact):
-    # the error squares with each halving, so d_k^2 / d_{k-1} bounds the
-    # error of T(h_k) and stops one halving before d_k would (79 and 418,609 nodes)
+    # the error squares with each halving, so the halving estimate, about
+    # d_k^2 / d_{k-1}, bounds the error of T(h_k) and stops one halving before
+    # d_k would (79 and 418,609 nodes)
     f = {1: lambda p: np.exp(-np.pi * p[:, 0]**2) + 0j,
          2: lambda p: 1 / (np.cosh(p[:, 0]) * np.cosh(p[:, 1])) + 0j}[dim]
     res = integrate_nd(f, dim, QuadratureConfig(abs_tol=tol, rel_tol=tol))

@@ -296,6 +296,26 @@ def test_elliptic_reflection_random():
     assert np.abs(res - 1).max() < 1e-12
 
 
+@pytest.mark.parametrize("p,q", [(0.3, 0.3), (0.2, 0.3), (0.3, 0.2 + 0.1j)])
+def test_elliptic_measure_is_a_theta_product(p, q):
+    # 1/(Gamma(z^2) Gamma(z^-2)) = theta(z^2; p) theta(z^-2; q), on and off |z| = 1
+    rng = np.random.default_rng(6)
+    bases = EllipticBases(p, q)
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 60))
+    for z in (phases, rng.uniform(0.8, 1.25, 60) * phases):
+        measure = 1 / (elliptic_gamma(z**2, bases) * elliptic_gamma(z**-2, bases))
+        theta = theta_fn(z**2, p) * theta_fn(z**-2, q)
+        assert np.abs(theta / measure - 1).max() <= 1e-13
+
+
+@pytest.mark.filterwarnings("error")
+def test_theta_is_exactly_zero_at_its_zeros():
+    # theta(z; p) vanishes at z = p^k; the rule on |z| = 1 meets z^2 = 1 at every level
+    vals = theta_fn(np.array([1.0, 0.3, 0.5]), 0.3)
+    assert vals[0] == 0 and vals[1] == 0 and vals[2] != 0
+    assert theta_fn(1.0, 0.2 + 0.1j) == 0
+
+
 # -- classical beta / Lobachevsky ---------------------------------------------------
 
 def test_classical_beta_basics():
