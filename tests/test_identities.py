@@ -193,15 +193,21 @@ def test_orthogonality_symbol_and_locality(mp1, no_gauss_kronrod):
 # -- octahedron -------------------------------------------------------------------
 
 def test_octahedron_duality_points(mp1):
-    # three random octahedra and one Bailey composition step: kernel
-    # parameter s = 0.2 and u = 0.24 on the seed alpha (0.24, 0.20), beta (0.28, 0.22)
     cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
     rng = np.random.default_rng(27)
-    points = [random_octahedron_params(rng, mp1) for _ in range(3)]
-    al, be = (0.24, 0.20), (0.28, 0.22)
-    points.append((al, be, (mp1.q_total - sum(al) - sum(be)) / 2, 0.2, 0.24, 0.06))
-    for al, be, t, s, u, w in points:
+    for _ in range(3):
+        al, be, t, s, u, w = random_octahedron_params(rng, mp1)
         assert check_octahedron_duality(al, be, t, s, u, w, mp1, cfg) < 1e-4
+
+
+def test_bailey_step_produces_valid_pair(mp1, no_gauss_kronrod):
+    # a Bailey composition step with kernel parameter s = 0.2 and u = 0.24 on the
+    # seed alpha (0.24, 0.20), beta (0.28, 0.22) is the octahedron Z4 = Z5: the
+    # stepped pair satisfies the defining transform at w = 0.06 with respect to s + t
+    cfg = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8)
+    al, be = (0.24, 0.20), (0.28, 0.22)
+    t = (mp1.q_total - sum(al) - sum(be)) / 2
+    assert check_octahedron_duality(al, be, t, 0.2, 0.24, 0.06, mp1, cfg) < 1e-5
 
 
 def test_octahedron_skew_sensitivity(mp1):
