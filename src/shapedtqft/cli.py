@@ -52,6 +52,17 @@ def _config_hash(args) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _check_numbers(args):
+    """Refuse a coupling, tolerance or trial count no computation can take."""
+    b, tol = getattr(args, "b", 1.0), getattr(args, "tol", None)
+    if not (b > 0 and np.isfinite(b)):
+        raise UsageError(f"--b {b:g}: coupling b must be a positive real")
+    if tol is not None and not tol > 0:
+        raise UsageError(f"--tol {tol:g}: tolerance must be positive")
+    if getattr(args, "trials", 1) < 1:
+        raise UsageError(f"--trials {args.trials}: at least one trial is needed")
+
+
 def _parse_complex(text):
     return complex(text.replace(" ", "").replace("i", "j"))
 
@@ -312,6 +323,7 @@ def main(argv=None):
 
     args = ap.parse_args(argv)
     try:
+        _check_numbers(args)
         return args.func(args)
     except InputSchemaError as exc:
         print(exc, file=sys.stderr)

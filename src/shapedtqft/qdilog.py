@@ -25,7 +25,8 @@ summed at Re z in [-re_cut, 0].  The shift factors, the inversion relation
 and the contour sum are combined in log space, so Phi_b is finite wherever
 it is representable.  Evaluation is vectorized over arrays of z;
 FaddeevDilog.line factors the sums for a uniform grid on a horizontal line
-into two matrix products and returns log Phi_b there.  That grid is exact:
+into one matrix product of cached per-step phase rows (O(M) exps for n
+points on M nodes) and returns log Phi_b there.  That grid is exact:
 special.LineTables keeps it, per lattice step, for every integrand of line
 factors, which the trapezoid takes in one to three dimensions.
 LineCache keeps log Phi_b on a line as a table of spline cubics for the
@@ -35,6 +36,8 @@ bench/tracing.py wraps LineCache.__init__ (reading its spacing default)
 and LineCache.__call__, so their signatures are load-bearing.
 """
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -46,6 +49,7 @@ __all__ = ["FaddeevDilog", "LineCache", "phi_b", "get_engine"]
 _PI = np.pi
 _LINE_CHECK_TOL = 1e-8      # relative spline error the LineCache self-check accepts
 _LINE_MIN_SPACING = 1.25e-3  # spacing floor: 0.02 halved four times
+_PHASE_CACHE_BYTES = 16 << 20  # bound on one engine's cached phase rows
 _ENGINES: dict[tuple[float, float], "FaddeevDilog"] = {}
 
 
@@ -88,6 +92,7 @@ class FaddeevDilog:
         self._tpos = t
         self._gp = w / (4.0 * np.sinh(wp * self.b) * np.sinh(wp / self.b) * wp)
         self._gm = w / (4.0 * np.sinh(wm * self.b) * np.sinh(wm / self.b) * wm)
+        self._phases = {}   # step d -> phase rows, see _phase_rows
 
     # -- pole / zero lattice ------------------------------------------------
     def lattice_distance(self, z):
@@ -113,37 +118,60 @@ class FaddeevDilog:
 
     # -- evaluation ----------------------------------------------------------
     def _nodes(self, ymax):
-        """Contour nodes and weights needed for |Im z| <= ymax."""
+        """Contour nodes and weights needed for |Im z| <= ymax (a prefix)."""
         rate = 2.0 * (self.cb_abs - ymax)
-        m = self._tpos <= (np.log(1.0 / self.tol) + 4.0) / rate
-        return self._tpos[m], self._gp[m], self._gm[m]
+        m = self._tpos.searchsorted((np.log(1.0 / self.tol) + 4.0) / rate, side="right")
+        return self._tpos[:m], self._gp[:m], self._gm[:m]
 
-    def _raw(self, z):
-        """log Phi_b by the direct contour integral; requires |Im z| <= band
-        and |Re z| <= re_cut."""
+    def _phase_rows(self, d, rows, m):
+        """(e^{-2i l d t}, e^{2i l d t}) for l < rows on the first m nodes: a
+        slice of a cache keyed by the step d, computed elementwise over all of
+        _tpos (so a slice does not depend on how the cache grew) and cleared
+        before an insert past _PHASE_CACHE_BYTES."""
+        p = self._phases.get(d)
+        if p is None or len(p) < rows:
+            p = np.exp(np.multiply.outer(-2j * d * np.arange(rows), self._tpos))
+            p = np.stack([p, p.conj()], axis=1)
+            if p.nbytes + sum(q.nbytes for q in self._phases.values()) > _PHASE_CACHE_BYTES:
+                self._phases.clear()
+            if p.nbytes <= _PHASE_CACHE_BYTES:
+                self._phases[d] = p
+        return p[:rows, :, :m]
+
+    def _raw(self, segs):
+        """log Phi_b by the direct contour integral at the points of the
+        arrays segs, concatenated; requires |Im z| <= band and |Re z| <= re_cut."""
+        z = np.concatenate(segs)
         t, gp, gm = self._nodes(float(np.abs(z.imag).max()))
         ker = np.exp(np.multiply.outer(-2j * z, t))
         # e^{-2iz(+-t + i h0)} = e^{-+2izt} * e^{2 z h0}
         return np.exp(2.0 * z * self.h0) * (ker @ gp + (1.0 / ker) @ gm)
 
-    def _raw_grid(self, z0, dx, n):
-        """_raw on the uniform grid z0 + k dx, k < n, through two GEMMs.
+    def _raw_grid(self, segs, dx):
+        """_raw on segments that are each a uniform grid z0 + k dx, all at
+        one |Im z|, through one GEMM.
 
-        With k = j B + l the kernel factors as e^{-2i(z0 + jB dx)t} e^{-2i l dx t}:
-        n/B + B rows of exps instead of n, the head rows have unit modulus
-        (their reciprocal is their conjugate), and the sums over t become two
-        (n/B x M) @ (M x B) products.
+        With k = j B + l (B a power of two, so the steps B dx recur) the
+        kernel factors as e^{-2i z0 t} e^{-2i jB dx t} e^{-2i l dx t}: the
+        last two are cached phase rows, whose conjugates give the e^{+2izt}
+        half; the first is one exp row per segment, taken into the weights.
+        All of it is one (sum n/B x 2M) x (2M x B) np.dot (matmul is slower on
+        the transposed heads); a warm cache leaves one exp row of M nodes per
+        segment and one exp per point.
         """
-        t, gp, gm = self._nodes(abs(z0.imag))
-        blk = max(1, int(np.sqrt(n)))
-        nb = -(-n // blk)
-        heads = np.exp(np.multiply.outer(-2j * dx * np.arange(blk), t))
-        starts = -2j * (z0 + blk * dx * np.arange(nb))
-        ker = np.exp(np.multiply.outer(starts, t))
-        fwd, bwd = ker * gp, gm / ker
-        sums = (fwd @ heads.T + bwd @ heads.conj().T).ravel()[:n]
-        z = z0 + dx * np.arange(n)
-        return np.exp(2.0 * z * self.h0) * sums
+        t, gp, gm = self._nodes(abs(segs[0][0].imag))
+        ns = [len(z) for z in segs]
+        blk = 1 << (int(max(ns) ** 0.5).bit_length() - 1)
+        nbs = [-(-k // blk) for k in ns]
+        heads = self._phase_rows(dx, blk, t.size).reshape(blk, -1)
+        starts = self._phase_rows(blk * dx, max(nbs), t.size)
+        rows = np.exp(np.multiply.outer(-2j * np.array([z[0] for z in segs]), t))
+        wts = np.stack([gp * rows, gm / rows], axis=1)
+        fwd = np.concatenate([starts[:nb] * w for w, nb in zip(wts, nbs)])
+        sums = np.dot(fwd.reshape(len(fwd), -1), heads.T).ravel()
+        r0 = itertools.accumulate(nbs, initial=0)
+        return np.exp(2.0 * np.concatenate(segs) * self.h0) * np.concatenate(
+            [sums[lo * blk:lo * blk + k] for lo, k in zip(r0, ns)])
 
     def _log_shift(self, z):
         """log(1 + q1 e^{2 pi step z}), the factor of one shift relation,
@@ -160,8 +188,9 @@ class FaddeevDilog:
         relations, then take Re z > 0 from the inversion relation and
         Re z < -re_cut as Phi_b = 1.
 
-        raw gets the remaining folded points with Re in [-re_cut, 0], in
-        increasing order of Re, and returns their log Phi_b; the contour sums
+        raw gets the remaining folded points with Re in [-re_cut, 0] in one
+        call, as up to two arrays (Re z <= 0, then -z of Re z > 0) increasing
+        in Re, and returns their log Phi_b concatenated; the contour sums
         are well conditioned there, while at Re z > 0 the factor e^{2 z h0}
         amplifies their rounding.  Every factor is accumulated in log space,
         so no intermediate overflows where Phi_b itself is representable.
@@ -183,10 +212,10 @@ class FaddeevDilog:
         out = np.zeros(zz.shape, dtype=complex)
         right = zz.real > 0
         near = np.abs(zz.real) <= self.re_cut
-        for half, sgn in ((~right, 1), (right, -1)):
-            idx = np.flatnonzero(half & near)[::sgn]
-            if idx.size:
-                out[idx] = raw(sgn * zz[idx])
+        parts = [(idx, sgn) for half, sgn in ((~right, 1), (right, -1))
+                 for idx in [np.flatnonzero(half & near)[::sgn]] if idx.size]
+        if parts:
+            out[np.concatenate([idx for idx, _ in parts])] = raw([sgn * zz[idx] for idx, sgn in parts])
         # log Phi_b(z) = i pi z^2 - log zeta_inv - log Phi_b(-z)
         out[right] = 1j * _PI * zz[right] ** 2 - self._log_zeta_inv - out[right]
         return log_pref + out
@@ -204,11 +233,12 @@ class FaddeevDilog:
 
         The logs of the values __call__ gives on these points, up to
         multiples of 2 pi i; the contour sums run through _raw_grid, since
-        each half of the folded line that _evaluate hands to raw is again a
-        uniform grid on one line.
+        each half of the folded line that _evaluate hands to raw (the left
+        one and the mirrored right one) is again a uniform grid on a line
+        at the same |Im z|: one exp row per half, the rest from the cache.
         """
         z = x0 + dx * np.arange(n) + 1j * y
-        return self._evaluate(z, lambda zm: self._raw_grid(zm[0], dx, len(zm)))
+        return self._evaluate(z, lambda segs: self._raw_grid(segs, dx))
 
 
 class LineCache:
@@ -217,7 +247,7 @@ class LineCache:
     log Phi_b is interpolated by cubic splines on the left half-lines
     Im z = +-y (phase-unwrapped; the right half adds i pi z^2 - log zeta_inv
     by the inversion relation).  The nodes are a uniform grid, which
-    FaddeevDilog.line evaluates with two GEMMs, so a query finds its cubic in
+    FaddeevDilog.line evaluates with one GEMM, so a query finds its cubic in
     one table by one division and evaluates it by Horner; callers sum these
     logs and exponentiate once.  Both half-lines are checked against the
     direct engine off the nodes.  Queries outside the cached radius trigger

@@ -4,8 +4,8 @@ import warnings
 
 # One BLAS thread for the session and the CLI subprocesses it starts.  OpenBLAS
 # reads these when numpy is first imported: on a loaded 2-core host one
-# build-sized GEMM (FaddeevDilog._raw_grid) took 32 ms multi-threaded, 0.08 ms
-# on one thread.
+# build-sized GEMM (FaddeevDilog._raw_grid, one per line fill) took 32 ms
+# multi-threaded, 0.08 ms on one thread.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 if "numpy" in sys.modules:

@@ -61,6 +61,40 @@ def test_import_pins_blas_threads(preset):
     assert r.stdout.strip() == str([preset or "1"] * 3)
 
 
+TREFOIL = str(path_of("trefoil.json"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["special", "phi_b", "--b", "0"], ["special", "gamma2", "--b", "-1"],
+    ["partition", TREFOIL, "--b", "0"], ["partition", TREFOIL, "--b", "-1"],
+    ["verify", "pentagon", "--b", "0"], ["verify", "entropy", "--b", "-1"],
+])
+def test_nonpositive_coupling_is_a_usage_error(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "coupling b must be a positive real" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["partition", TREFOIL, "--tol", "0"], "tolerance must be positive"),
+    (["partition", TREFOIL, "--tol", "-1"], "tolerance must be positive"),
+    (["verify", "pentagon", "--tol", "-1"], "tolerance must be positive"),
+    (["verify", "pentagon", "--trials", "-2"], "at least one trial"),
+    (["verify", "bailey", "--trials", "0"], "at least one trial"),
+])
+def test_bad_tolerance_and_trials_are_usage_errors(capsys, argv, message):
+    # refused before any quadrature runs, not failed inside it or passed vacuously
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and message in captured.err
+
+
+def test_bad_coupling_exits_2_without_traceback():
+    r = run_cli("verify", "pentagon", "--b", "-1")
+    assert r.returncode == 2
+    assert r.stderr == "--b -1: coupling b must be a positive real\n"
+
+
 def test_partition_trefoil(tmp_path):
     out = tmp_path / "w.json"
     r = run_cli("partition", str(path_of("trefoil.json")), "--b", "1",

@@ -126,16 +126,44 @@ def test_pole_and_zero_locations():
 @pytest.mark.parametrize("b", [1.0, 1.3, 0.77])
 def test_line_grid_matches_direct(b):
     # lines across the strip, folded ones (|y| > band) included, on a build
-    # grid and on grids that cross -re_cut and +re_cut
+    # grid, on grids that cross -re_cut and +re_cut, on lines of 1 to 3
+    # points, on a line wholly at Re z > 0 (no left half) and on lines wholly
+    # beyond -re_cut or +re_cut (no contour sum at all)
     eng = FaddeevDilog(b)
     assert 0.95 * eng.cb_abs > eng.band
+    cut = eng.re_cut
+    grids = ((-12.0, 0.5, 626), (-cut - 1.3, cut + 0.9, 501), (-0.7, 0.2, 1), (-0.7, 0.2, 2),
+             (-0.2, 0.3, 3), (0.1, 3.0, 40), (-cut - 5.0, -cut - 0.5, 30), (cut + 0.5, cut + 4.0, 20))
     worst = 0.0
     for y in np.linspace(-0.95, 0.95, 9) * eng.cb_abs:
-        for x0, x1, n in ((-12.0, 0.5, 626), (-eng.re_cut - 1.3, eng.re_cut + 0.9, 501)):
-            dx = (x1 - x0) / (n - 1)
+        for x0, x1, n in grids:
+            dx = (x1 - x0) / max(n - 1, 1)
             direct = eng(x0 + dx * np.arange(n) + 1j * y, check=False)
             worst = max(worst, np.abs(np.exp(eng.line(x0, dx, n, y)) / direct - 1).max())
     assert worst <= 1e-13
+
+
+def test_line_is_independent_of_the_phase_cache():
+    # a warm engine (one 3,000-point line filled its phase rows at this step)
+    # and cold engines give bit-identical tables on other lines at that step
+    dx = 0.011
+    warm = FaddeevDilog(1.0)
+    warm.line(-25.0, dx, 3000, 0.3)
+    for x0, n, y in ((-9.0, 1100, 0.8), (-4.0, 2000, -0.2), (-1.0, 40, 0.55)):
+        assert np.array_equal(warm.line(x0, dx, n, y), FaddeevDilog(1.0).line(x0, dx, n, y))
+
+
+def test_phase_cache_stays_within_its_bound():
+    # line caches built at many distinct spacings each add phase rows for two
+    # steps; the cache is cleared rather than grown past its byte bound
+    eng = FaddeevDilog(1.0)
+    added = 0
+    for spacing in np.linspace(0.0091, 0.0199, 40):
+        before = {d: p.nbytes for d, p in eng._phases.items()}
+        LineCache(eng, 0.3, 4.0, spacing)
+        added += sum(p.nbytes - before.get(d, 0) for d, p in eng._phases.items())
+        assert sum(p.nbytes for p in eng._phases.values()) <= qdilog._PHASE_CACHE_BYTES
+    assert added > qdilog._PHASE_CACHE_BYTES
 
 
 def test_line_cache_matches_direct():
