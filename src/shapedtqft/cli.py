@@ -35,6 +35,9 @@ EXIT_OK, EXIT_RESIDUAL, EXIT_USAGE, EXIT_SCHEMA = 0, 1, 2, 3
 VERIFY_TOL = 1e-7
 # suites whose quadrature runs tighter than VERIFY_TOL when --tol is not given
 SUITE_TOL = {"pentagon": 1e-9, "pachner": 1e-8, "gauge": 1e-9}
+# residual below which a suite passes when --max-residual is not given
+VERIFY_THRESHOLD = {"entropy": 1e-12, "pentagon": 1e-5, "elliptic": 1e-8, "orthogonality": 1e-8,
+                    "bailey": 1e-5, "octahedron": 1e-3, "pachner": 1e-5, "gauge": 1e-5}
 SPECIAL_TOL = (1e-14, 1e-6)   # tolerances the special-function kernel accepts
 
 
@@ -59,6 +62,9 @@ def _check_numbers(args):
         raise UsageError(f"--b {b:g}: coupling b must be a positive real")
     if tol is not None and not tol > 0:
         raise UsageError(f"--tol {tol:g}: tolerance must be positive")
+    max_residual = getattr(args, "max_residual", None)
+    if max_residual is not None and not max_residual > 0:
+        raise UsageError(f"--max-residual {max_residual:g}: threshold must be positive")
     if getattr(args, "trials", 1) < 1:
         raise UsageError(f"--trials {args.trials}: at least one trial is needed")
 
@@ -192,24 +198,25 @@ def cmd_verify(args):
     rng = np.random.default_rng(args.seed)
     mp = ModularParameter(args.b)
     name = args.suite
+    if name not in VERIFY_THRESHOLD:
+        print(f"unknown suite '{name}'", file=sys.stderr)
+        return EXIT_USAGE
+    threshold = args.max_residual if args.max_residual is not None else VERIFY_THRESHOLD[name]
     tol = args.tol if args.tol is not None else SUITE_TOL.get(name, VERIFY_TOL)
     cfg = QuadratureConfig(abs_tol=tol, rel_tol=tol)
     residuals = []
     params = []
     if name == "entropy":
-        threshold = args.max_residual or 1e-12
         for _ in range(args.trials):
             tup = random_entropy_tuple(rng)
             params.append([float(v) for v in tup])
             residuals.append(check_entropy_pentagon(*tup))
     elif name == "pentagon":
-        threshold = args.max_residual or 1e-5
         for _ in range(args.trials):
             p = random_balanced_33(rng, mp)
             params.append({"a": [str(v) for v in p.a], "b": [str(v) for v in p.b]})
             residuals.append(check_hyperbolic_pentagon(p, mp, cfg))
     elif name == "elliptic":
-        threshold = args.max_residual or 1e-8
         bases = EllipticBases(0.3, 0.3)
         for _ in range(args.trials):
             s = random_elliptic_params(rng, bases)
@@ -217,13 +224,11 @@ def cmd_verify(args):
             residuals.append(check_elliptic_beta_integral(s, bases))
     elif name == "orthogonality":
         # residual = constancy of the Fourier symbol (the delta normalization)
-        threshold = args.max_residual or 1e-8
         for a_im in (0.2, 0.1):
             params.append({"a_im": a_im})
             residuals.append(orthogonality_symbol_deviation(a_im, mp, cfg))
     elif name == "bailey":
         # the seed Bailey transform of B(al_i - z, be_i + z) is the pentagon
-        threshold = args.max_residual or 1e-5
         q = mp.q_total
         for _ in range(args.trials):
             parts = rng.dirichlet(np.ones(5)) * q * 0.5 + q * 0.05
@@ -234,7 +239,6 @@ def cmd_verify(args):
             p = BalancedParams33((t + w, *al), (t - w, *be))
             residuals.append(check_hyperbolic_pentagon(p, mp, cfg))
     elif name == "octahedron":
-        threshold = args.max_residual or 1e-3
         q = mp.q_total
         for _ in range(args.trials):
             al, be, t, s, u, w = random_octahedron_params(rng, mp)
@@ -243,7 +247,6 @@ def cmd_verify(args):
             residuals.append(check_octahedron_duality(al, be, t, s, u, w, mp, cfg))
     elif name == "pachner":
         from .complexes import standalone_bipyramid
-        threshold = args.max_residual or 1e-5
         bp, central = standalone_bipyramid()
         for _ in range(args.trials):
             ang = random_bipyramid_angles(rng)
@@ -252,18 +255,14 @@ def cmd_verify(args):
             rep = check_pachner_invariance(bp, ang, central, mp, cfg, boundary_state=bs)
             residuals.append(rep["rel_discrepancy"])
     elif name == "gauge":
-        threshold = args.max_residual or 1e-5
         x, angles = _data.load("trefoil.json")
         gA = GaugeFixing(((0, 0, 0.5),))
         gB = GaugeFixing(((0, 1, 0.5),))
         residuals.append(faddeev_popov_check(x, angles, gA, gB, mp, cfg)["rel_discrepancy"])
         residuals.append(check_shape_gauge_invariance(x, angles, 0, 0.05, mp, cfg)["rel_discrepancy"])
-    else:
-        print(f"unknown suite '{name}'", file=sys.stderr)
-        return EXIT_USAGE
     report = _suite_report(name, residuals, threshold, params or None)
     report["config"] = {"seed": args.seed, "b": args.b,
-                        "tol": args.tol if args.tol is not None else VERIFY_TOL,
+                        "tol": tol,
                         "trials": args.trials}
     report["seed"] = args.seed
     report["b"] = args.b

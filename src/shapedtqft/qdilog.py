@@ -24,11 +24,13 @@ the asymptotic threshold -re_cut as Phi_b -> 1, so the contour is only
 summed at Re z in [-re_cut, 0].  The shift factors, the inversion relation
 and the contour sum are combined in log space, so Phi_b is finite wherever
 it is representable.  Evaluation is vectorized over arrays of z;
-FaddeevDilog.line factors the sums for a uniform grid on a horizontal line
-into one matrix product of cached per-step phase rows (O(M) exps for n
-points on M nodes) and returns log Phi_b there.  That grid is exact:
-special.LineTables keeps it, per lattice step, for every integrand of line
-factors, which the trapezoid takes in one to three dimensions.
+FaddeevDilog.lines takes several uniform grids on horizontal lines at one
+step in one pass: it factors their sums into one matrix product of cached
+per-step phase rows (O(M) exps per line on M nodes) and returns log Phi_b
+there, and FaddeevDilog.line is its one-line case.  Those grids are exact:
+special.LineTables keeps them, per lattice step, for every integrand of
+line factors, which the trapezoid takes in one to three dimensions, and
+fills all the entries one lattice call needs with one lines call per step.
 LineCache keeps log Phi_b on a line as a table of spline cubics for the
 Boltzmann weight off any lattice (the dim-4 tensor grid, Monte Carlo),
 which sums its logs before taking one exp.
@@ -148,30 +150,36 @@ class FaddeevDilog:
         return np.exp(2.0 * z * self.h0) * (ker @ gp + (1.0 / ker) @ gm)
 
     def _raw_grid(self, segs, dx):
-        """_raw on segments that are each a uniform grid z0 + k dx, all at
-        one |Im z|, through one GEMM.
+        """_raw on segments that are each a uniform grid z0 + k dx, through
+        one GEMM.
 
         With k = j B + l (B a power of two, so the steps B dx recur) the
         kernel factors as e^{-2i z0 t} e^{-2i jB dx t} e^{-2i l dx t}: the
         last two are cached phase rows, whose conjugates give the e^{+2izt}
         half; the first is one exp row per segment, taken into the weights.
-        All of it is one (sum n/B x 2M) x (2M x B) np.dot (matmul is slower on
-        the transposed heads); a warm cache leaves one exp row of M nodes per
-        segment and one exp per point.
+        The nodes are the prefix for the largest |Im z| of the batch, a
+        deeper truncation of the same contour for the other segments.  All
+        of it is one (sum n/B x 2M) x (2M x B) np.dot (matmul is slower on
+        the transposed heads), whose left factor is one gather of start rows
+        times segment weights; a warm cache leaves one exp row of M nodes
+        per segment and one exp per point.
         """
-        t, gp, gm = self._nodes(abs(segs[0][0].imag))
-        ns = [len(z) for z in segs]
-        blk = 1 << (int(max(ns) ** 0.5).bit_length() - 1)
-        nbs = [-(-k // blk) for k in ns]
+        z = np.concatenate(segs)
+        t, gp, gm = self._nodes(float(np.abs(z.imag).max()))
+        ns = np.array([len(s) for s in segs])
+        blk = 1 << (int(ns.max() ** 0.5).bit_length() - 1)
+        nbs = -(-ns // blk)
         heads = self._phase_rows(dx, blk, t.size).reshape(blk, -1)
-        starts = self._phase_rows(blk * dx, max(nbs), t.size)
-        rows = np.exp(np.multiply.outer(-2j * np.array([z[0] for z in segs]), t))
+        starts = self._phase_rows(blk * dx, int(nbs.max()), t.size)
+        rows = np.exp(np.multiply.outer(-2j * np.array([s[0] for s in segs]), t))
         wts = np.stack([gp * rows, gm / rows], axis=1)
-        fwd = np.concatenate([starts[:nb] * w for w, nb in zip(wts, nbs)])
+        seg = np.repeat(np.arange(len(segs)), nbs)    # the segment of each block row
+        r0 = np.cumsum(nbs) - nbs                     # its first block row
+        fwd = starts[np.arange(len(seg)) - r0[seg]] * wts[seg]
         sums = np.dot(fwd.reshape(len(fwd), -1), heads.T).ravel()
-        r0 = itertools.accumulate(nbs, initial=0)
-        return np.exp(2.0 * np.concatenate(segs) * self.h0) * np.concatenate(
-            [sums[lo * blk:lo * blk + k] for lo, k in zip(r0, ns)])
+        # point i of segment s (which starts at point p0) sits at r0 B + i - p0
+        pick = np.arange(len(z)) + np.repeat(r0 * blk - (np.cumsum(ns) - ns), ns)
+        return np.exp(2.0 * z * self.h0) * sums[pick]
 
     def _log_shift(self, z):
         """log(1 + q1 e^{2 pi step z}), the factor of one shift relation,
@@ -183,17 +191,19 @@ class FaddeevDilog:
         out[big] = a[big] + np.log(self.q1 + np.exp(-a[big]))
         return out
 
-    def _evaluate(self, z, raw):
+    def _evaluate(self, z, raw, starts=(0,)):
         """log Phi_b on a 1D array z: fold Im z into [-band, band] by the shift
         relations, then take Re z > 0 from the inversion relation and
         Re z < -re_cut as Phi_b = 1.
 
         raw gets the remaining folded points with Re in [-re_cut, 0] in one
-        call, as up to two arrays (Re z <= 0, then -z of Re z > 0) increasing
-        in Re, and returns their log Phi_b concatenated; the contour sums
-        are well conditioned there, while at Re z > 0 the factor e^{2 z h0}
-        amplifies their rounding.  Every factor is accumulated in log space,
-        so no intermediate overflows where Phi_b itself is representable.
+        call, as arrays increasing in Re: the points of Re z <= 0, then -z of
+        those of Re z > 0, each split into one array per run z[starts[i]:
+        starts[i + 1]].  It returns their log Phi_b concatenated.  The contour
+        sums are well conditioned there, while at Re z > 0 the factor
+        e^{2 z h0} amplifies their rounding.  Every factor is accumulated in
+        log space, so no intermediate overflows where Phi_b itself is
+        representable.
         """
         log_pref = np.zeros(z.shape, dtype=complex)
         zz = z.copy()
@@ -212,8 +222,9 @@ class FaddeevDilog:
         out = np.zeros(zz.shape, dtype=complex)
         right = zz.real > 0
         near = np.abs(zz.real) <= self.re_cut
-        parts = [(idx, sgn) for half, sgn in ((~right, 1), (right, -1))
-                 for idx in [np.flatnonzero(half & near)[::sgn]] if idx.size]
+        parts = [(run[::sgn], sgn) for half, sgn in ((~right, 1), (right, -1))
+                 for idx in [np.flatnonzero(half & near)]
+                 for run in np.split(idx, np.searchsorted(idx, starts[1:])) if run.size]
         if parts:
             out[np.concatenate([idx for idx, _ in parts])] = raw([sgn * zz[idx] for idx, sgn in parts])
         # log Phi_b(z) = i pi z^2 - log zeta_inv - log Phi_b(-z)
@@ -227,18 +238,26 @@ class FaddeevDilog:
         res = np.exp(self._evaluate(z.ravel(), self._raw)).reshape(z.shape)
         return res[()] if z.ndim == 0 else res
 
-    def line(self, x0: float, dx: float, n: int, y: float):
-        """log Phi_b(x0 + k dx + i y) for k = 0..n-1 (dx > 0), without pole
-        checks.
+    def lines(self, specs, dx: float):
+        """log Phi_b(x0 + k dx + i y) for k = 0..n-1 (dx > 0) on each line
+        (x0, n, y) of specs, as a list of arrays, without pole checks.
 
         The logs of the values __call__ gives on these points, up to
-        multiples of 2 pi i; the contour sums run through _raw_grid, since
-        each half of the folded line that _evaluate hands to raw (the left
-        one and the mirrored right one) is again a uniform grid on a line
-        at the same |Im z|: one exp row per half, the rest from the cache.
+        multiples of 2 pi i.  All lines take one _evaluate pass (fold,
+        inversion and shift factors vectorized across them) and one
+        _raw_grid call: each half of a folded line that _evaluate hands to
+        raw (the left one and the mirrored right one) is again a uniform
+        grid of step dx, so every line and half is one segment of one GEMM.
         """
-        z = x0 + dx * np.arange(n) + 1j * y
-        return self._evaluate(z, lambda segs: self._raw_grid(segs, dx))
+        ns = [int(n) for _x0, n, _y in specs]
+        z = np.concatenate([x0 + dx * np.arange(n) + 1j * y for x0, n, y in specs])
+        starts = list(itertools.accumulate(ns[:-1], initial=0))
+        logs = self._evaluate(z, lambda segs: self._raw_grid(segs, dx), starts)
+        return np.split(logs, starts[1:])
+
+    def line(self, x0: float, dx: float, n: int, y: float):
+        """log Phi_b(x0 + k dx + i y) for k = 0..n-1 (dx > 0): lines() on one line."""
+        return self.lines([(x0, n, y)], dx)[0]
 
 
 class LineCache:

@@ -143,74 +143,117 @@ class LineTables:
     a state-integral integrand moves by an integer combination of k.  So a
     Phi_b factor is only needed at z0 + m h, m an integer, and a gamma2
     factor at c + i m h, which is the Phi_b factor at z0 - m h with
-    z0 = i c - c_b: phi(z0, h, m) and gamma2(c, h, m) return those logs.
-    A table holds log Phi_b on one contiguous range of m, filled by
-    FaddeevDilog.line: no spline, and no pointwise pole check, but a line
-    through the zero/pole lattice raises PoleHit.  A call that reaches past
-    the range extends it at the end it passes, and no table is ever
-    rebuilt, so an entry once computed never changes.  The range is the
-    span of the m asked for, which the quadrature box bounds.  A table at
-    step h whose step-parent (same z0, step 2h) exists, as each halving of
-    the trapezoid finds, takes its even m from the parent (extending it if
+    z0 = i c - c_b: the table key (z0, -h) that gamma2_key gives.  A table
+    holds log Phi_b on one contiguous range of m: no spline, and no
+    pointwise pole check, but a line through the zero/pole lattice raises
+    PoleHit.  reserve extends the tables to the spans a caller is about to
+    read; phi(z0, h, m) and gamma2(c, h, m) only read them.  No table is
+    ever rebuilt, so an entry once computed never changes.  A table at step
+    h whose step-parent (same z0, step 2h) exists, as each halving of the
+    trapezoid finds, takes its even m from the parent (extending it if
     need be) and fills only its odd m, so each Phi_b entry is computed once.
     """
 
     def __init__(self, mp: ModularParameter, tol: float = 1e-13):
         self.mp = mp
         self.eng = get_engine(mp.b, tol)
-        self._tables = {}   # (z0, h) -> [first m, log Phi_b values]
+        self._tables = {}   # (z0, h) -> (first m, log Phi_b values)
+
+    def gamma2_key(self, c, h):
+        """The table whose entry m is the Phi_b factor of gamma2(c + i m h)."""
+        return complex(_phi_argument(c, self.mp)), -float(h)
 
     def gamma2(self, c, h, m):
-        """log gamma2(c + i m h) for an integer array m."""
+        """log gamma2(c + i m h) for an integer array m inside a reserved span."""
         m = np.asarray(m, dtype=np.intp)
         if not m.size:
             return np.zeros(m.shape, dtype=complex)
         # map Phi_b to gamma2 once per m in the range, not once per point
-        z0, span = _phi_argument(c, self.mp), np.arange(m.min(), m.max() + 1)
-        vals = _log_gamma2_from_phi(z0 - h * span, self.phi(z0, -h, span), self.mp)
+        (z0, step), span = self.gamma2_key(c, h), np.arange(m.min(), m.max() + 1)
+        vals = _log_gamma2_from_phi(z0 + step * span, self.phi(z0, step, span), self.mp)
         return vals[m - span[0]]
 
     def phi(self, z0, h, m):
-        """log Phi_b(z0 + m h) for an integer array m (h of either sign)."""
-        key = (complex(z0), float(h))
+        """log Phi_b(z0 + m h) for an integer array m inside a reserved span."""
         m = np.asarray(m, dtype=np.intp)
         if not m.size:
             return np.zeros(m.shape, dtype=complex)
-        lo, hi = int(m.min()), int(m.max())
-        entry = self._tables.get(key)
-        if entry is None:
-            entry = self._tables[key] = [lo, self._fill(key, lo, hi + 1 - lo)]
-        first, vals = entry
-        if lo < first:
-            vals = np.concatenate([self._fill(key, lo, first - lo), vals])
-            first = lo
-        end = first + len(vals)
-        if hi >= end:
-            vals = np.concatenate([vals, self._fill(key, end, hi + 1 - end)])
-        entry[:] = first, vals
+        first, vals = self._tables[(complex(z0), float(h))]
+        if m.min() < first or m.max() >= first + len(vals):
+            raise IndexError(f"m in [{m.min()}, {m.max()}] outside the reserved "
+                             f"[{first}, {first + len(vals) - 1}] of the table ({z0}, {h})")
         return vals[m - first]
 
-    def _fill(self, key, lo, n):
-        """log Phi_b(z0 + m h) at m = lo .. lo + n - 1."""
-        z0, h = key
-        if abs(abs(z0.imag) - self.eng.cb_abs) < 1e-9:
-            raise PoleHit(f"line Im z = {z0.imag} runs through the zero/pole lattice")
-        if (z0, 2.0 * h) not in self._tables:
-            return self._line(z0, h, lo, n, 1)
-        m = lo + np.arange(n)
-        odd = m % 2 == 1
-        out = np.empty(n, dtype=complex)
-        out[~odd] = self.phi(z0, 2.0 * h, m[~odd] // 2)
-        if odd.any():   # a grid of step 2h through the odd m
-            out[odd] = self._line(z0, h, int(m[odd][0]), int(odd.sum()), 2)
-        return out
+    def reserve(self, needs):
+        """Extend the tables to cover each need (key, lo, hi): the entries
+        m = lo..hi of the table key = (z0, h), h of either sign.
 
-    def _line(self, z0, h, lo, n, stride):
-        """log Phi_b(z0 + m h) at m = lo, lo + stride, ..., n entries, by one
-        FaddeevDilog.line call."""
-        x = z0.real + h * (lo + stride * np.arange(n))
-        logs = self.eng.line(float(x.min()), abs(h) * stride, n, z0.imag)
-        return logs if h > 0 else logs[::-1]    # FaddeevDilog.line runs left to right
+        The spans of one key merge into their hull.  From the finest step up,
+        a table's new pieces become its fresh entries, or, where its parent
+        exists or is reserved here, its odd entries and a need of the parent
+        for the even ones (ceil(lo/2)..floor(hi/2)).  One _fill computes all
+        of them, and the tables are extended from the coarsest step down.
+        """
+        want = {}
+
+        def merge(key, lo, hi):
+            a, b = want.get(key, (lo, hi))
+            want[key] = min(a, lo), max(b, hi)
+
+        for (z0, h), lo, hi in needs:
+            merge((complex(z0), float(h)), int(lo), int(hi))
+        plan, pieces = [], []   # (key, [(lo, hi, piece)], halve), (key, lo, stride, n)
+        while want:
+            key = min(want, key=lambda k: abs(k[1]))
+            lo, hi = want.pop(key)
+            z0, h = key
+            if abs(abs(z0.imag) - self.eng.cb_abs) < 1e-9:
+                raise PoleHit(f"line Im z = {z0.imag} runs through the zero/pole lattice")
+            first, vals = self._tables.get(key, (lo, ()))
+            spans = [(a, b) for a, b in ((lo, first - 1), (first + len(vals), hi)) if a <= b]
+            parent = (z0, 2.0 * h)
+            halve = parent in self._tables or parent in want
+            planned = []
+            for a, b in spans:
+                first, stride = (a + 1 - a % 2, 2) if halve else (a, 1)
+                if halve and -(-a // 2) <= b // 2:
+                    merge(parent, -(-a // 2), b // 2)
+                planned.append((a, b, len(pieces) if first <= b else None))
+                if first <= b:
+                    pieces.append((key, first, stride, (b - first) // stride + 1))
+            plan.append((key, planned, halve))
+        filled = self._fill(pieces)
+        # coarsest step first, so that a parent is extended before its child reads it
+        for (z0, h), planned, halve in reversed(plan):
+            for a, b, i in planned:
+                if halve:
+                    vals = np.empty(b - a + 1, dtype=complex)
+                    vals[a % 2::2] = self.phi(z0, 2.0 * h, np.arange(-(-a // 2), b // 2 + 1))
+                    if i is not None:
+                        vals[1 - a % 2::2] = filled[i]
+                else:
+                    vals = filled[i]
+                first, old = self._tables.get((z0, h), (a, vals[:0]))
+                self._tables[(z0, h)] = ((a, np.concatenate([vals, old])) if a < first
+                                         else (first, np.concatenate([old, vals])))
+
+    def _fill(self, pieces):
+        """log Phi_b(z0 + m h) at m = lo, lo + stride, ... (n entries) for each
+        piece (key, lo, stride, n), through one FaddeevDilog.lines call per
+        grid step |h| stride: the one path by which table entries are computed."""
+        out = [None] * len(pieces)
+        by_step = {}
+        for i, ((_z0, h), _lo, stride, _n) in enumerate(pieces):
+            by_step.setdefault(abs(h) * stride, []).append(i)
+        for dx, idx in by_step.items():
+            specs = []
+            for i in idx:
+                (z0, h), lo, stride, n = pieces[i]
+                # FaddeevDilog.lines runs left to right
+                specs.append((z0.real + h * (lo if h > 0 else lo + stride * (n - 1)), n, z0.imag))
+            for i, logs in zip(idx, self.eng.lines(specs, dx)):
+                out[i] = logs if pieces[i][0][1] > 0 else logs[::-1]
+        return out
 
 
 def line_integrand(log_body, mp: ModularParameter, tol: float = 1e-13,
@@ -221,10 +264,13 @@ def line_integrand(log_body, mp: ModularParameter, tol: float = 1e-13,
     factors, g2(c, a) = log gamma2(c + i a h) and phi(z0, a) =
     log Phi_b(z0 + a h), each at an integer combination a of the rows of v,
     and may add terms in the coordinates x themselves.  f(x) for points x of
-    shape (N, dim) runs on the direct engine (v = x, h = 1); f.lattice(k, h),
-    which the trapezoid and the box probes call at the nodes k h, reads the
-    exact tables (v = k, x = k h).  Integrands that share line factors may
-    share tables (built for the same mp and tol), so each entry is filled once.
+    shape (N, dim) runs on the direct engine (v = x, h = 1).  f.lattice(k, h),
+    which the trapezoid and the box probes call at the nodes k h, runs
+    log_body twice: first with recorders that note the span of a each factor
+    needs and return 0, so that LineTables.reserve fills every missing entry
+    of the call at once (one engine call per grid step); then on the exact
+    tables (v = k, x = k h).  Integrands that share line factors may share
+    tables (built for the same mp and tol), so each entry is filled once.
     """
     eng = get_engine(mp.b, tol)
     if tables is None:
@@ -236,6 +282,16 @@ def line_integrand(log_body, mp: ModularParameter, tol: float = 1e-13,
                                lambda z0, w: np.log(eng(z0 + w)), x, x))
 
     def lattice(k, h):
+        needs = []
+
+        def note(key, m):
+            if np.size(m):
+                needs.append((key, np.min(m), np.max(m)))
+            return 0.0
+
+        log_body(lambda c, m: note(tables.gamma2_key(c, h), m),
+                 lambda z0, m: note((z0, h), m), k.T, h * k.T)
+        tables.reserve(needs)
         return np.exp(log_body(lambda c, m: tables.gamma2(c, h, m),
                                lambda z0, m: tables.phi(z0, h, m), k.T, h * k.T))
 

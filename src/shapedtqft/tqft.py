@@ -113,8 +113,12 @@ class BoltzmannEvaluator:
         if self._lattice is not None:
             h, const = self._lattice
             m = np.rint((d - const[:, None]) / h).astype(np.intp)
-            for base, c, mult, mr in zip(self._bases, const, self._mults, m):
-                logw += mult * self._tables.gamma2(base + 1j * c, h, mr)
+            offsets = [base + 1j * c for base, c in zip(self._bases, const)]
+            if m.size:
+                self._tables.reserve([(self._tables.gamma2_key(c, h), mr.min(), mr.max())
+                                      for c, mr in zip(offsets, m)])
+            for c, mult, mr in zip(offsets, self._mults, m):
+                logw += mult * self._tables.gamma2(c, h, mr)
         else:
             for base, mult, dr in zip(self._bases, self._mults, d):
                 line = self._lines.get(base)

@@ -14,7 +14,7 @@ if "numpy" in sys.modules:
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from shapedtqft import qdilog  # noqa: E402
+from shapedtqft import qdilog, special  # noqa: E402
 from shapedtqft.data import load as load_bundled  # noqa: E402
 from shapedtqft.params import ModularParameter  # noqa: E402
 from shapedtqft.quadrature import IntegralResult, QuadratureConfig  # noqa: E402
@@ -58,6 +58,21 @@ def count_line_caches(monkeypatch):
     monkeypatch.setattr(qdilog.LineCache, "__init__",
                         lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
     return built
+
+
+def record_fills(monkeypatch):
+    """Record (z0, h, m) for every LineTables entry computed from now on, in
+    the order of the pieces handed to LineTables._fill, the one path by which
+    table entries are computed (one FaddeevDilog.lines call per grid step)."""
+    filled = []
+    fill = special.LineTables._fill
+
+    def recorded(self, pieces):
+        for (z0, h), lo, stride, n in pieces:
+            filled.extend((z0, h, m) for m in range(lo, lo + stride * n, stride))
+        return fill(self, pieces)
+    monkeypatch.setattr(special.LineTables, "_fill", recorded)
+    return filled
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -148,6 +148,16 @@ def test_verify_entropy_and_threshold_override():
     assert r2.returncode == 1
 
 
+def test_verify_refuses_nonpositive_max_residual(capsys):
+    # 0 is a threshold of its own, not "unset": it is refused like --tol 0,
+    # while the smallest positive threshold is taken as given
+    for bad in ("0", "-1e-3", "nan"):
+        assert cli.main(["verify", "entropy", "--trials", "2", f"--max-residual={bad}"]) == 2
+        assert "--max-residual" in capsys.readouterr().err
+    assert cli.main(["verify", "entropy", "--trials", "2", "--max-residual", "5e-324"]) == 1
+    assert json.loads(capsys.readouterr().out)["threshold"] == 5e-324
+
+
 def test_verify_unknown_suite_exit_2():
     assert run_cli("verify", "nosuch").returncode == 2
 
@@ -174,7 +184,7 @@ def test_verify_reports_are_byte_identical():
 ])
 def test_verify_suites_honour_tol(monkeypatch, capsys, suite, checks, default_tol):
     # each suite keeps its own tolerance by default and takes --tol when given;
-    # the reported config is unchanged without --tol
+    # the reported config states the tolerance the suite ran at
     seen = []
 
     def fake(*args, **kwargs):
@@ -184,7 +194,7 @@ def test_verify_suites_honour_tol(monkeypatch, capsys, suite, checks, default_to
     for name in checks:
         monkeypatch.setattr(cli, name, fake)
     assert cli.main(["verify", suite, "--trials", "1"]) == 0
-    assert json.loads(capsys.readouterr().out)["config"]["tol"] == 1e-7
+    assert json.loads(capsys.readouterr().out)["config"]["tol"] == default_tol
     assert cli.main(["verify", suite, "--trials", "1", "--tol", "3e-6"]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["tol"] == 3e-6
     half = len(seen) // 2

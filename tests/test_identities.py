@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from shapedtqft import identities, quadrature, special
+from shapedtqft import identities, qdilog, quadrature, special
 from shapedtqft.errors import ConstraintViolation, QuadratureFailure
 from shapedtqft.identities import (BalancedParams33, BalancedParams6,
                                    check_classical_pentagon,
@@ -18,7 +18,7 @@ from shapedtqft.identities import (BalancedParams33, BalancedParams6,
 from shapedtqft.params import EllipticBases, ModularParameter
 from shapedtqft.quadrature import QuadratureConfig
 from tests.conftest import (LATTICE_STEPS, capture_integrands, count_line_caches,
-                            lattice_mismatch)
+                            lattice_mismatch, record_fills)
 
 
 @pytest.fixture(scope="module")
@@ -237,15 +237,11 @@ def test_octahedron_one_integral_per_side(mp1, monkeypatch):
 def test_octahedron_sides_fill_each_phib_entry_once(mp1, monkeypatch):
     # Z4 and Z5 read one LineTables, so the alpha/beta factors they share are
     # filled once: no (line, step, m) is computed twice
-    built, filled = [], []
-    init, line = special.LineTables.__init__, special.LineTables._line
+    built = []
+    init = special.LineTables.__init__
     monkeypatch.setattr(special.LineTables, "__init__",
                         lambda self, *a: built.append(a) or init(self, *a))
-
-    def recorded(self, z0, h, lo, n, stride):
-        filled.extend((z0, h, m) for m in range(lo, lo + stride * n, stride))
-        return line(self, z0, h, lo, n, stride)
-    monkeypatch.setattr(special.LineTables, "_line", recorded)
+    filled = record_fills(monkeypatch)
     cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
     assert check_octahedron_duality(*criterion13_octahedron(mp1), mp1, cfg) <= 1e-7
     assert len(built) == 1
@@ -316,6 +312,28 @@ def test_identity_quadrature_work_is_pinned(mp1, monkeypatch):
     cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10)
     assert check_octahedron_duality(*criterion13_octahedron(mp1), mp1, cfg) <= 1e-12
     assert counts == [319, 319, 159, 101_761, 159, 408_321]
+
+
+def test_lattice_calls_fill_in_one_engine_call_per_step(mp1, monkeypatch):
+    # each lattice call reserves every table entry it reads at once: at most
+    # one _raw_grid call (one GEMM) per grid step, here exactly one per call,
+    # on criterion 3's first pentagon and criterion 13's first octahedron
+    # (42 and 109 calls when each table filled its own line)
+    calls = []     # per LineTables.reserve: the grid steps of its _raw_grid calls
+    reserve, raw_grid = special.LineTables.reserve, qdilog.FaddeevDilog._raw_grid
+    monkeypatch.setattr(special.LineTables, "reserve",
+                        lambda self, needs: calls.append([]) or reserve(self, needs))
+    monkeypatch.setattr(qdilog.FaddeevDilog, "_raw_grid",
+                        lambda self, segs, dx: calls[-1].append(dx) or raw_grid(self, segs, dx))
+    cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
+    assert check_hyperbolic_pentagon(random_balanced_33(np.random.default_rng(2026), mp1),
+                                     mp1, cfg) <= 1e-12
+    pentagon, calls[:] = list(calls), []
+    cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
+    assert check_octahedron_duality(*criterion13_octahedron(mp1), mp1, cfg) <= 1e-7
+    for steps in (pentagon, calls):
+        assert all(len(set(dxs)) == len(dxs) for dxs in steps)
+    assert [sum(map(len, steps)) for steps in (pentagon, calls)] == [7, 17]
 
 
 def test_identity_checks_build_no_line_cache(mp1, monkeypatch):

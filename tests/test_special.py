@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from shapedtqft.errors import NonConvergence
+from shapedtqft.errors import NonConvergence, PoleHit
 from shapedtqft.identities import random_balanced_33
 from shapedtqft.params import EllipticBases, ModularParameter
 from shapedtqft.qdilog import FaddeevDilog, phi_b
@@ -11,6 +11,7 @@ from shapedtqft.special import (LineTables, bernoulli_b22, cap_psi, cap_psi_dire
                                 classical_beta, elliptic_gamma, gamma2_line, hyper_B,
                                 hyperbolic_gamma, hyperbolic_gamma_general,
                                 hyperbolic_gamma_product, lobachevsky, psi_fn, theta_fn)
+from tests.conftest import record_fills
 
 
 # -- bernoulli ----------------------------------------------------------------
@@ -124,59 +125,81 @@ def test_gamma2_line_matches_hyperbolic_gamma(b):
 
 @pytest.mark.parametrize("b", [1.0, 1.3])
 def test_line_tables_extend_without_rebuild(b, monkeypatch):
-    # a call past the table fills only the new entries, leaves the old ones
-    # bit-identical, and every entry matches the direct engine
+    # a reserve past the table fills only the new entries, leaves the old ones
+    # bit-identical, and every entry matches the direct engine; a lookup
+    # outside the reserved span is refused
     mp = ModularParameter(b)
-    filled = []
-    grid = FaddeevDilog.line
-
-    def counted(self, x0, dx, n, y):
-        filled.append(n)
-        return grid(self, x0, dx, n, y)
-
-    monkeypatch.setattr(FaddeevDilog, "line", counted)
+    filled = record_fills(monkeypatch)
     tables = LineTables(mp)
     c, z0, h = 0.4 * mp.q_total + 0.1j, 0.3 + 0.2j, 0.1
-    for lookup, direct in ((lambda m: tables.gamma2(c, h, m),
-                            lambda m: hyperbolic_gamma(c + 1j * m * h, mp)),
-                           (lambda m: tables.phi(z0, h, m),
-                            lambda m: phi_b(z0 + m * h, mp))):
+    for key, lookup, direct in ((tables.gamma2_key(c, h), lambda m: tables.gamma2(c, h, m),
+                                 lambda m: hyperbolic_gamma(c + 1j * m * h, mp)),
+                                ((z0, h), lambda m: tables.phi(z0, h, m),
+                                 lambda m: phi_b(z0 + m * h, mp))):
         filled.clear()
+        tables.reserve([(key, -5, 5)])
         first = lookup(np.arange(-5, 6))
+        tables.reserve([(key, -40, 30), (key, -7, 2)])
         wider = lookup(np.arange(-40, 31))
         assert np.array_equal(wider[35:46], first)
-        assert filled == [11, 35, 25]
+        # 11, then 35 and 25 new entries
+        assert [m for _z0, _h, m in filled] == [*range(-5, 6), *range(-40, -5), *range(6, 31)]
         m = np.arange(-40, 31)
         assert np.abs(np.exp(wider) / direct(m) - 1).max() <= 1e-12
+        with pytest.raises(IndexError):
+            lookup(np.arange(25, 32))
 
 
 @pytest.mark.parametrize("b", [1.0, 1.3])
 def test_line_tables_reuse_coarser_step(b, monkeypatch):
     # a table at step h/2 takes its even entries from the step-h table, bit
-    # for bit, and fills only its odd entries, in one grid call; the gamma2
+    # for bit, and fills only its odd entries, a grid of step h; the gamma2
     # lookup runs the same reuse at step -h
     mp = ModularParameter(b)
-    filled = []
-    grid = FaddeevDilog.line
-
-    def counted(self, x0, dx, n, y):
-        filled.append((n, dx))
-        return grid(self, x0, dx, n, y)
-
-    monkeypatch.setattr(FaddeevDilog, "line", counted)
+    filled = record_fills(monkeypatch)
     tables = LineTables(mp)
     c, z0, h = 0.4 * mp.q_total + 0.1j, 0.3 + 0.2j, 0.1
     coarse, fine = np.arange(-20, 21), np.arange(-40, 41)
-    for lookup, direct in ((lambda m, step: tables.gamma2(c, step, m),
-                            lambda m: hyperbolic_gamma(c + 1j * m * h / 2, mp)),
-                           (lambda m, step: tables.phi(z0, step, m),
-                            lambda m: phi_b(z0 + m * h / 2, mp))):
+    for key, lookup, direct in ((lambda step: tables.gamma2_key(c, step),
+                                 lambda m, step: tables.gamma2(c, step, m),
+                                 lambda m: hyperbolic_gamma(c + 1j * m * h / 2, mp)),
+                                (lambda step: (complex(z0), step),
+                                 lambda m, step: tables.phi(z0, step, m),
+                                 lambda m: phi_b(z0 + m * h / 2, mp))):
+        tables.reserve([(key(h), -20, 20)])
         parent = lookup(coarse, h)
         filled.clear()
+        tables.reserve([(key(h / 2), -40, 40)])
         child = lookup(fine, h / 2)
-        assert filled == [(40, h)]     # the odd m, on a grid of step h
+        assert filled == [(*key(h / 2), m) for m in range(-39, 40, 2)]    # the 40 odd m
         assert np.array_equal(child[::2], parent)
         assert np.abs(np.exp(child) / direct(fine) - 1).max() <= 1e-12
+
+
+@pytest.mark.parametrize("b", [1.0, 1.3, 0.77])
+def test_line_tables_batch_matches_single_lines(b):
+    # one reserve of tables at steps of either sign and at different |Im z|
+    # (folded ones included), of 1 to 3 entries, and reaching past -re_cut
+    # and +re_cut: one FaddeevDilog.lines call per grid step, whose entries
+    # agree with a FaddeevDilog.line fill of each table alone
+    mp = ModularParameter(b)
+    tables = LineTables(mp)
+    eng = tables.eng
+    cut, h = eng.re_cut, 0.3
+    keys = [(complex(x0, y), step, lo, hi)
+            for y in np.array([-0.95, -0.4, 0.0, 0.6, 0.95, 1.4]) * eng.cb_abs
+            for x0, step, lo, hi in ((0.2, h, -60, 50), (-0.1, -h, -45, 70), (0.7, h, 0, 0),
+                                     (-0.3, -h, 3, 4), (0.05, h, -2, 0),
+                                     (cut + 0.4, h, -3, 20), (-cut - 0.4, -h, -3, 20))]
+    tables.reserve([((z0, step), lo, hi) for z0, step, lo, hi in keys])
+    for z0, step, lo, hi in keys:
+        m = np.arange(lo, hi + 1)
+        x = z0.real + step * m
+        alone = eng.line(float(x.min()), abs(step), len(m), z0.imag)
+        alone = alone if step > 0 else alone[::-1]
+        assert np.abs(np.exp(tables.phi(z0, step, m) - alone) - 1).max() <= 1e-14
+    with pytest.raises(PoleHit):
+        tables.reserve([((0.1 + 1j * eng.cb_abs, h), 0, 3)])
 
 
 # -- B kernel -------------------------------------------------------------------
