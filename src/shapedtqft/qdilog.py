@@ -167,7 +167,7 @@ class FaddeevDilog:
         z = np.concatenate(segs)
         t, gp, gm = self._nodes(float(np.abs(z.imag).max()))
         ns = np.array([len(s) for s in segs])
-        blk = 1 << (int(ns.max() ** 0.5).bit_length() - 1)
+        blk = 1 << (int(len(z) ** 0.5).bit_length() - 1)
         nbs = -(-ns // blk)
         heads = self._phase_rows(dx, blk, t.size).reshape(blk, -1)
         starts = self._phase_rows(blk * dx, int(nbs.max()), t.size)
@@ -175,7 +175,8 @@ class FaddeevDilog:
         wts = np.stack([gp * rows, gm / rows], axis=1)
         seg = np.repeat(np.arange(len(segs)), nbs)    # the segment of each block row
         r0 = np.cumsum(nbs) - nbs                     # its first block row
-        fwd = starts[np.arange(len(seg)) - r0[seg]] * wts[seg]
+        fwd = starts[np.arange(len(seg)) - r0[seg]]
+        fwd *= wts[seg]
         sums = np.dot(fwd.reshape(len(fwd), -1), heads.T).ravel()
         # point i of segment s (which starts at point p0) sits at r0 B + i - p0
         pick = np.arange(len(z)) + np.repeat(r0 * blk - (np.cumsum(ns) - ns), ns)

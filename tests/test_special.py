@@ -174,6 +174,12 @@ def test_line_tables_reuse_coarser_step(b, monkeypatch):
         assert filled == [(*key(h / 2), m) for m in range(-39, 40, 2)]    # the 40 odd m
         assert np.array_equal(child[::2], parent)
         assert np.abs(np.exp(child) / direct(fine) - 1).max() <= 1e-12
+    # both steps reserved at once: the child still reads its even entries from the parent
+    filled.clear()
+    both = LineTables(mp)
+    both.reserve([((z0, h / 2), -40, 40), ((z0, h), -20, 20)])
+    assert len(filled) == len(set(filled)) == 81
+    assert np.array_equal(both.phi(z0, h / 2, fine)[::2], both.phi(z0, h, coarse))
 
 
 @pytest.mark.parametrize("b", [1.0, 1.3, 0.77])
