@@ -51,7 +51,7 @@ __all__ = ["FaddeevDilog", "LineCache", "phi_b", "get_engine"]
 _PI = np.pi
 _LINE_CHECK_TOL = 1e-8      # relative spline error the LineCache self-check accepts
 _LINE_MIN_SPACING = 1.25e-3  # spacing floor: 0.02 halved four times
-_PHASE_CACHE_BYTES = 16 << 20  # bound on one engine's cached phase rows
+_PHASE_CACHE_BYTES = 8 << 20   # bound on one engine's cached phase rows
 _ENGINES: dict[tuple[float, float], "FaddeevDilog"] = {}
 
 
@@ -126,19 +126,19 @@ class FaddeevDilog:
         return self._tpos[:m], self._gp[:m], self._gm[:m]
 
     def _phase_rows(self, d, rows, m):
-        """(e^{-2i l d t}, e^{2i l d t}) for l < rows on the first m nodes: a
-        slice of a cache keyed by the step d, computed elementwise over all of
-        _tpos (so a slice does not depend on how the cache grew) and cleared
-        before an insert past _PHASE_CACHE_BYTES."""
+        """e^{-2i l d t} for l < rows on the first m nodes (their conjugates
+        are the e^{2i l d t}): a slice of a cache keyed by the step d,
+        computed elementwise over all of _tpos (so a slice does not depend on
+        how the cache grew) and cleared before an insert past
+        _PHASE_CACHE_BYTES."""
         p = self._phases.get(d)
         if p is None or len(p) < rows:
             p = np.exp(np.multiply.outer(-2j * d * np.arange(rows), self._tpos))
-            p = np.stack([p, p.conj()], axis=1)
             if p.nbytes + sum(q.nbytes for q in self._phases.values()) > _PHASE_CACHE_BYTES:
                 self._phases.clear()
             if p.nbytes <= _PHASE_CACHE_BYTES:
                 self._phases[d] = p
-        return p[:rows, :, :m]
+        return p[:rows, :m]
 
     def _raw(self, segs):
         """log Phi_b by the direct contour integral at the points of the
@@ -169,15 +169,15 @@ class FaddeevDilog:
         ns = np.array([len(s) for s in segs])
         blk = 1 << (int(len(z) ** 0.5).bit_length() - 1)
         nbs = -(-ns // blk)
-        heads = self._phase_rows(dx, blk, t.size).reshape(blk, -1)
-        starts = self._phase_rows(blk * dx, int(nbs.max()), t.size)
+        heads = self._phase_rows(dx, blk, t.size)
         rows = np.exp(np.multiply.outer(-2j * np.array([s[0] for s in segs]), t))
-        wts = np.stack([gp * rows, gm / rows], axis=1)
         seg = np.repeat(np.arange(len(segs)), nbs)    # the segment of each block row
         r0 = np.cumsum(nbs) - nbs                     # its first block row
-        fwd = starts[np.arange(len(seg)) - r0[seg]]
-        fwd *= wts[seg]
-        sums = np.dot(fwd.reshape(len(fwd), -1), heads.T).ravel()
+        starts = self._phase_rows(blk * dx, int(nbs.max()), t.size)[np.arange(len(seg)) - r0[seg]]
+        fwd = np.empty((len(seg), 2, t.size), dtype=complex)
+        np.multiply(starts, (gp * rows)[seg], out=fwd[:, 0])
+        np.multiply(starts.conj(), (gm / rows)[seg], out=fwd[:, 1])
+        sums = np.dot(fwd.reshape(len(fwd), -1), np.concatenate([heads, heads.conj()], axis=1).T).ravel()
         # point i of segment s (which starts at point p0) sits at r0 B + i - p0
         pick = np.arange(len(z)) + np.repeat(r0 * blk - (np.cumsum(ns) - ns), ns)
         return np.exp(2.0 * z * self.h0) * sums[pick]

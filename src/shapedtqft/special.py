@@ -215,12 +215,12 @@ class LineTables:
             halve = parent in self._tables or parent in want
             planned = []
             for a, b in spans:
-                first, stride = (a + 1 - a % 2, 2) if halve else (a, 1)
+                start, stride = (a + 1 - a % 2, 2) if halve else (a, 1)
                 if halve and -(-a // 2) <= b // 2:
                     merge(parent, -(-a // 2), b // 2)
-                planned.append((a, b, len(pieces) if first <= b else None))
-                if first <= b:
-                    pieces.append((key, first, stride, (b - first) // stride + 1))
+                planned.append((a, b, len(pieces) if start <= b else None))
+                if start <= b:
+                    pieces.append((key, start, stride, (b - start) // stride + 1))
             plan.append((key, planned, halve))
         filled = self._fill(pieces)
         # coarsest step first, so that a parent is extended before its child reads it
