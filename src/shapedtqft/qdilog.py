@@ -29,11 +29,11 @@ step in one pass: it factors their sums into one matrix product of cached
 per-step phase rows (O(M) exps per line on M nodes) and returns log Phi_b
 there, and FaddeevDilog.line is its one-line case.  Those grids are exact:
 special.LineTables keeps them, per lattice step, for every integrand of
-line factors, which the trapezoid takes in one to three dimensions, and
+line factors, which the trapezoid takes in one to four dimensions, and
 fills all the entries one lattice call needs with one lines call per step.
 LineCache keeps log Phi_b on a line as a table of spline cubics for the
-Boltzmann weight off any lattice (the dim-4 tensor grid, Monte Carlo),
-which sums its logs before taking one exp.
+Boltzmann weight off any lattice (Monte Carlo), which sums its logs before
+taking one exp.
 bench/tracing.py wraps LineCache.__init__ (reading its spacing default)
 and LineCache.__call__, so their signatures are load-bearing.
 """

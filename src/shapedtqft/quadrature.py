@@ -5,7 +5,7 @@ array of abscissas to an array of values, an nD integrand maps an (N, dim)
 array of points to N values.  integrate_nd takes every integral over R^n.
 It truncates R^n to a box where an empirically fitted exponential envelope
 C*exp(-mu*r), and its tail integral C*exp(-mu*r)/mu, drop below
-abs_tol/(10*dim), and takes boxes of dim 1 to 3 with a nested-halving
+abs_tol/(10*dim), and takes boxes of dim 1 to 4 with a nested-halving
 tensor trapezoid, exponentially convergent on integrands analytic in a
 strip around the real state space (Trefethen & Weideman, SIAM Review 56,
 2014).  Its error estimate is halving_estimate, which every nested rule
@@ -30,9 +30,8 @@ one call.  An nD integrand f may carry an attribute f.lattice, a callable
 (k, h) -> values at the points k*h for an (N, dim) integer array k; these
 two rules call it instead of f(k*h), so that f can index exact per-step
 tables rather than interpolate.  The points, the box, the step sequence
-and the evaluation count are the same either way.  Gauss-Kronrod panels,
-the dim-4 tensor grid and Monte Carlo evaluate off the lattice and always
-call f itself.
+and the evaluation count are the same either way.  Gauss-Kronrod panels
+and Monte Carlo evaluate off the lattice and always call f itself.
 """
 from __future__ import annotations
 
@@ -68,7 +67,7 @@ _GAUSS_IDX = np.arange(1, 15, 2)  # Gauss-7 nodes sit at the odd Kronrod positio
 
 _TRAP_H0 = 0.8              # first trapezoid step
 _TRAP_CHUNK = 1 << 15       # points per integrand call; bounds peak memory
-_TRAP_MAX_POINTS = 1 << 24  # largest grid the trapezoid may halve to
+_TRAP_MAX_POINTS = 1 << 27  # largest grid the trapezoid may halve to
 _GK_MAX_ROUNDS = 22         # panel-splitting rounds of integrate_1d
 _GK_MAX_PANELS = 60_000     # panels integrate_1d may hold at once
 _PROBE_RADII = (2.0, 4.0, 8.0)  # radii of the box probes along each ray
@@ -89,7 +88,7 @@ class IntegralResult:
     value: complex
     error_estimate: float
     evaluations: int
-    method: str  # adaptive | trapezoid | tensor | monte_carlo
+    method: str  # adaptive | trapezoid | monte_carlo
 
     def __post_init__(self):
         if self.error_estimate < 0:
@@ -304,29 +303,6 @@ def _trapezoid(f, dim, cfg, radii, rates, counter):
                                     f"box exceeds tolerance {tol:.3g}; the box is too small")
 
 
-def _tensor4(f, cfg, radii, counter):
-    """Reduced-node tensor Gauss grid for dim=4 with an embedded error estimate."""
-    n = int(min(max(40, 10 * max(radii)), 64))
-    vals = {}
-    for nn in (n, n - 8):
-        xs, ws = np.polynomial.legendre.leggauss(nn)
-        axes = [(xs * r, ws * r) for r in radii]  # map [-1,1] -> [-r, r]
-        grid = np.stack(np.meshgrid(*[a[0] for a in axes], indexing="ij"), axis=-1).reshape(-1, 4)
-        wmesh = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-        wgt = np.ones_like(wmesh[0])
-        for wm in wmesh:
-            wgt = wgt * wm
-        chunks = []
-        csz = 200_000
-        for i in range(0, len(grid), csz):
-            chunks.append(np.asarray(f(grid[i:i + csz]), dtype=complex))
-        fv = np.concatenate(chunks)
-        counter[0] += len(grid)
-        vals[nn] = complex(np.sum(fv * wgt.ravel()))
-    err = abs(vals[n] - vals[n - 8])
-    return vals[n], err
-
-
 def _monte_carlo(f, dim, cfg, radii, counter):
     """Importance sampling with a separable Laplace envelope fitted to the decay."""
     rng = np.random.default_rng(cfg.rng_seed)
@@ -352,9 +328,8 @@ def _monte_carlo(f, dim, cfg, radii, counter):
 def integrate_nd(f, dim: int, cfg: QuadratureConfig) -> IntegralResult:
     """Integrate a vectorized integrand over R^dim (truncated by decay estimates).
 
-    dim 1 to 3 take the nested-halving tensor trapezoid, dim == 4 a reduced
-    tensor Gauss grid, dim >= 5 (or cfg.force_monte_carlo) Monte-Carlo
-    importance sampling.
+    dim 1 to 4 take the nested-halving tensor trapezoid, dim >= 5 (or
+    cfg.force_monte_carlo) Monte-Carlo importance sampling.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -363,8 +338,5 @@ def integrate_nd(f, dim: int, cfg: QuadratureConfig) -> IntegralResult:
     if cfg.force_monte_carlo or dim >= 5:
         value, err = _monte_carlo(f, dim, cfg, radii, counter)
         return IntegralResult(value, err, counter[0], "monte_carlo")
-    if dim == 4:
-        value, err = _tensor4(f, cfg, radii, counter)
-        return IntegralResult(value, err, counter[0], "tensor")
     value, err = _trapezoid(f, dim, cfg, radii, rates, counter)
     return IntegralResult(complex(value), float(err), counter[0], "trapezoid")

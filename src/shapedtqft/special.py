@@ -110,8 +110,8 @@ def gamma2_line(c: complex, mp: ModularParameter, tol: float = 1e-13, radius: fl
     LineCache gives log Phi_b at interpolation speed; the Gaussian prefactor
     is added in log space.  The cache covers |w| <= radius (plus |Im c|) and
     grows on demand.  The package's one caller is the Boltzmann weight off
-    the trapezoid lattice (the dim-4 tensor grid and Monte Carlo), which
-    sums the logs of its rows and takes one exp per state.  Integrands on
+    the trapezoid lattice (Monte Carlo), which sums the logs of its rows
+    and takes one exp per state.  Integrands on
     the lattice, the 1D identities among them, read exact LineTables.
     """
     from .qdilog import LineCache
@@ -169,9 +169,13 @@ class LineTables:
         if not m.size:
             return np.zeros(m.shape, dtype=complex)
         # map Phi_b to gamma2 once per m in the range, not once per point
-        (z0, step), span = self.gamma2_key(c, h), np.arange(m.min(), m.max() + 1)
-        vals = _log_gamma2_from_phi(z0 + step * span, self.phi(z0, step, span), self.mp)
-        return vals[m - span[0]]
+        lo = m.min()
+        return self.gamma2_span(c, h, lo, m.max())[m - lo]
+
+    def gamma2_span(self, c, h, lo, hi):
+        """log gamma2(c + i m h) at m = lo..hi, inside a reserved span."""
+        (z0, step), span = self.gamma2_key(c, h), np.arange(lo, hi + 1)
+        return _log_gamma2_from_phi(z0 + step * span, self.phi(z0, step, span), self.mp)
 
     def phi(self, z0, h, m):
         """log Phi_b(z0 + m h) for an integer array m inside a reserved span."""

@@ -57,12 +57,12 @@ class BoltzmannEvaluator:
     line; identical (angle, state-dependence) rows are collapsed to
     multiplicities, and the weight sums mult * log gamma2 over the rows and
     takes one exp per state.  A copy made by on_lattice(h, origin) serves
-    states on the lattice origin + h k, which the trapezoid of dim 1 to 3
+    states on the lattice origin + h k, which the trapezoid of dim 1 to 4
     and the dim-0 state visit: there each row's argument is its constant
     plus an integer multiple of h, read exactly from the shared LineTables.
-    The evaluator itself serves states off any lattice (the dim-4 tensor
-    grid and Monte Carlo) and reads each row from its line's gamma2_line
-    evaluator, a spline LineCache underneath.
+    The evaluator itself serves states off any lattice (Monte Carlo) and
+    reads each row from its line's gamma2_line evaluator, a spline
+    LineCache underneath.
     """
 
     def __init__(self, x: Triangulation, angles, mp: ModularParameter,
@@ -112,13 +112,17 @@ class BoltzmannEvaluator:
         logw = np.zeros(s.shape[0], dtype=complex)
         if self._lattice is not None:
             h, const = self._lattice
-            m = np.rint((d - const[:, None]) / h).astype(np.intp)
-            offsets = [base + 1j * c for base, c in zip(self._bases, const)]
+            d -= const[:, None]     # m = rint((d - c_r) / h), in place
+            d /= h
+            m = np.rint(d, out=d).astype(np.intp)
             if m.size:
-                self._tables.reserve([(self._tables.gamma2_key(c, h), mr.min(), mr.max())
-                                      for c, mr in zip(offsets, m)])
-            for c, mult, mr in zip(offsets, self._mults, m):
-                logw += mult * self._tables.gamma2(c, h, mr)
+                offsets = [base + 1j * c for base, c in zip(self._bases, const)]
+                lo, hi = m.min(axis=1), m.max(axis=1)
+                self._tables.reserve([(self._tables.gamma2_key(c, h), a, b)
+                                      for c, a, b in zip(offsets, lo, hi)])
+                for c, mult, mr, a, b in zip(offsets, self._mults, m, lo, hi):
+                    span = self._tables.gamma2_span(c, h, a, b)
+                    logw += (span if mult == 1 else mult * span)[mr - a]
         else:
             for base, mult, dr in zip(self._bases, self._mults, d):
                 line = self._lines.get(base)

@@ -20,7 +20,7 @@ from shapedtqft.quadrature import QuadratureConfig, integrate_nd
 from shapedtqft.reduced import ratio_integral_fig8, tilde52_reduced2d, triple_ratio_52
 from shapedtqft.special import hyper_B, hyperbolic_gamma
 from shapedtqft.tqft import knot_quad_angle, partition_function
-from tests.conftest import CALIBRATION_LINES
+from tests.conftest import CALIBRATION_LINES, count_line_caches
 
 
 def capture_results(monkeypatch):
@@ -126,6 +126,26 @@ def test_fig8_state_integral(fig8_reference):
         res = partition_function(x, angles, mp=mp, cfg=tol_cfg(tol, phib_tol=1e-11))
         slacks.append(abs(res.value - ref) / (res.error_estimate + ref_err))
     assert report("fig8 state integral", slacks) <= 1.0
+
+
+def test_knot52_state_integral(monkeypatch):
+    # the full 4D integral on the trapezoid, against the knot factor times
+    # |triple_ratio_52|^2, with every weight read from the lattice tables
+    x, angles = load_bundled("knot52.json")
+    mp = ModularParameter(1.0)
+    knot = next(e for e, cls in enumerate(x.edge_classes) if len(cls) == 1)
+    knot_factor = 2 * abs(phi_b(mp.u_of(knot_quad_angle(x, angles, knot)), mp)) ** 2
+    triple = triple_ratio_52(mp, tol_cfg(1e-10))
+    ref = knot_factor * abs(triple.value) ** 2
+    ref_err = knot_factor * triple.error_estimate * (2 * abs(triple.value) + triple.error_estimate)
+    built = count_line_caches(monkeypatch)
+    slacks = []
+    for tol in (1e-3, 1e-4):
+        res = partition_function(x, angles, mp=mp, cfg=tol_cfg(tol))
+        assert res.method == "trapezoid" and res.dim == 4
+        slacks.append(abs(res.value - ref) / (res.error_estimate + ref_err))
+    assert built == []
+    assert report("5_2 state integral", slacks) <= 1.0
 
 
 def test_knot52_reduced_form():
