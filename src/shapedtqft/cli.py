@@ -140,13 +140,12 @@ def cmd_partition(args):
     mp = ModularParameter(args.b)
     cfg = QuadratureConfig(abs_tol=args.tol, rel_tol=args.tol)
     gauge = _parse_gauge(args.gauge, x)
+    deg1 = [e for e, cls in enumerate(x.edge_classes) if len(cls) == 1]
+    if args.renormalize == "knot-edge" and not deg1:
+        raise UsageError("no degree-1 knot edge to renormalize by")
     res = partition_function(x, angles, boundary_state=None, gauge=gauge, mp=mp, cfg=cfg)
     report = res.to_json_dict(mp, _config_hash(args))
     if args.renormalize == "knot-edge":
-        deg1 = [e for e, cls in enumerate(x.edge_classes) if len(cls) == 1]
-        if not deg1:
-            print("no degree-1 knot edge to renormalize by", file=sys.stderr)
-            return EXIT_USAGE
         a_knot = knot_quad_angle(x, angles, deg1[0])
         factor = 2.0 * abs(phi_b(mp.u_of(a_knot), mp)) ** 2
         tilde = res.value / factor

@@ -114,6 +114,17 @@ def test_partition_renormalize_trefoil(tmp_path):
     assert abs(rep["renormalized_re"] - 1.0) < 1e-6
 
 
+def test_partition_renormalize_without_knot_edge_refuses_before_integrating(monkeypatch,
+                                                                           capsys):
+    # fig8_complement has no degree-1 edge: the usage error comes first
+    calls = []
+    monkeypatch.setattr(cli, "partition_function", lambda *a, **kw: calls.append(a))
+    argv = ["partition", str(path_of("fig8_complement.json")), "--renormalize", "knot-edge"]
+    assert cli.main(argv) == cli.EXIT_USAGE == 2
+    assert calls == []
+    assert capsys.readouterr().err == "no degree-1 knot edge to renormalize by\n"
+
+
 def test_partition_malformed_angles_exit_3(tmp_path):
     doc = json.loads(path_of("trefoil.json").read_text())
     doc["angles"][0][0] += 0.3  # per-tet sum != pi
