@@ -111,8 +111,8 @@ def gamma2_line(c: complex, mp: ModularParameter, tol: float = 1e-13, radius: fl
     is added in log space.  The cache covers |w| <= radius (plus |Im c|) and
     grows on demand.  The package's one caller is the Boltzmann weight off
     the trapezoid lattice (Monte Carlo), which sums the logs of its rows
-    and takes one exp per state.  Integrands on
-    the lattice, the 1D identities among them, read exact LineTables.
+    and takes one exp per state.  Integrands on the lattice, the 1D
+    identities among them, read exact LineTables.
     """
     from .qdilog import LineCache
     z0 = _phi_argument(c, mp)
