@@ -26,7 +26,7 @@ from .complexes import (GaugeFixing, Gluing, Tetrahedron, Triangulation,
 from .errors import (BadGluing, BadLoop, BoundaryDegeneration, ConstraintViolation,
                      DecayEstimateFailure, InvalidGauge, NonConvergence,
                      NotApplicable, NotCritical, PoleHit, QuadratureFailure,
-                     ShapedTqftError, ShapeViolation)
+                     ShapedTqftError, ShapeViolation, WeightOutOfRange)
 from .geometry import (gluing_residual, maximize_volume_in_gauge_class,
                        shape_parameters, shape_volume)
 from .params import EllipticBases, ModularParameter

@@ -80,20 +80,21 @@ def cmd_special(args):
     if args.fn == "phi_b":
         if args.check_inversion:
             z = _parse_complex(args.x if args.x is not None else args.z or "0.3")
-            v = phi_b(z, mp) * phi_b(-z, mp) * mp.zeta_inv * np.exp(-1j * np.pi * z * z)
+            v = (phi_b(z, mp, args.tol) * phi_b(-z, mp, args.tol) * mp.zeta_inv
+                 * np.exp(-1j * np.pi * z * z))
             resid = abs(v - 1.0)
             _emit({"function": "phi_b", "check": "inversion", "z": str(z),
-                   "residual": resid, "b": args.b}, args.out)
+                   "residual": resid, "b": args.b, "tol": args.tol}, args.out)
             return EXIT_OK if resid < args.max_residual else EXIT_RESIDUAL
         z = _parse_complex(args.z)
         val = complex(phi_b(z, mp, tol=args.tol))
     elif args.fn == "gamma2":
         if args.check_inversion:
             x = _parse_complex(args.x if args.x is not None else "0.4")
-            v = hyperbolic_gamma(x, mp) * hyperbolic_gamma(mp.q_total - x, mp)
+            v = hyperbolic_gamma(x, mp, args.tol) * hyperbolic_gamma(mp.q_total - x, mp, args.tol)
             resid = abs(complex(v) - 1.0)
             _emit({"function": "gamma2", "check": "inversion", "x": str(x),
-                   "residual": resid, "b": args.b}, args.out)
+                   "residual": resid, "b": args.b, "tol": args.tol}, args.out)
             return EXIT_OK if resid < args.max_residual else EXIT_RESIDUAL
         z = _parse_complex(args.z)
         val = complex(hyperbolic_gamma(z, mp, tol=args.tol))

@@ -25,6 +25,10 @@ class NonConvergence(ShapedTqftError):
     """A series/product cannot converge for the given parameters."""
 
 
+class WeightOutOfRange(ShapedTqftError):
+    """A Boltzmann weight's common scale factor is not a finite nonzero double."""
+
+
 class DecayEstimateFailure(ShapedTqftError):
     """The integrand does not decay along some sampled direction (no positive rate)."""
 

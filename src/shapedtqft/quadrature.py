@@ -29,7 +29,12 @@ h = 2/sqrt(dim)).  The probes of one ray family share their step and take
 one call.  An nD integrand f may carry an attribute f.lattice, a callable
 (k, h) -> values at the points k*h for an (N, dim) integer array k; these
 two rules call it instead of f(k*h), so that f can index exact per-step
-tables rather than interpolate.  The points, the box, the step sequence
+tables rather than interpolate.  The trapezoid enumerates the new nodes
+of each level row by row along the last axis, without visiting the old
+ones, and passes each chunk as the transpose of a (dim, n) array, so that
+every column of k is contiguous: the state integral's lattice form hands
+k unchanged to the Boltzmann weight, which forms its integer table
+indices from these columns.  The points, the box, the step sequence
 and the evaluation count are the same either way.  Gauss-Kronrod panels
 and Monte Carlo evaluate off the lattice and always call f itself.
 """
@@ -128,9 +133,10 @@ def estimate_decay(f_abs, radii=_PROBE_RADII, floor=1e-280):
         return floor, 1.0  # already dead at the innermost radius
     if live.sum() == 1:
         return float(vals[live][0]), 2.0
-    rs, vals = rs[live], vals[live]
-    logs = np.log(vals)
-    slope, intercept = np.polyfit(rs, logs, 1)
+    rs, logs = rs[live], np.log(vals[live])
+    dr = rs - rs.mean()     # closed-form least-squares line through (r, log |f|)
+    slope = float(dr @ (logs - logs.mean()) / (dr @ dr))
+    intercept = logs.mean() - slope * rs.mean()
     if slope >= -1e-12:
         raise DecayEstimateFailure(
             f"integrand does not decay along a sampled ray (fitted rate {-slope:.3g})")
@@ -242,12 +248,74 @@ def halving_estimate(diff, prev_diff):
     return diff
 
 
+def _level_chunks(kmax, first):
+    """The new nodes of one trapezoid level on the box |k_j| <= kmax_j, in
+    chunks of at most _TRAP_CHUNK nodes: (k, blocks) per chunk.
+
+    In C order the grid is a set of rows along the last axis, one per
+    prefix (the other indices).  A row holds every last-axis index at the
+    first level or when some prefix index is odd, and only the odd ones
+    otherwise.  A chunk is a range of consecutive prefixes, as few as the
+    chunk holds; its blocks are (prefixes, pattern): the (dim - 1, r) array
+    of its r rows that hold the last-axis indices pattern, its full rows
+    first.  k, of shape (dim, n), holds the block nodes row by row: the
+    prefix columns repeated, the pattern tiled.  Only a row longer than a
+    chunk is split, into pieces that each run over all the prefixes.
+    """
+    *pre_kmax, last_kmax = (int(m) for m in kmax)
+    pre_kmax = np.array(pre_kmax, dtype=np.intp)
+    pre_shape = tuple(2 * pre_kmax + 1)
+    n_pre = math.prod(pre_shape)
+    line = np.arange(-last_kmax, last_kmax + 1)
+    for piece in range(0, len(line), _TRAP_CHUNK):
+        full = line[piece:piece + _TRAP_CHUNK]
+        odd = full if first else full[(full & 1).astype(bool)]
+        per = _TRAP_CHUNK // max(len(odd), 1)   # the most rows a chunk can hold
+        start = 0
+        while start < n_pre:
+            index = np.arange(start, min(start + per, n_pre))
+            pre = (np.array(np.unravel_index(index, pre_shape)) - pre_kmax[:, None] if pre_shape
+                   else np.zeros((0, len(index)), dtype=np.intp))
+            is_full = first | np.bitwise_or.reduce(pre & 1, axis=0).astype(bool)
+            taken = int(np.searchsorted(np.cumsum(np.where(is_full, len(full), len(odd))),
+                                        _TRAP_CHUNK, side="right"))
+            start += taken
+            pre, is_full = pre[:, :taken], is_full[:taken]
+            blocks = [(p, pat) for p, pat in ((pre[:, is_full], full), (pre[:, ~is_full], odd))
+                      if p.shape[1] and len(pat)]
+            k = np.empty((len(kmax), sum(p.shape[1] * len(pat) for p, pat in blocks)), np.intp)
+            pos = 0
+            for p, pat in blocks:   # views (dim, rows, len(pat)) of k, filled by broadcasting
+                rows = k[:, pos:pos + p.shape[1] * len(pat)].reshape(len(kmax), -1, len(pat))
+                rows[:-1], rows[-1] = p[:, :, None], pat
+                pos += rows[0].size
+            if pos:
+                yield k, blocks
+
+
+def _face_layers(mag, blocks, edge):
+    """Sums of mag over a chunk's nodes on the layers k_j = +edge_j and
+    k_j = -edge_j, one row per axis j: for a prefix axis, from the sums of
+    the rows; for the last axis, from the one column of each row there."""
+    layers = np.zeros((len(edge), 2))
+    pos = 0
+    for pre, pat in blocks:
+        rows = mag[pos:pos + pre.shape[1] * len(pat)].reshape(pre.shape[1], len(pat))
+        pos += rows.size
+        sums = rows.sum(axis=1)
+        for j, e in enumerate(edge[:-1]):
+            layers[j] += sums[pre[j] == e].sum(), sums[pre[j] == -e].sum()
+        layers[-1] += rows[:, pat == edge[-1]].sum(), rows[:, pat == -edge[-1]].sum()
+    return layers
+
+
 def _trapezoid(f, dim, cfg, radii, rates, counter):
     """Nested-halving tensor trapezoid on the box prod_j [-r_j, r_j].
 
     Nodes sit at k*h; each halving evaluates only the new nodes (an odd
-    index on some axis), in C-order slices.  The error of T(h_k) is
-    estimated by halving_estimate of d_k = |T(h_k) - T(h_{k-1})| and d_{k-1}.
+    index on some axis), which _level_chunks enumerates row by row, and
+    _face_layers sums |f| on the faces from the rows.  The error of T(h_k)
+    is estimated by halving_estimate of d_k = |T(h_k) - T(h_{k-1})| and d_{k-1}.
     Its squared form also squares away the roundoff and Phi_b noise that d_k
     carries, so it is floored at cfg.phib_tol * h^dim * sum |f|.  The
     reported error is max(estimate, floor) plus a tail bound: for each
@@ -274,17 +342,13 @@ def _trapezoid(f, dim, cfg, radii, rates, counter):
                                     f"nodes; last halving estimate {est:.3g} above tolerance")
         edge = kmax - (kmax % 2 == 0)  # outermost odd index per axis
         layers = np.zeros((dim, 2))     # sum of |f| on the layers k_j = +edge_j, -edge_j
-        for lo in range(0, n, _TRAP_CHUNK):
-            kt = np.array(np.unravel_index(np.arange(lo, min(lo + _TRAP_CHUNK, n)), shape))
-            kt -= kmax[:, None]        # one row per axis
-            if value is not None:
-                kt = kt[:, np.bitwise_or.reduce(kt & 1, axis=0).astype(bool)]
+        for kt, blocks in _level_chunks(kmax, value is None):
             vals = _on_lattice(f, kt.T, h)
             total += complex(np.sum(vals))
             counter[0] += len(vals)
             mag = np.abs(vals)
             mass += float(mag.sum())
-            layers += [[mag[kj == e].sum(), mag[kj == -e].sum()] for kj, e in zip(kt, edge)]
+            layers += _face_layers(mag, blocks, edge)
         prev, value = value, h ** dim * total
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
         floor = cfg.phib_tol * h ** dim * mass

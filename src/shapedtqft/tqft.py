@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import QUAD_PAIRS, GaugeFixing, Triangulation, validate_angles
-from .errors import InvalidGauge, ShapeViolation
+from .errors import InvalidGauge, ShapeViolation, WeightOutOfRange
 from .params import ModularParameter
 from .quadrature import QuadratureConfig, integrate_nd
 from .special import LineTables, gamma2_line, hyperbolic_gamma
@@ -55,14 +55,14 @@ class BoltzmannEvaluator:
 
     Per quad factor the dilogarithm argument runs along a fixed horizontal
     line; identical (angle, state-dependence) rows are collapsed to
-    multiplicities, and the weight sums mult * log gamma2 over the rows and
-    takes one exp per state.  A copy made by on_lattice(h, origin) serves
-    states on the lattice origin + h k, which the trapezoid of dim 1 to 4
-    and the dim-0 state visit: there each row's argument is its constant
-    plus an integer multiple of h, read exactly from the shared LineTables.
-    The evaluator itself serves states off any lattice (Monte Carlo) and
-    reads each row from its line's gamma2_line evaluator, a spline
-    LineCache underneath.
+    multiplicities.  A copy made by on_lattice(h, origin, variables) serves
+    states origin + h k for integer vectors k on the edges `variables`,
+    which the trapezoid of dim 1 to 4 and the dim-0 state visit: there each
+    row's argument is its constant plus an integer multiple of h, and the
+    weight multiplies factors read exactly from the shared LineTables.  The
+    evaluator itself serves states off any lattice (Monte Carlo): it sums
+    mult * log gamma2 over the rows, each read from its line's gamma2_line
+    evaluator (a spline LineCache underneath), and takes one exp per state.
     """
 
     def __init__(self, x: Triangulation, angles, mp: ModularParameter,
@@ -90,48 +90,95 @@ class BoltzmannEvaluator:
         self._mults = [mult for _, mult in rows]
         self._lines = {}
         self._tables = LineTables(mp, self.cfg.phib_tol)
-        self._lattice = None    # (h, per-row constant) on a copy from on_lattice
+        self._lattice = None    # (h, per-row constant, per-row terms) on a copy from on_lattice
 
-    def on_lattice(self, h: float, origin):
-        """This evaluator for states origin + h k, k an integer vector (0 on
-        the pinned and boundary edges, whose values origin holds).
+    def on_lattice(self, h: float, origin, variables):
+        """This evaluator for states origin + h k, where k is an integer vector
+        on the edges `variables` (the other edges hold origin's values).
 
-        The copy shares the rows and the tables of this evaluator.  Row r's
-        argument is then c_r + m h with c_r = origin . diff_r and the integer
-        m = rint((s . diff_r - c_r) / h); its log gamma2 comes from the table
-        of the offset base_r + i c_r at step h.
+        The copy shares the rows and the tables of this evaluator, and its
+        weight takes the integer array k of shape (N, len(variables)), not
+        states.  Row r's argument is then c_r + m_r h with c_r = origin .
+        diff_r and the integer m_r = k . D_r, D_r = diff_r on `variables`,
+        kept as its nonzero terms (j, D_rj); its log gamma2 comes from the
+        table of the offset base_r + i c_r at step h.
         """
+        rows = np.rint(self._diff[:, list(variables)]).astype(int).tolist()
         lat = copy.copy(self)
-        lat._lattice = (float(h), self._diff @ np.asarray(origin, dtype=float))
+        lat._lattice = (float(h), self._diff @ np.asarray(origin, dtype=float),
+                        [[(j, c) for j, c in enumerate(d) if c] for d in rows])
         return lat
 
     def weight(self, states):
-        """B(X, s) for states of shape (n_edges,) or (N, n_edges)."""
-        s = np.atleast_2d(np.asarray(states, dtype=float))
-        d = self._diff @ s.T        # one row per weight row
-        logw = np.zeros(s.shape[0], dtype=complex)
+        """B(X, s) for states of shape (n_edges,) or (N, n_edges); on a copy
+        from on_lattice, for integer k of shape (len(variables),) or
+        (N, len(variables))."""
         if self._lattice is not None:
-            h, const = self._lattice
-            d -= const[:, None]     # m = rint((d - c_r) / h), in place
-            d /= h
-            m = np.rint(d, out=d).astype(np.intp)
-            if m.size:
-                offsets = [base + 1j * c for base, c in zip(self._bases, const)]
-                lo, hi = m.min(axis=1), m.max(axis=1)
-                self._tables.reserve([(self._tables.gamma2_key(c, h), a, b)
-                                      for c, a, b in zip(offsets, lo, hi)])
-                for c, mult, mr, a, b in zip(offsets, self._mults, m, lo, hi):
-                    span = self._tables.gamma2_span(c, h, a, b)
-                    logw += (span if mult == 1 else mult * span)[mr - a]
+            out = self._lattice_weight(np.atleast_2d(np.asarray(states, dtype=np.intp)))
         else:
-            for base, mult, dr in zip(self._bases, self._mults, d):
+            s = np.atleast_2d(np.asarray(states, dtype=float))
+            logw = np.zeros(s.shape[0], dtype=complex)
+            for base, mult, dr in zip(self._bases, self._mults, self._diff @ s.T):
                 line = self._lines.get(base)
                 if line is None:    # sized to the first states; the cache grows on demand
                     rad = float(np.abs(dr).max()) + 4.0 if dr.size else 6.0
                     line = self._lines[base] = gamma2_line(base, self.mp, self.cfg.phib_tol, rad)
                 logw += mult * line(dr)
-        out = np.exp(logw)
+            out = np.exp(logw)
         return out[0] if np.ndim(states) == 1 else out
+
+    def _lattice_weight(self, k):
+        """The weight at the integer nodes k, shape (N, len(variables)).
+
+        Row r's table over its span m = lo..hi is the exp of mult_r * log
+        gamma2 less its largest real part top_r, so that every entry has
+        modulus <= 1.  The weight is the scale e^{sum of top_r} times the
+        factors of the rows with no term (whose m is 0), which must be a
+        finite nonzero double or WeightOutOfRange is raised, times the
+        product over the other rows of table_r[m_r - lo_r].
+        """
+        h, const, terms = self._lattice
+        if not len(k):
+            return np.zeros(0, dtype=complex)
+        spans = []      # per row: m (None for a row with no term), lo, hi
+        for row in terms:
+            if not row:
+                spans.append((None, 0, 0))
+                continue
+            (j, c), *rest = row
+            m = c * k[:, j]
+            for j, c in rest:           # small integer entries: add or subtract columns
+                if c == 1:
+                    m += k[:, j]
+                elif c == -1:
+                    m -= k[:, j]
+                else:
+                    m += c * k[:, j]
+            spans.append((m, int(m.min()), int(m.max())))
+        offsets = [base + 1j * c for base, c in zip(self._bases, const)]
+        self._tables.reserve([(self._tables.gamma2_key(c, h), lo, hi)
+                              for c, (_m, lo, hi) in zip(offsets, spans)])
+        factors, log_scale = [], 0j
+        for c, mult, (m, lo, hi) in zip(offsets, self._mults, spans):
+            logs = self._tables.gamma2_span(c, h, lo, hi)
+            if mult != 1:
+                logs = mult * logs
+            if m is None:
+                log_scale += logs[0]
+            else:
+                top = logs.real.max()
+                log_scale += top
+                factors.append((m, lo, logs - top))
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            scale = np.exp(log_scale)
+        if not (np.isfinite(scale) and scale != 0):
+            raise WeightOutOfRange(f"weight scale exp({log_scale:.6g}) is not a finite nonzero "
+                                   f"double at step h = {h:g}")
+        out = np.full(len(k), scale)
+        for m, lo, logs in factors:
+            m -= lo
+            out *= np.exp(logs)[m]
+        return out
 
 
 @dataclass
@@ -192,13 +239,13 @@ def partition_function(x: Triangulation, angles, boundary_state=None,
     gauge_desc = ";".join(f"v{v}:e{e}*{c}" for (v, e, c) in assigned) or "none"
     origin = build(np.zeros((1, dim)))[0]
     if dim == 0:
-        val = ev.on_lattice(1.0, origin).weight(origin)
+        val = ev.on_lattice(1.0, origin, variables).weight(np.zeros(0, dtype=np.intp))
         return PartitionResult(complex(jacobian * val), 0.0, 0, gauge_desc, 1, "exact")
 
     def integrand(tm):
         return ev.weight(build(tm))
 
-    integrand.lattice = lambda k, h: ev.on_lattice(h, origin).weight(build(k * h))
+    integrand.lattice = lambda k, h: ev.on_lattice(h, origin, variables).weight(k)
     res = integrate_nd(integrand, dim, cfg)
     return PartitionResult(jacobian * res.value, jacobian * res.error_estimate,
                            dim, gauge_desc, res.evaluations, res.method)

@@ -47,6 +47,19 @@ def test_special_refuses_out_of_range_tol(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("fn", ["phi_b", "gamma2"])
+def test_special_inversion_check_honours_tol(monkeypatch, capsys, fn):
+    # both factors of the inversion check are evaluated at --tol, and the
+    # report states it
+    seen = []
+    for name in ("phi_b", "hyperbolic_gamma"):
+        monkeypatch.setattr(cli, name, lambda z, mp, tol=1e-13, real=getattr(cli, name):
+                            seen.append(tol) or real(z, mp, tol))
+    argv = ["special", fn, "--check-inversion", "--tol", "1e-6", "--max-residual", "1e-3"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert seen == [1e-6, 1e-6] and json.loads(capsys.readouterr().out)["tol"] == 1e-6
+
+
 @pytest.mark.parametrize("preset", [None, "3"])
 def test_import_pins_blas_threads(preset):
     # run on its own, the CLI gets one BLAS thread unless the caller chose

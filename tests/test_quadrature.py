@@ -1,5 +1,7 @@
 """Adaptive panels on finite intervals, truncation by decay estimate, trapezoid
 and Monte-Carlo paths."""
+import itertools
+
 import numpy as np
 import pytest
 from scipy.special import k1
@@ -146,6 +148,32 @@ def test_trapezoid_reproducible():
     r2 = integrate_nd(f, 2, cfg)
     assert (r1.value, r1.error_estimate, r1.evaluations) == \
         (r2.value, r2.error_estimate, r2.evaluations)
+
+
+@pytest.mark.parametrize("chunk", [1 << 15, 24])
+@pytest.mark.parametrize("kmax", [(30,), (31,), (5, 2), (2, 13), (3, 4, 1), (2, 1, 2, 3),
+                                  (1, 2, 3, 2)])
+def test_level_chunks_visit_each_new_node_once(monkeypatch, kmax, chunk):
+    # each level evaluates exactly its new nodes, those with an odd index on
+    # some axis (every node at the first level), none twice and at most
+    # _TRAP_CHUNK per call; a chunk of 24 nodes splits the rows of the 1D
+    # boxes and of (2, 13) and packs the others' rows unevenly; the face
+    # layers of every chunk equal masked sums over its nodes
+    monkeypatch.setattr(quadrature, "_TRAP_CHUNK", chunk)
+    kmax = np.array(kmax)
+    edge = kmax - (kmax % 2 == 0)
+    box = np.array(list(itertools.product(*[range(-m, m + 1) for m in kmax])))
+    for first in (True, False):
+        seen = []
+        for kt, blocks in quadrature._level_chunks(kmax, first):
+            assert kt.shape == (len(kmax), sum(p.shape[1] * len(pat) for p, pat in blocks))
+            assert kt.shape[1] <= chunk
+            mag = 1.0 + (np.array([7, 11, 13, 17][:len(kmax)]) @ kt) % 23
+            masked = [[mag[kj == e].sum(), mag[kj == -e].sum()] for kj, e in zip(kt, edge)]
+            assert np.array_equal(quadrature._face_layers(mag, blocks, edge), masked)
+            seen += map(tuple, kt.T)
+        assert len(seen) == len(set(seen))
+        assert set(seen) == {tuple(k) for k in box if first or (k & 1).any()}
 
 
 def test_trapezoid_refuses_unattainable_tolerance():

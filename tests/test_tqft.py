@@ -1,14 +1,16 @@
 """Boltzmann weights and the gauge-fixed state integral."""
+import itertools
+
 import numpy as np
 import pytest
 
 from shapedtqft.complexes import (GaugeFixing, random_bipyramid_angles, standalone_bipyramid,
                                   state_gauge_image)
-from shapedtqft.errors import ShapeViolation
+from shapedtqft.errors import ShapedTqftError, ShapeViolation, WeightOutOfRange
 from shapedtqft.params import ModularParameter
 from shapedtqft.qdilog import phi_b
 from shapedtqft.quadrature import QuadratureConfig
-from shapedtqft.special import hyperbolic_gamma
+from shapedtqft.special import LineTables, hyperbolic_gamma
 from shapedtqft.tqft import (BoltzmannEvaluator, check_pachner_invariance,
                              check_shape_gauge_invariance, faddeev_popov_check,
                              knot_quad_angle, partition_function, tet_weight)
@@ -99,9 +101,11 @@ def test_fast_path_matches_exact(fig8, mp1):
 
 @pytest.mark.parametrize("h", LATTICE_STEPS)
 def test_lattice_weight_matches_direct(fig8, mp1, h):
-    # the lattice weight at states origin + h k against the direct engine:
-    # fig8 on the free edges of its automatic gauge, and the bipyramid whose
-    # boundary edges hold nonzero constants, so each row has its own offset
+    # the lattice weight at the integer nodes k (states origin + h k) against
+    # the direct engine: fig8 on the free edges of its automatic gauge, out to
+    # and including the corners of a box past its faces (radii 4-5.9 at the
+    # criterion 8 and 1e-6 settings), and the bipyramid whose boundary edges
+    # hold nonzero constants, so each row has its own offset
     rng = np.random.default_rng(14)
     x8, angles8 = fig8
     pinned = [e for (_v, e, _c) in GaugeFixing.automatic(x8).validated(x8)]
@@ -111,13 +115,30 @@ def test_lattice_weight_matches_direct(fig8, mp1, h):
     cases = ((x8, angles8, np.zeros(x8.n_edges),
               [e for e in x8.interior_edges if e not in pinned]),
              (xb, random_bipyramid_angles(rng), origin_b, list(xb.interior_edges)))
-    kmax = max(1, int(5.0 // h))
+    kmax = max(1, int(6.0 // h))
     for x, angles, origin, free in cases:
-        k = np.zeros((200, x.n_edges), dtype=int)
-        k[:, free] = rng.integers(-kmax, kmax + 1, size=(200, len(free)))
-        s = origin + h * k
-        lat = BoltzmannEvaluator(x, angles, mp1).on_lattice(h, origin)
-        assert np.abs(lat.weight(s) / direct_weight(x, angles, s, mp1) - 1).max() <= 1e-12
+        corners = kmax * np.array(list(itertools.product((1, -1), repeat=len(free))))
+        k = np.concatenate([rng.integers(-kmax, kmax + 1, size=(200, len(free))), corners])
+        s = np.tile(origin, (len(k), 1))
+        s[:, free] += h * k
+        lat = BoltzmannEvaluator(x, angles, mp1).on_lattice(h, origin, free)
+        assert np.abs(lat.weight(k) / direct_weight(x, angles, s, mp1) - 1).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shift", [800.0, -800.0, np.nan])
+def test_lattice_weight_refuses_nonfinite_scale(fig8, mp1, monkeypatch, shift):
+    # the lattice weight multiplies factors of modulus <= 1 and rescales once
+    # by e^{sum of the rows' largest log moduli}: a scale that overflows,
+    # underflows to 0 or is NaN raises instead of returning inf, 0 or NaN
+    x, angles = fig8
+    span = LineTables.gamma2_span
+    monkeypatch.setattr(LineTables, "gamma2_span", lambda self, *a: span(self, *a) + shift)
+    pinned = [e for (_v, e, _c) in GaugeFixing.automatic(x).validated(x)]
+    free = [e for e in x.interior_edges if e not in pinned]
+    lat = BoltzmannEvaluator(x, angles, mp1).on_lattice(0.1, np.zeros(x.n_edges), free)
+    with pytest.raises(WeightOutOfRange):
+        lat.weight(np.array([[1, -2, 3], [0, 0, 0]]))
+    assert issubclass(WeightOutOfRange, ShapedTqftError)
 
 
 def test_fig8_trapezoid_builds_no_line_cache(fig8, mp1, monkeypatch):
