@@ -30,7 +30,8 @@ per-step phase rows (O(M) exps per line on M nodes) and returns log Phi_b
 there, and FaddeevDilog.line is its one-line case.  Those grids are exact:
 special.LineTables keeps them, per lattice step, for every integrand of
 line factors, which the trapezoid takes in one to four dimensions, and
-fills all the entries one lattice call needs with one lines call per step.
+fills all the entries one trapezoid level or box-probe family needs with
+one lines call per step.
 LineCache keeps log Phi_b on a line as a table of spline cubics for the
 Boltzmann weight off any lattice (Monte Carlo), which sums its logs before
 taking one exp.

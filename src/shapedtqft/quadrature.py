@@ -27,16 +27,27 @@ h; an axis probe at radius r = 2, 4, 8 as (k = (r/2) e_j, h = 2); a
 diagonal probe (r/sqrt(dim))*s for a sign vector s as (k = (r/2) s,
 h = 2/sqrt(dim)).  The probes of one ray family share their step and take
 one call.  An nD integrand f may carry an attribute f.lattice, a callable
-(k, h) -> values at the points k*h for an (N, dim) integer array k; these
-two rules call it instead of f(k*h), so that f can index exact per-step
-tables rather than interpolate.  The trapezoid enumerates the new nodes
-of each level row by row along the last axis, without visiting the old
-ones, and passes each chunk as the transpose of a (dim, n) array, so that
-every column of k is contiguous: the state integral's lattice form hands
-k unchanged to the Boltzmann weight, which forms its integer table
-indices from these columns.  The points, the box, the step sequence
-and the evaluation count are the same either way.  Gauss-Kronrod panels
-and Monte Carlo evaluate off the lattice and always call f itself.
+(h, kmax) -> read that prepares the box |k_j| <= kmax_j at step h once
+(its exact per-step tables, rather than interpolants) and returns a
+reader k -> values at the points k*h for (N, dim) integer arrays k in that
+box; the trapezoid calls it once per level and the box probes once per ray
+family, and fall back to f(k*h) without it.  The trapezoid enumerates the
+new nodes of each level row by row along the last axis, without visiting
+the old ones, and passes each chunk as the transpose of a (dim, n) array,
+so that every column of k is contiguous: the state integral's lattice
+form hands k unchanged to the Boltzmann weight, which forms its integer
+table indices from these columns.  The points, the box, the step sequence
+and the evaluation count are the same either way.
+
+Conjugation-even integrands.  An integrand that also carries
+f.conjugation_even = True promises f(-x) = conj f(x), as the closed state
+integral does at a zero origin.  Its integral is real, and the trapezoid
+evaluates the origin once and, at each level, only the new nodes k > 0 in
+lexicographic order: T(h) = h^dim (Re f(0) + 2 Re sum_{k > 0} f(k h)), with
+the mass |f(0)| + 2 sum |f| and each face layer the sum of the half's two
+layers at +-edge.  That is (full + 1)/2 evaluations; the grid cap still
+counts the full grid.  Gauss-Kronrod panels and Monte Carlo evaluate off
+the lattice and always call f itself.
 """
 from __future__ import annotations
 
@@ -185,11 +196,13 @@ def integrate_1d(f, cfg: QuadratureConfig, interval) -> IntegralResult:
     return IntegralResult(complex(value), err_total, counter[0], "adaptive")
 
 
-def _on_lattice(f, k, h):
-    """f at the points k*h (k an (N, dim) integer array), through f.lattice
-    when f has that form."""
+def _on_lattice(f, h, kmax):
+    """Reader k -> f at the points k*h, for (N, dim) integer arrays k with
+    |k_j| <= kmax_j: f.lattice(h, kmax) when f has that form."""
     lattice = getattr(f, "lattice", None)
-    return np.asarray(lattice(k, h) if lattice is not None else f(k * h), dtype=complex)
+    read = lattice(h, np.asarray(kmax, dtype=np.intp)) if lattice is not None \
+        else (lambda k: f(k * h))
+    return lambda k: np.asarray(read(k), dtype=complex)
 
 
 def _probe_rays(f, rays):
@@ -199,7 +212,8 @@ def _probe_rays(f, rays):
     r0 = _PROBE_RADII[0]
     scale = (np.array(_PROBE_RADII) / r0).astype(int)
     k = (rays[:, None, :] * scale[None, :, None]).reshape(-1, rays.shape[1])
-    mags = np.abs(_on_lattice(f, k, r0 / np.linalg.norm(rays[0]))).reshape(len(rays), -1)
+    read = _on_lattice(f, r0 / np.linalg.norm(rays[0]), np.abs(k).max(axis=0))
+    mags = np.abs(read(k)).reshape(len(rays), -1)
     return [estimate_decay(dict(zip(_PROBE_RADII, row)).__getitem__, _PROBE_RADII)
             for row in mags]
 
@@ -248,17 +262,20 @@ def halving_estimate(diff, prev_diff):
     return diff
 
 
-def _level_chunks(kmax, first):
+def _level_chunks(kmax, first, half=False):
     """The new nodes of one trapezoid level on the box |k_j| <= kmax_j, in
     chunks of at most _TRAP_CHUNK nodes: (k, blocks) per chunk.
 
     In C order the grid is a set of rows along the last axis, one per
     prefix (the other indices).  A row holds every last-axis index at the
     first level or when some prefix index is odd, and only the odd ones
-    otherwise.  A chunk is a range of consecutive prefixes, as few as the
-    chunk holds; its blocks are (prefixes, pattern): the (dim - 1, r) array
-    of its r rows that hold the last-axis indices pattern, its full rows
-    first.  k, of shape (dim, n), holds the block nodes row by row: the
+    otherwise.  With half, only the new nodes k > 0 (lexicographically
+    positive), one of each pair {k, -k}: the rows from the middle prefix
+    (all zeros) on, the middle row holding only its positive indices.  A
+    chunk is a range of consecutive prefixes, as few as the chunk holds; its
+    blocks are (prefixes, pattern): the (dim - 1, r) array of its r rows
+    that hold the last-axis indices pattern, the middle row first, then the
+    full rows.  k, of shape (dim, n), holds the block nodes row by row: the
     prefix columns repeated, the pattern tiled.  Only a row longer than a
     chunk is split, into pieces that each run over all the prefixes.
     """
@@ -266,22 +283,27 @@ def _level_chunks(kmax, first):
     pre_kmax = np.array(pre_kmax, dtype=np.intp)
     pre_shape = tuple(2 * pre_kmax + 1)
     n_pre = math.prod(pre_shape)
+    mid = n_pre // 2 if half else -1    # index of the middle prefix, in half mode
     line = np.arange(-last_kmax, last_kmax + 1)
     for piece in range(0, len(line), _TRAP_CHUNK):
         full = line[piece:piece + _TRAP_CHUNK]
         odd = full if first else full[(full & 1).astype(bool)]
+        positive = odd[odd > 0]
         per = _TRAP_CHUNK // max(len(odd), 1)   # the most rows a chunk can hold
-        start = 0
+        start = max(mid, 0)
         while start < n_pre:
             index = np.arange(start, min(start + per, n_pre))
             pre = (np.array(np.unravel_index(index, pre_shape)) - pre_kmax[:, None] if pre_shape
                    else np.zeros((0, len(index)), dtype=np.intp))
+            is_mid = index == mid
             is_full = first | np.bitwise_or.reduce(pre & 1, axis=0).astype(bool)
-            taken = int(np.searchsorted(np.cumsum(np.where(is_full, len(full), len(odd))),
-                                        _TRAP_CHUNK, side="right"))
+            lengths = np.where(is_mid, len(positive), np.where(is_full, len(full), len(odd)))
+            taken = int(np.searchsorted(np.cumsum(lengths), _TRAP_CHUNK, side="right"))
             start += taken
-            pre, is_full = pre[:, :taken], is_full[:taken]
-            blocks = [(p, pat) for p, pat in ((pre[:, is_full], full), (pre[:, ~is_full], odd))
+            pre, is_mid, is_full = pre[:, :taken], is_mid[:taken], is_full[:taken]
+            blocks = [(p, pat) for p, pat in ((pre[:, is_mid], positive),
+                                              (pre[:, is_full & ~is_mid], full),
+                                              (pre[:, ~is_full & ~is_mid], odd))
                       if p.shape[1] and len(pat)]
             k = np.empty((len(kmax), sum(p.shape[1] * len(pat) for p, pat in blocks)), np.intp)
             pos = 0
@@ -329,8 +351,10 @@ def _trapezoid(f, dim, cfg, radii, rates, counter):
     small, and halving h further would only move the measured layer towards
     the faces.  (On a coarse grid the tail is measured further inside the
     box, so it is not judged alone before the halving estimate has
-    converged.)
+    converged.)  A conjugation-even f takes the half lattice (see the
+    module docstring); its value is real.
     """
+    half = getattr(f, "conjugation_even", False)
     h, total, mass, value, diff, est = 2.0 * _TRAP_H0, 0j, 0.0, None, None, np.inf
     while True:
         h *= 0.5
@@ -342,16 +366,26 @@ def _trapezoid(f, dim, cfg, radii, rates, counter):
                                     f"nodes; last halving estimate {est:.3g} above tolerance")
         edge = kmax - (kmax % 2 == 0)  # outermost odd index per axis
         layers = np.zeros((dim, 2))     # sum of |f| on the layers k_j = +edge_j, -edge_j
-        for kt, blocks in _level_chunks(kmax, value is None):
-            vals = _on_lattice(f, kt.T, h)
+        read = _on_lattice(f, h, kmax)
+        if half and value is None:
+            origin = complex(read(np.zeros((1, dim), dtype=np.intp))[0])
+            counter[0] += 1
+        for kt, blocks in _level_chunks(kmax, value is None, half):
+            vals = read(kt.T)
             total += complex(np.sum(vals))
             counter[0] += len(vals)
             mag = np.abs(vals)
             mass += float(mag.sum())
             layers += _face_layers(mag, blocks, edge)
-        prev, value = value, h ** dim * total
+        prev = value
+        if half:    # the other half mirrors this one: f(-k) = conj f(k)
+            value = h ** dim * complex(origin.real + 2.0 * total.real)
+            level_mass = abs(origin) + 2.0 * mass
+            layers[:] = layers.sum(axis=1, keepdims=True)
+        else:
+            value, level_mass = h ** dim * total, mass
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
-        floor = cfg.phib_tol * h ** dim * mass
+        floor = cfg.phib_tol * h ** dim * level_mass
         if floor > tol:
             raise QuadratureFailure(f"Phi_b precision floor {floor:.3g} (phib_tol {cfg.phib_tol:.3g}) "
                                     f"exceeds tolerance {tol:.3g}")

@@ -13,6 +13,8 @@ pinned against the direct contour integral by the test suite.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from scipy.special import loggamma, zeta as riemann_zeta
 
@@ -266,15 +268,18 @@ def line_integrand(log_body, mp: ModularParameter, tol: float = 1e-13,
 
     v and x hold one row per variable.  log_body sums the logs of its line
     factors, g2(c, a) = log gamma2(c + i a h) and phi(z0, a) =
-    log Phi_b(z0 + a h), each at an integer combination a of the rows of v,
+    log Phi_b(z0 + a h), each at an integer linear form a in the rows of v,
     and may add terms in the coordinates x themselves.  f(x) for points x of
-    shape (N, dim) runs on the direct engine (v = x, h = 1).  f.lattice(k, h),
-    which the trapezoid and the box probes call at the nodes k h, runs
-    log_body twice: first with recorders that note the span of a each factor
-    needs and return 0, so that LineTables.reserve fills every missing entry
-    of the call at once (one engine call per grid step); then on the exact
-    tables (v = k, x = k h).  Integrands that share line factors may share
-    tables (built for the same mp and tol), so each entry is filled once.
+    shape (N, dim) runs on the direct engine (v = x, h = 1).
+    f.lattice(h, kmax), which the trapezoid calls once per level and the box
+    probes once per ray family, runs log_body on the 2^dim corners of the box
+    |k_j| <= kmax_j with recorders that note the span of a each factor needs
+    and return 0: a is linear in k, so the corners give each factor's hull
+    on the box, and LineTables.reserve fills every missing entry of the box
+    at once (one engine call per grid step).  It returns the reader
+    k -> exp(log_body) on the exact tables (v = k, x = k h).  Integrands
+    that share line factors may share tables (built for the same mp and
+    tol), so each entry is filled once.
     """
     eng = get_engine(mp.b, tol)
     if tables is None:
@@ -285,19 +290,19 @@ def line_integrand(log_body, mp: ModularParameter, tol: float = 1e-13,
         return np.exp(log_body(lambda c, w: np.log(hyperbolic_gamma(c + 1j * w, mp, tol)),
                                lambda z0, w: np.log(eng(z0 + w)), x, x))
 
-    def lattice(k, h):
+    def lattice(h, kmax):
+        corners = (np.array(list(itertools.product((1, -1), repeat=len(kmax)))) * kmax).T
         needs = []
 
         def note(key, m):
-            if np.size(m):
-                needs.append((key, np.min(m), np.max(m)))
+            needs.append((key, np.min(m), np.max(m)))
             return 0.0
 
         log_body(lambda c, m: note(tables.gamma2_key(c, h), m),
-                 lambda z0, m: note((z0, h), m), k.T, h * k.T)
+                 lambda z0, m: note((z0, h), m), corners, h * corners)
         tables.reserve(needs)
-        return np.exp(log_body(lambda c, m: tables.gamma2(c, h, m),
-                               lambda z0, m: tables.phi(z0, h, m), k.T, h * k.T))
+        return lambda k: np.exp(log_body(lambda c, m: tables.gamma2(c, h, m),
+                                         lambda z0, m: tables.phi(z0, h, m), k.T, h * k.T))
 
     f.lattice = lattice
     return f

@@ -8,7 +8,10 @@ state s contributes
 where s~(q) is the sum of the state over q's opposite edge pair.  Negative
 tetrahedra use the reversed difference, which equals the complex conjugate
 of the positive weight at real states; this is the unique convention
-compatible with unitarity of the quantum dilogarithm.
+compatible with unitarity of the quantum dilogarithm.  So at a zero origin
+(a closed complex, or zero boundary states) B(-s) = conj B(s) and W is
+real: partition_function marks its integrand conjugation-even there, and
+the trapezoid takes half the lattice (see quadrature).
 
 The partition function integrates the total weight over interior-edge
 states with one coordinate delta function per interior vertex: delta(c*s_e)
@@ -55,11 +58,13 @@ class BoltzmannEvaluator:
 
     Per quad factor the dilogarithm argument runs along a fixed horizontal
     line; identical (angle, state-dependence) rows are collapsed to
-    multiplicities.  A copy made by on_lattice(h, origin, variables) serves
-    states origin + h k for integer vectors k on the edges `variables`,
-    which the trapezoid of dim 1 to 4 and the dim-0 state visit: there each
-    row's argument is its constant plus an integer multiple of h, and the
-    weight multiplies factors read exactly from the shared LineTables.  The
+    multiplicities.  A copy made by on_lattice(h, origin, variables, kmax)
+    serves states origin + h k for integer vectors k on the edges
+    `variables` in the box |k_j| <= kmax_j, which the trapezoid of dim 1 to
+    4 visits once per level and the dim-0 state once: there each row's
+    argument is its constant plus an integer multiple of h, and the weight
+    multiplies factors read exactly from tables prepared, from the shared
+    LineTables, when the copy is made.  The
     evaluator itself serves states off any lattice (Monte Carlo): it sums
     mult * log gamma2 over the rows, each read from its line's gamma2_line
     evaluator (a spline LineCache underneath), and takes one exp per state.
@@ -90,23 +95,55 @@ class BoltzmannEvaluator:
         self._mults = [mult for _, mult in rows]
         self._lines = {}
         self._tables = LineTables(mp, self.cfg.phib_tol)
-        self._lattice = None    # (h, per-row constant, per-row terms) on a copy from on_lattice
+        self._lattice = None    # (scale, per-row (terms, M_r, table)) on a copy from on_lattice
 
-    def on_lattice(self, h: float, origin, variables):
+    def on_lattice(self, h: float, origin, variables, kmax):
         """This evaluator for states origin + h k, where k is an integer vector
-        on the edges `variables` (the other edges hold origin's values).
+        on the edges `variables` (the other edges hold origin's values) with
+        |k_j| <= kmax_j.
 
         The copy shares the rows and the tables of this evaluator, and its
         weight takes the integer array k of shape (N, len(variables)), not
         states.  Row r's argument is then c_r + m_r h with c_r = origin .
         diff_r and the integer m_r = k . D_r, D_r = diff_r on `variables`,
-        kept as its nonzero terms (j, D_rj); its log gamma2 comes from the
-        table of the offset base_r + i c_r at step h.
+        kept as its nonzero terms (j, D_rj); its gamma2 comes from the table
+        of the offset base_r + i c_r at step h.  The table work is done here,
+        once for the box: every row's hull |m_r| <= M_r = sum_j |D_rj| kmax_j
+        is reserved in one call, a row with a real offset (c_r = 0, every row
+        at a zero origin) only at m >= 0, its m < 0 taken by conjugation:
+        gamma2(c - i m h) = conj gamma2(c + i m h) for real c.  Each row's
+        table is the exp of mult_r * log gamma2 less its largest real part
+        top_r, so every entry has modulus <= 1.  The weight is the scale
+        e^{sum of top_r} times the factors of the rows with M_r = 0 (whose m
+        is 0), which must be a finite nonzero double or WeightOutOfRange is
+        raised, times the product over the other rows of table_r[m_r + M_r].
         """
-        rows = np.rint(self._diff[:, list(variables)]).astype(int).tolist()
+        h = float(h)
+        rows = np.rint(self._diff[:, list(variables)]).astype(int)
+        hull = np.abs(rows) @ np.asarray(kmax, dtype=int).reshape(-1)
+        spans = [(base + 1j * c, 0 if c == 0 else -hi, hi) for base, c, hi in
+                 zip(self._bases, self._diff @ np.asarray(origin, dtype=float), hull.tolist())]
+        self._tables.reserve([(self._tables.gamma2_key(c, h), lo, hi) for c, lo, hi in spans])
+        factors, log_scale = [], 0j
+        for (c, lo, hi), mult, d in zip(spans, self._mults, rows.tolist()):
+            logs = self._tables.gamma2_span(c, h, lo, hi)
+            if lo == 0:     # mirror a real offset's m >= 0 onto m < 0
+                logs = np.concatenate([logs[:0:-1].conj(), logs])
+            if mult != 1:
+                logs = mult * logs
+            if not hi:
+                log_scale += logs[0]
+                continue
+            top = logs.real.max()
+            log_scale += top
+            factors.append(([(j, c) for j, c in enumerate(d) if c], hi, logs - top))
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            scale = np.exp(log_scale)
+        if not (np.isfinite(scale) and scale != 0):
+            raise WeightOutOfRange(f"weight scale exp({log_scale:.6g}) is not a finite nonzero "
+                                   f"double at step h = {h:g}")
         lat = copy.copy(self)
-        lat._lattice = (float(h), self._diff @ np.asarray(origin, dtype=float),
-                        [[(j, c) for j, c in enumerate(d) if c] for d in rows])
+        lat._lattice = (scale, [(terms, hi, np.exp(logs)) for terms, hi, logs in factors])
         return lat
 
     def weight(self, states):
@@ -128,25 +165,14 @@ class BoltzmannEvaluator:
         return out[0] if np.ndim(states) == 1 else out
 
     def _lattice_weight(self, k):
-        """The weight at the integer nodes k, shape (N, len(variables)).
-
-        Row r's table over its span m = lo..hi is the exp of mult_r * log
-        gamma2 less its largest real part top_r, so that every entry has
-        modulus <= 1.  The weight is the scale e^{sum of top_r} times the
-        factors of the rows with no term (whose m is 0), which must be a
-        finite nonzero double or WeightOutOfRange is raised, times the
-        product over the other rows of table_r[m_r - lo_r].
-        """
-        h, const, terms = self._lattice
-        if not len(k):
-            return np.zeros(0, dtype=complex)
-        spans = []      # per row: m (None for a row with no term), lo, hi
-        for row in terms:
-            if not row:
-                spans.append((None, 0, 0))
-                continue
-            (j, c), *rest = row
-            m = c * k[:, j]
+        """The weight at the integer nodes k, shape (N, len(variables)), from
+        the tables on_lattice prepared: each row's index m_r + M_r is formed
+        by adding and subtracting integer columns of k, and its entries are
+        gathered and multiplied."""
+        scale, factors = self._lattice
+        out = np.full(len(k), scale)
+        for ((j, c), *rest), hi, table in factors:
+            m = c * k[:, j] + hi
             for j, c in rest:           # small integer entries: add or subtract columns
                 if c == 1:
                     m += k[:, j]
@@ -154,30 +180,7 @@ class BoltzmannEvaluator:
                     m -= k[:, j]
                 else:
                     m += c * k[:, j]
-            spans.append((m, int(m.min()), int(m.max())))
-        offsets = [base + 1j * c for base, c in zip(self._bases, const)]
-        self._tables.reserve([(self._tables.gamma2_key(c, h), lo, hi)
-                              for c, (_m, lo, hi) in zip(offsets, spans)])
-        factors, log_scale = [], 0j
-        for c, mult, (m, lo, hi) in zip(offsets, self._mults, spans):
-            logs = self._tables.gamma2_span(c, h, lo, hi)
-            if mult != 1:
-                logs = mult * logs
-            if m is None:
-                log_scale += logs[0]
-            else:
-                top = logs.real.max()
-                log_scale += top
-                factors.append((m, lo, logs - top))
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            scale = np.exp(log_scale)
-        if not (np.isfinite(scale) and scale != 0):
-            raise WeightOutOfRange(f"weight scale exp({log_scale:.6g}) is not a finite nonzero "
-                                   f"double at step h = {h:g}")
-        out = np.full(len(k), scale)
-        for m, lo, logs in factors:
-            m -= lo
-            out *= np.exp(logs)[m]
+            out *= table[m]
         return out
 
 
@@ -239,13 +242,15 @@ def partition_function(x: Triangulation, angles, boundary_state=None,
     gauge_desc = ";".join(f"v{v}:e{e}*{c}" for (v, e, c) in assigned) or "none"
     origin = build(np.zeros((1, dim)))[0]
     if dim == 0:
-        val = ev.on_lattice(1.0, origin, variables).weight(np.zeros(0, dtype=np.intp))
+        val = ev.on_lattice(1.0, origin, variables, ()).weight(np.zeros(0, dtype=np.intp))
         return PartitionResult(complex(jacobian * val), 0.0, 0, gauge_desc, 1, "exact")
 
     def integrand(tm):
         return ev.weight(build(tm))
 
-    integrand.lattice = lambda k, h: ev.on_lattice(h, origin, variables).weight(k)
+    integrand.lattice = lambda h, kmax: ev.on_lattice(h, origin, variables, kmax).weight
+    # at a zero origin every row has a real offset, and B(-s) = conj B(s)
+    integrand.conjugation_even = not origin.any()
     res = integrate_nd(integrand, dim, cfg)
     return PartitionResult(jacobian * res.value, jacobian * res.error_estimate,
                            dim, gauge_desc, res.evaluations, res.method)

@@ -85,6 +85,23 @@ def test_trapezoid_refuses_tolerance_below_phib_floor():
     assert calls == [6, 11]
 
 
+def test_half_lattice_floor_takes_the_full_mass():
+    # the same refusal with the Gaussian marked conjugation-even (it is real
+    # and even): the first level takes the origin and its 5 positive nodes,
+    # and the floor phib_tol * h * (|f(0)| + 2 sum |f|) is the full grid's,
+    # 1.01e-13 at h = 0.8
+    calls = []
+
+    def f(p):
+        calls.append(len(p))
+        return np.exp(-np.pi * p[:, 0]**2) + 0j
+
+    f.conjugation_even = True
+    with pytest.raises(QuadratureFailure, match=r"floor 1\.01e-13 "):
+        integrate_nd(f, 1, QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14))
+    assert calls == [6, 1, 5]
+
+
 def _gaussian(dim):
     a = np.array([0.5, 0.3, 0.4])[:dim]
     return lambda p: np.exp(-(a * p**2).sum(axis=1) - 0.1 * p[:, 0] * p[:, -1] + 1j * p[:, 0])
@@ -100,17 +117,23 @@ def test_box_probes_one_lattice_call_per_family(fig8, mp1, monkeypatch):
                                                                phib_tol=1e-11))
     on_lattice = quadrature._on_lattice
 
-    def per_probe(f, k, h):
-        n = np.abs(k).max(axis=1)
-        return np.array([on_lattice(f, row[None] // m, m * h)[0] for row, m in zip(k, n)])
+    def per_probe(f, h, _kmax):
+        def read(k):
+            n = np.abs(k).max(axis=1)
+            return np.array([on_lattice(f, m * h, np.abs(row) // m)(row[None] // m)[0]
+                             for row, m in zip(k, n)])
+        return read
+
+    def counted(f, h, kmax):
+        read = on_lattice(f, h, kmax)
+        return lambda k: calls.append(len(k)) or read(k)
 
     for f, dim, cfg in ((_gaussian(1), 1, QuadratureConfig()),
                         (_gaussian(2), 2, QuadratureConfig()),
                         (_gaussian(3), 3, QuadratureConfig()),
                         (seen[0][0], 3, QuadratureConfig(abs_tol=2e-5, rel_tol=2e-5))):
         calls = []
-        monkeypatch.setattr(quadrature, "_on_lattice",
-                            lambda f, k, h: calls.append(len(k)) or on_lattice(f, k, h))
+        monkeypatch.setattr(quadrature, "_on_lattice", counted)
         radii, rates = quadrature._estimate_box(f, dim, cfg)
         assert calls == ([6] if dim == 1 else [6 * dim, 3 * 2**dim])
         monkeypatch.setattr(quadrature, "_on_lattice", per_probe)
@@ -158,14 +181,18 @@ def test_level_chunks_visit_each_new_node_once(monkeypatch, kmax, chunk):
     # some axis (every node at the first level), none twice and at most
     # _TRAP_CHUNK per call; a chunk of 24 nodes splits the rows of the 1D
     # boxes and of (2, 13) and packs the others' rows unevenly; the face
-    # layers of every chunk equal masked sums over its nodes
+    # layers of every chunk equal masked sums over its nodes.  The half
+    # enumeration visits one node of each pair {k, -k} of new nodes, the
+    # lexicographically positive one: with the origin, which the trapezoid
+    # evaluates on its own at the first level, that covers the level.
     monkeypatch.setattr(quadrature, "_TRAP_CHUNK", chunk)
     kmax = np.array(kmax)
     edge = kmax - (kmax % 2 == 0)
     box = np.array(list(itertools.product(*[range(-m, m + 1) for m in kmax])))
-    for first in (True, False):
+    origin = (0,) * len(kmax)
+    for first, half in itertools.product((True, False), repeat=2):
         seen = []
-        for kt, blocks in quadrature._level_chunks(kmax, first):
+        for kt, blocks in quadrature._level_chunks(kmax, first, half):
             assert kt.shape == (len(kmax), sum(p.shape[1] * len(pat) for p, pat in blocks))
             assert kt.shape[1] <= chunk
             mag = 1.0 + (np.array([7, 11, 13, 17][:len(kmax)]) @ kt) % 23
@@ -173,7 +200,14 @@ def test_level_chunks_visit_each_new_node_once(monkeypatch, kmax, chunk):
             assert np.array_equal(quadrature._face_layers(mag, blocks, edge), masked)
             seen += map(tuple, kt.T)
         assert len(seen) == len(set(seen))
-        assert set(seen) == {tuple(k) for k in box if first or (k & 1).any()}
+        new = {tuple(k) for k in box if first or (k & 1).any()}
+        if half:
+            assert all(k > origin for k in seen)
+            mirrored = set(seen) | {tuple(-np.array(k)) for k in seen}
+            assert len(mirrored) == 2 * len(seen)
+            assert mirrored | ({origin} if first else set()) == new
+        else:
+            assert set(seen) == new
 
 
 def test_trapezoid_refuses_unattainable_tolerance():

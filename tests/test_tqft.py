@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from shapedtqft import quadrature, special, tqft
 from shapedtqft.complexes import (GaugeFixing, random_bipyramid_angles, standalone_bipyramid,
                                   state_gauge_image)
 from shapedtqft.errors import ShapedTqftError, ShapeViolation, WeightOutOfRange
@@ -14,7 +15,12 @@ from shapedtqft.special import LineTables, hyperbolic_gamma
 from shapedtqft.tqft import (BoltzmannEvaluator, check_pachner_invariance,
                              check_shape_gauge_invariance, faddeev_popov_check,
                              knot_quad_angle, partition_function, tet_weight)
-from tests.conftest import LATTICE_STEPS, count_line_caches
+from shapedtqft.data import load as load_bundled
+from tests.conftest import LATTICE_STEPS, capture_integrands, count_line_caches, record_fills
+
+CRITERION8_CFG = QuadratureConfig(abs_tol=2e-5, rel_tol=2e-5, phib_tol=1e-11)
+BUNDLED = ("trefoil.json", "fig8.json", "fig8_complement.json", "knot52.json", "knot61.json",
+           "bipyramid.json")
 
 LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -121,7 +127,7 @@ def test_lattice_weight_matches_direct(fig8, mp1, h):
         k = np.concatenate([rng.integers(-kmax, kmax + 1, size=(200, len(free))), corners])
         s = np.tile(origin, (len(k), 1))
         s[:, free] += h * k
-        lat = BoltzmannEvaluator(x, angles, mp1).on_lattice(h, origin, free)
+        lat = BoltzmannEvaluator(x, angles, mp1).on_lattice(h, origin, free, np.abs(k).max(0))
         assert np.abs(lat.weight(k) / direct_weight(x, angles, s, mp1) - 1).max() <= 1e-12
 
 
@@ -129,27 +135,105 @@ def test_lattice_weight_matches_direct(fig8, mp1, h):
 def test_lattice_weight_refuses_nonfinite_scale(fig8, mp1, monkeypatch, shift):
     # the lattice weight multiplies factors of modulus <= 1 and rescales once
     # by e^{sum of the rows' largest log moduli}: a scale that overflows,
-    # underflows to 0 or is NaN raises instead of returning inf, 0 or NaN
+    # underflows to 0 or is NaN raises, when the box is prepared, instead of
+    # returning inf, 0 or NaN
     x, angles = fig8
     span = LineTables.gamma2_span
     monkeypatch.setattr(LineTables, "gamma2_span", lambda self, *a: span(self, *a) + shift)
     pinned = [e for (_v, e, _c) in GaugeFixing.automatic(x).validated(x)]
     free = [e for e in x.interior_edges if e not in pinned]
-    lat = BoltzmannEvaluator(x, angles, mp1).on_lattice(0.1, np.zeros(x.n_edges), free)
     with pytest.raises(WeightOutOfRange):
-        lat.weight(np.array([[1, -2, 3], [0, 0, 0]]))
+        BoltzmannEvaluator(x, angles, mp1).on_lattice(0.1, np.zeros(x.n_edges), free, (1, 2, 3))
     assert issubclass(WeightOutOfRange, ShapedTqftError)
 
 
 def test_fig8_trapezoid_builds_no_line_cache(fig8, mp1, monkeypatch):
     # criterion 8's integral: every weight call, box probes included, reads
-    # the lattice tables; the squared halving estimate stops it at h = 0.2
+    # the lattice tables; the squared halving estimate stops it at h = 0.2,
+    # and at its zero origin the trapezoid takes the half lattice: (74,529
+    # nodes of the full grid + 1) / 2
     built = count_line_caches(monkeypatch)
     x, angles = fig8
-    cfg = QuadratureConfig(abs_tol=2e-5, rel_tol=2e-5, phib_tol=1e-11)
-    res = partition_function(x, angles, mp=mp1, cfg=cfg)
-    assert res.method == "trapezoid" and res.evaluations == 74_529
+    res = partition_function(x, angles, mp=mp1, cfg=CRITERION8_CFG)
+    assert res.method == "trapezoid" and res.evaluations == 37_265
     assert built == []
+
+
+def free_edges(x):
+    pinned = [e for (_v, e, _c) in GaugeFixing.automatic(x).validated(x)]
+    return [e for e in x.interior_edges if e not in pinned]
+
+
+@pytest.mark.parametrize("b", [0.7, 1.0, 1.3])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_weight_is_conjugation_even_at_zero_origin(name, b):
+    # the symmetry the half lattice rests on: at a zero origin (the
+    # bipyramid at a zero boundary state) B(-s) = conj B(s), so W is real;
+    # checked on the direct tet_weight product, not on the mirrored tables
+    x, angles = load_bundled(name)
+    mp = ModularParameter(b)
+    free = free_edges(x)
+    k = np.random.default_rng(16).integers(-15, 16, size=(20, len(free)))
+    s = np.zeros((len(k), x.n_edges))
+    s[:, free] = 0.2 * k
+    w = direct_weight(x, angles, s, mp)
+    assert (np.abs(direct_weight(x, angles, -s, mp) - np.conj(w)) <= 1e-12 * np.abs(w)).all()
+
+
+@pytest.mark.parametrize("name,cfg", [("fig8.json", CRITERION8_CFG),
+                                      ("trefoil.json", QuadratureConfig(abs_tol=1e-9,
+                                                                        rel_tol=1e-9))])
+def test_half_lattice_state_integral_matches_full_grid(name, cfg, mp1, monkeypatch):
+    # at a zero origin partition_function marks its integrand
+    # conjugation-even; the half lattice gives the real part of the full
+    # grid's value (the same integrand without the mark), the same error,
+    # and (full + 1) / 2 evaluations
+    x, angles = load_bundled(name)
+    seen = capture_integrands(monkeypatch, tqft)
+    partition_function(x, angles, mp=mp1, cfg=cfg)
+    (f, dim), = seen
+    assert f.conjugation_even
+
+    def full(p):
+        return f(p)
+
+    full.lattice = f.lattice
+    half_res, full_res = quadrature.integrate_nd(f, dim, cfg), quadrature.integrate_nd(full, dim, cfg)
+    assert half_res.value.imag == 0.0
+    assert abs(half_res.value.real - full_res.value.real) <= 1e-14 * abs(full_res.value)
+    assert abs(half_res.error_estimate - full_res.error_estimate) <= 1e-12 * full_res.error_estimate
+    assert half_res.evaluations == (full_res.evaluations + 1) // 2
+
+
+def test_nonzero_boundary_state_keeps_the_full_grid(mp1, monkeypatch):
+    # a nonzero boundary state moves the origin: B(-s) = conj B(s) no longer
+    # holds, and the integrand is not marked
+    xb, _central = standalone_bipyramid()
+    angles = random_bipyramid_angles(np.random.default_rng(3))
+    seen = capture_integrands(monkeypatch, tqft)
+    partition_function(xb, angles, boundary_state=np.zeros(len(xb.boundary_edges)), mp=mp1)
+    partition_function(xb, angles, boundary_state=np.full(len(xb.boundary_edges), 0.3), mp=mp1)
+    assert [f.conjugation_even for f, _dim in seen] == [True, False]
+
+
+def test_fig8_tables_reserve_once_per_level_and_half_of_real_offsets(fig8, mp1, monkeypatch):
+    # criterion 8's integral prepares its tables once per lattice level (h =
+    # 0.8, 0.4, 0.2) and once per box-probe family (axis rays, diagonals):
+    # five reserves, not one per chunk; at its zero origin every row has a
+    # real offset, whose table holds only m >= 0 (filled or taken from the
+    # step-parent) and mirrors m < 0 by conjugation
+    tables = []
+    reserve = special.LineTables.reserve
+    monkeypatch.setattr(special.LineTables, "reserve",
+                        lambda self, needs: tables.append(self) or reserve(self, needs))
+    filled = record_fills(monkeypatch)
+    x, angles = fig8
+    partition_function(x, angles, mp=mp1, cfg=CRITERION8_CFG)
+    assert len(tables) == 5 and len({id(t) for t in tables}) == 1
+    keys = tables[0]._tables
+    assert keys and all(z0.real == 0 for z0, _h in keys)
+    assert all(first >= 0 for first, _vals in keys.values())
+    assert filled and all(m >= 0 for _z0, _h, m in filled)
 
 
 def test_orientation_flip_conjugates_weight(fig8, mp1):
