@@ -61,13 +61,13 @@ class BoltzmannEvaluator:
     multiplicities.  A copy made by on_lattice(h, origin, variables, kmax)
     serves states origin + h k for integer vectors k on the edges
     `variables` in the box |k_j| <= kmax_j, which the trapezoid of dim 1 to
-    4 visits once per level and the dim-0 state once: there each row's
+    4 asks for once per level and the dim-0 state once: there each row's
     argument is its constant plus an integer multiple of h, and the weight
-    multiplies factors read exactly from tables prepared, from the shared
-    LineTables, when the copy is made.  The
-    evaluator itself serves states off any lattice (Monte Carlo): it sums
-    mult * log gamma2 over the rows, each read from its line's gamma2_line
-    evaluator (a spline LineCache underneath), and takes one exp per state.
+    multiplies factors read exactly from the shared LineTables, prepared
+    when the copy is made.  The evaluator itself serves states off any
+    lattice (Monte Carlo): it sums mult * log gamma2 over the rows, each
+    read from its line's gamma2_line evaluator (a spline LineCache
+    underneath), and takes one exp per state.
     """
 
     def __init__(self, x: Triangulation, angles, mp: ModularParameter,

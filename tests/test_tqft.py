@@ -7,6 +7,7 @@ import pytest
 from shapedtqft import quadrature, special, tqft
 from shapedtqft.complexes import (GaugeFixing, random_bipyramid_angles, standalone_bipyramid,
                                   state_gauge_image)
+from shapedtqft.data import load as load_bundled
 from shapedtqft.errors import ShapedTqftError, ShapeViolation, WeightOutOfRange
 from shapedtqft.params import ModularParameter
 from shapedtqft.qdilog import phi_b
@@ -15,7 +16,6 @@ from shapedtqft.special import LineTables, hyperbolic_gamma
 from shapedtqft.tqft import (BoltzmannEvaluator, check_pachner_invariance,
                              check_shape_gauge_invariance, faddeev_popov_check,
                              knot_quad_angle, partition_function, tet_weight)
-from shapedtqft.data import load as load_bundled
 from tests.conftest import LATTICE_STEPS, capture_integrands, count_line_caches, record_fills
 
 CRITERION8_CFG = QuadratureConfig(abs_tol=2e-5, rel_tol=2e-5, phib_tol=1e-11)
@@ -131,6 +131,11 @@ def test_lattice_weight_matches_direct(fig8, mp1, h):
         assert np.abs(lat.weight(k) / direct_weight(x, angles, s, mp1) - 1).max() <= 1e-12
 
 
+def free_edges(x):
+    pinned = [e for (_v, e, _c) in GaugeFixing.automatic(x).validated(x)]
+    return [e for e in x.interior_edges if e not in pinned]
+
+
 @pytest.mark.parametrize("shift", [800.0, -800.0, np.nan])
 def test_lattice_weight_refuses_nonfinite_scale(fig8, mp1, monkeypatch, shift):
     # the lattice weight multiplies factors of modulus <= 1 and rescales once
@@ -140,10 +145,9 @@ def test_lattice_weight_refuses_nonfinite_scale(fig8, mp1, monkeypatch, shift):
     x, angles = fig8
     span = LineTables.gamma2_span
     monkeypatch.setattr(LineTables, "gamma2_span", lambda self, *a: span(self, *a) + shift)
-    pinned = [e for (_v, e, _c) in GaugeFixing.automatic(x).validated(x)]
-    free = [e for e in x.interior_edges if e not in pinned]
     with pytest.raises(WeightOutOfRange):
-        BoltzmannEvaluator(x, angles, mp1).on_lattice(0.1, np.zeros(x.n_edges), free, (1, 2, 3))
+        BoltzmannEvaluator(x, angles, mp1).on_lattice(0.1, np.zeros(x.n_edges), free_edges(x),
+                                                      (1, 2, 3))
     assert issubclass(WeightOutOfRange, ShapedTqftError)
 
 
@@ -157,11 +161,6 @@ def test_fig8_trapezoid_builds_no_line_cache(fig8, mp1, monkeypatch):
     res = partition_function(x, angles, mp=mp1, cfg=CRITERION8_CFG)
     assert res.method == "trapezoid" and res.evaluations == 37_265
     assert built == []
-
-
-def free_edges(x):
-    pinned = [e for (_v, e, _c) in GaugeFixing.automatic(x).validated(x)]
-    return [e for e in x.interior_edges if e not in pinned]
 
 
 @pytest.mark.parametrize("b", [0.7, 1.0, 1.3])
@@ -198,7 +197,8 @@ def test_half_lattice_state_integral_matches_full_grid(name, cfg, mp1, monkeypat
         return f(p)
 
     full.lattice = f.lattice
-    half_res, full_res = quadrature.integrate_nd(f, dim, cfg), quadrature.integrate_nd(full, dim, cfg)
+    half_res = quadrature.integrate_nd(f, dim, cfg)
+    full_res = quadrature.integrate_nd(full, dim, cfg)
     assert half_res.value.imag == 0.0
     assert abs(half_res.value.real - full_res.value.real) <= 1e-14 * abs(full_res.value)
     assert abs(half_res.error_estimate - full_res.error_estimate) <= 1e-12 * full_res.error_estimate
