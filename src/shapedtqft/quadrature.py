@@ -27,16 +27,17 @@ h; an axis probe at radius r = 2, 4, 8 as (k = (r/2) e_j, h = 2); a
 diagonal probe (r/sqrt(dim))*s for a sign vector s as (k = (r/2) s,
 h = 2/sqrt(dim)).  The probes of one ray family share their step and take
 one call.  An nD integrand f may carry an attribute f.lattice, a callable
-(h, kmax) -> read that prepares the box |k_j| <= kmax_j at step h once
-(its exact per-step tables, rather than interpolants) and returns a
-reader k -> values at the points k*h for (N, dim) integer arrays k in that
-box; the trapezoid calls it once per level and the box probes once per ray
-family, and fall back to f(k*h) without it.  The trapezoid enumerates the
-new nodes of each level row by row along the last axis, without visiting
-the old ones, and passes each chunk as the transpose of a (dim, n) array,
-so that every column of k is contiguous: the state integral's lattice
-form hands k unchanged to the Boltzmann weight, which forms its integer
-table indices from these columns.  The points, the box, the step sequence
+(h, hull) -> read that prepares, at step h once, the nodes in the convex
+hull of the (M, dim) integer array hull (its exact per-step tables, rather
+than interpolants) and returns a reader k -> values at the points k*h for
+(N, dim) integer arrays k in that hull.  The trapezoid calls it once per
+level with the 2^dim corners of the level's box, and the box probes once
+per ray family with the family's nodes; both fall back to f(k*h) without
+it.  The trapezoid enumerates the new nodes of each level row by row along
+the last axis, without visiting the old ones, and passes each chunk as the
+transpose of a (dim, n) array, so that every column of k is contiguous:
+the state integral's lattice form hands k unchanged to the Boltzmann
+weight, which forms its integer table indices from these columns.  The points, the box, the step sequence
 and the evaluation count are the same either way.
 
 Conjugation-even integrands.  An integrand that also carries
@@ -196,11 +197,11 @@ def integrate_1d(f, cfg: QuadratureConfig, interval) -> IntegralResult:
     return IntegralResult(complex(value), err_total, counter[0], "adaptive")
 
 
-def _on_lattice(f, h, kmax):
-    """Reader k -> f at the points k*h, for (N, dim) integer arrays k with
-    |k_j| <= kmax_j: f.lattice(h, kmax) when f has that form."""
+def _on_lattice(f, h, hull):
+    """Reader k -> f at the points k*h, for (N, dim) integer arrays k in the
+    convex hull of the nodes hull: f.lattice(h, hull) when f has that form."""
     lattice = getattr(f, "lattice", None)
-    read = lattice(h, np.asarray(kmax, dtype=np.intp)) if lattice is not None \
+    read = lattice(h, np.asarray(hull, dtype=np.intp)) if lattice is not None \
         else (lambda k: f(k * h))
     return lambda k: np.asarray(read(k), dtype=complex)
 
@@ -212,7 +213,7 @@ def _probe_rays(f, rays):
     r0 = _PROBE_RADII[0]
     scale = (np.array(_PROBE_RADII) / r0).astype(int)
     k = (rays[:, None, :] * scale[None, :, None]).reshape(-1, rays.shape[1])
-    read = _on_lattice(f, r0 / np.linalg.norm(rays[0]), np.abs(k).max(axis=0))
+    read = _on_lattice(f, r0 / np.linalg.norm(rays[0]), k)
     mags = np.abs(read(k)).reshape(len(rays), -1)
     return [estimate_decay(dict(zip(_PROBE_RADII, row)).__getitem__, _PROBE_RADII)
             for row in mags]
@@ -355,6 +356,7 @@ def _trapezoid(f, dim, cfg, radii, rates, counter):
     module docstring); its value is real.
     """
     half = getattr(f, "conjugation_even", False)
+    signs = np.array(list(itertools.product((1, -1), repeat=dim)))
     h, total, mass, value, diff, est = 2.0 * _TRAP_H0, 0j, 0.0, None, None, np.inf
     while True:
         h *= 0.5
@@ -366,7 +368,7 @@ def _trapezoid(f, dim, cfg, radii, rates, counter):
                                     f"nodes; last halving estimate {est:.3g} above tolerance")
         edge = kmax - (kmax % 2 == 0)  # outermost odd index per axis
         layers = np.zeros((dim, 2))     # sum of |f| on the layers k_j = +edge_j, -edge_j
-        read = _on_lattice(f, h, kmax)
+        read = _on_lattice(f, h, signs * kmax)   # the corners of the box
         if half and value is None:
             origin = complex(read(np.zeros((1, dim), dtype=np.intp))[0])
             counter[0] += 1

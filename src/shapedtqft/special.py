@@ -13,8 +13,6 @@ pinned against the direct contour integral by the test suite.
 """
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 from scipy.special import loggamma, zeta as riemann_zeta
 
@@ -271,12 +269,12 @@ def line_integrand(log_body, mp: ModularParameter, tol: float = 1e-13,
     log Phi_b(z0 + a h), each at an integer linear form a in the rows of v,
     and may add terms in the coordinates x themselves.  f(x) for points x of
     shape (N, dim) runs on the direct engine (v = x, h = 1).
-    f.lattice(h, kmax), which the trapezoid calls once per level and the box
-    probes once per ray family, runs log_body on the 2^dim corners of the box
-    |k_j| <= kmax_j with recorders that note the span of a each factor needs
-    and return 0: a is linear in k, so the corners give each factor's hull
-    on the box, and LineTables.reserve fills every missing entry of the box
-    at once (one engine call per grid step).  It returns the reader
+    f.lattice(h, hull), which the trapezoid calls once per level and the box
+    probes once per ray family, runs log_body on the nodes hull with
+    recorders that note the span of a each factor needs and return 0: a is
+    linear in k, so those nodes give each factor's span on their convex
+    hull, and LineTables.reserve fills every missing entry at once (one
+    engine call per grid step).  It returns the reader
     k -> exp(log_body) on the exact tables (v = k, x = k h).  Integrands
     that share line factors may share tables (built for the same mp and
     tol), so each entry is filled once.
@@ -290,8 +288,7 @@ def line_integrand(log_body, mp: ModularParameter, tol: float = 1e-13,
         return np.exp(log_body(lambda c, w: np.log(hyperbolic_gamma(c + 1j * w, mp, tol)),
                                lambda z0, w: np.log(eng(z0 + w)), x, x))
 
-    def lattice(h, kmax):
-        corners = (np.array(list(itertools.product((1, -1), repeat=len(kmax)))) * kmax).T
+    def lattice(h, hull):
         needs = []
 
         def note(key, m):
@@ -299,7 +296,7 @@ def line_integrand(log_body, mp: ModularParameter, tol: float = 1e-13,
             return 0.0
 
         log_body(lambda c, m: note(tables.gamma2_key(c, h), m),
-                 lambda z0, m: note((z0, h), m), corners, h * corners)
+                 lambda z0, m: note((z0, h), m), hull.T, h * hull.T)
         tables.reserve(needs)
         return lambda k: np.exp(log_body(lambda c, m: tables.gamma2(c, h, m),
                                          lambda z0, m: tables.phi(z0, h, m), k.T, h * k.T))

@@ -58,10 +58,11 @@ class BoltzmannEvaluator:
 
     Per quad factor the dilogarithm argument runs along a fixed horizontal
     line; identical (angle, state-dependence) rows are collapsed to
-    multiplicities.  A copy made by on_lattice(h, origin, variables, kmax)
+    multiplicities.  A copy made by on_lattice(h, origin, variables, hull)
     serves states origin + h k for integer vectors k on the edges
-    `variables` in the box |k_j| <= kmax_j, which the trapezoid of dim 1 to
-    4 asks for once per level and the dim-0 state once: there each row's
+    `variables` in the convex hull of the nodes hull, which the trapezoid
+    of dim 1 to 4 asks for once per level (the corners of its box), the box
+    probes once per ray family and the dim-0 state once: there each row's
     argument is its constant plus an integer multiple of h, and the weight
     multiplies factors read exactly from the shared LineTables, prepared
     when the copy is made.  The evaluator itself serves states off any
@@ -97,10 +98,10 @@ class BoltzmannEvaluator:
         self._tables = LineTables(mp, self.cfg.phib_tol)
         self._lattice = None    # (scale, per-row (terms, M_r, table)) on a copy from on_lattice
 
-    def on_lattice(self, h: float, origin, variables, kmax):
+    def on_lattice(self, h: float, origin, variables, hull):
         """This evaluator for states origin + h k, where k is an integer vector
-        on the edges `variables` (the other edges hold origin's values) with
-        |k_j| <= kmax_j.
+        on the edges `variables` (the other edges hold origin's values) in the
+        convex hull of the nodes hull, of shape (M, len(variables)).
 
         The copy shares the rows and the tables of this evaluator, and its
         weight takes the integer array k of shape (N, len(variables)), not
@@ -108,9 +109,10 @@ class BoltzmannEvaluator:
         diff_r and the integer m_r = k . D_r, D_r = diff_r on `variables`,
         kept as its nonzero terms (j, D_rj); its gamma2 comes from the table
         of the offset base_r + i c_r at step h.  The table work is done here,
-        once for the box: every row's hull |m_r| <= M_r = sum_j |D_rj| kmax_j
-        is reserved in one call, a row with a real offset (c_r = 0, every row
-        at a zero origin) only at m >= 0, its m < 0 taken by conjugation:
+        once for the hull: every row's span |m_r| <= M_r, M_r the largest
+        |D_r . p| over the nodes p of hull (m_r is linear in k), is reserved
+        in one call, a row with a real offset (c_r = 0, every row at a zero
+        origin) only at m >= 0, its m < 0 taken by conjugation:
         gamma2(c - i m h) = conj gamma2(c + i m h) for real c.  Each row's
         table is the exp of mult_r * log gamma2 less its largest real part
         top_r, so every entry has modulus <= 1.  The weight is the scale
@@ -120,9 +122,9 @@ class BoltzmannEvaluator:
         """
         h = float(h)
         rows = np.rint(self._diff[:, list(variables)]).astype(int)
-        hull = np.abs(rows) @ np.asarray(kmax, dtype=int).reshape(-1)
+        reach = np.abs(rows @ np.asarray(hull, dtype=int).T).max(axis=1)
         spans = [(base + 1j * c, 0 if c == 0 else -hi, hi) for base, c, hi in
-                 zip(self._bases, self._diff @ np.asarray(origin, dtype=float), hull.tolist())]
+                 zip(self._bases, self._diff @ np.asarray(origin, dtype=float), reach.tolist())]
         self._tables.reserve([(self._tables.gamma2_key(c, h), lo, hi) for c, lo, hi in spans])
         factors, log_scale = [], 0j
         for (c, lo, hi), mult, d in zip(spans, self._mults, rows.tolist()):
@@ -242,13 +244,14 @@ def partition_function(x: Triangulation, angles, boundary_state=None,
     gauge_desc = ";".join(f"v{v}:e{e}*{c}" for (v, e, c) in assigned) or "none"
     origin = build(np.zeros((1, dim)))[0]
     if dim == 0:
-        val = ev.on_lattice(1.0, origin, variables, ()).weight(np.zeros(0, dtype=np.intp))
+        node = np.zeros((1, 0), dtype=np.intp)
+        val = ev.on_lattice(1.0, origin, variables, node).weight(node[0])
         return PartitionResult(complex(jacobian * val), 0.0, 0, gauge_desc, 1, "exact")
 
     def integrand(tm):
         return ev.weight(build(tm))
 
-    integrand.lattice = lambda h, kmax: ev.on_lattice(h, origin, variables, kmax).weight
+    integrand.lattice = lambda h, hull: ev.on_lattice(h, origin, variables, hull).weight
     # at a zero origin every row has a real offset, and B(-s) = conj B(s)
     integrand.conjugation_even = not origin.any()
     res = integrate_nd(integrand, dim, cfg)

@@ -38,14 +38,14 @@ def capture_integrands(monkeypatch, module):
 
 
 def lattice_mismatch(f, dim, h, reach=5.0, n=200, seed=0):
-    """Largest |f.lattice(h, kmax)(k) / f(k h) - 1| over n seeded integer
-    vectors k with |k_j h| <= reach, kmax their largest |k_j| per axis; f(x)
-    is the integrand's direct-engine form.  Where f(k h) is exactly 0 (a zero
+    """Largest |f.lattice(h, k)(k) / f(k h) - 1| over n seeded integer
+    vectors k with |k_j h| <= reach, prepared on their own hull; f(x) is the
+    integrand's direct-engine form.  Where f(k h) is exactly 0 (a zero
     of a measure), the lattice form must be 0 as well, else the mismatch is
     inf."""
     kmax = max(1, int(reach // h))
     k = np.random.default_rng(seed).integers(-kmax, kmax + 1, size=(n, dim))
-    lat, ref = f.lattice(h, np.abs(k).max(axis=0))(k), f(k * h)
+    lat, ref = f.lattice(h, k)(k), f(k * h)
     zero = ref == 0
     if (lat[zero] != 0).any():
         return np.inf

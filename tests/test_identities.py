@@ -236,10 +236,7 @@ def test_octahedron_one_integral_per_side(mp1, monkeypatch):
 
 def test_octahedron_sides_fill_each_phib_entry_once(mp1, monkeypatch):
     # Z4 and Z5 read one LineTables, so the alpha/beta factors they share are
-    # filled once: no (line, step, m) is computed twice.  (4,031 entries when
-    # each lattice call reserved the spans of its own nodes; the box of Z5's
-    # axis probes, |k_j| <= 4 at step 2, adds the 8 entries 5 <= |m| <= 8 of
-    # its factors in xs - ys, which only the box corners reach.)
+    # filled once: no (line, step, m) is computed twice
     built = []
     init = special.LineTables.__init__
     monkeypatch.setattr(special.LineTables, "__init__",
@@ -248,7 +245,7 @@ def test_octahedron_sides_fill_each_phib_entry_once(mp1, monkeypatch):
     cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
     assert check_octahedron_duality(*criterion13_octahedron(mp1), mp1, cfg) <= 1e-7
     assert len(built) == 1
-    assert len(filled) == len(set(filled)) == 4_039
+    assert len(filled) == len(set(filled)) == 4_031
 
 
 def criterion13_octahedron(mp):
@@ -321,9 +318,7 @@ def test_lattice_calls_fill_in_one_engine_call_per_step(mp1, monkeypatch):
     # each trapezoid level and each box-probe family reserves every table
     # entry it reads at once: at most one _raw_grid call (one GEMM) per grid
     # step, on criterion 3's first pentagon and criterion 13's first
-    # octahedron (42 and 109 calls when each table filled its own line, 17
-    # on the octahedron when Z5's chunks were slices of the full grid, 16
-    # when each chunk of a level reserved its own spans)
+    # octahedron
     calls = []     # per LineTables.reserve: the grid steps of its _raw_grid calls
     reserve, raw_grid = special.LineTables.reserve, qdilog.FaddeevDilog._raw_grid
     monkeypatch.setattr(special.LineTables, "reserve",

@@ -117,15 +117,15 @@ def test_box_probes_one_lattice_call_per_family(fig8, mp1, monkeypatch):
                                                                phib_tol=1e-11))
     on_lattice = quadrature._on_lattice
 
-    def per_probe(f, h, _kmax):
+    def per_probe(f, h, _hull):
         def read(k):
             n = np.abs(k).max(axis=1)
-            return np.array([on_lattice(f, m * h, np.abs(row) // m)(row[None] // m)[0]
+            return np.array([on_lattice(f, m * h, row[None] // m)(row[None] // m)[0]
                              for row, m in zip(k, n)])
         return read
 
-    def counted(f, h, kmax):
-        read = on_lattice(f, h, kmax)
+    def counted(f, h, hull):
+        read = on_lattice(f, h, hull)
         return lambda k: calls.append(len(k)) or read(k)
 
     for f, dim, cfg in ((_gaussian(1), 1, QuadratureConfig()),

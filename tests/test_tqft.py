@@ -127,7 +127,7 @@ def test_lattice_weight_matches_direct(fig8, mp1, h):
         k = np.concatenate([rng.integers(-kmax, kmax + 1, size=(200, len(free))), corners])
         s = np.tile(origin, (len(k), 1))
         s[:, free] += h * k
-        lat = BoltzmannEvaluator(x, angles, mp1).on_lattice(h, origin, free, np.abs(k).max(0))
+        lat = BoltzmannEvaluator(x, angles, mp1).on_lattice(h, origin, free, k)
         assert np.abs(lat.weight(k) / direct_weight(x, angles, s, mp1) - 1).max() <= 1e-12
 
 
@@ -147,15 +147,15 @@ def test_lattice_weight_refuses_nonfinite_scale(fig8, mp1, monkeypatch, shift):
     monkeypatch.setattr(LineTables, "gamma2_span", lambda self, *a: span(self, *a) + shift)
     with pytest.raises(WeightOutOfRange):
         BoltzmannEvaluator(x, angles, mp1).on_lattice(0.1, np.zeros(x.n_edges), free_edges(x),
-                                                      (1, 2, 3))
+                                                      [(1, 2, 3), (-1, -2, -3)])
     assert issubclass(WeightOutOfRange, ShapedTqftError)
 
 
 def test_fig8_trapezoid_builds_no_line_cache(fig8, mp1, monkeypatch):
     # criterion 8's integral: every weight call, box probes included, reads
     # the lattice tables; the squared halving estimate stops it at h = 0.2,
-    # and at its zero origin the trapezoid takes the half lattice: (74,529
-    # nodes of the full grid + 1) / 2
+    # and at its zero origin the trapezoid evaluates the origin and one node
+    # of each pair {k, -k}
     built = count_line_caches(monkeypatch)
     x, angles = fig8
     res = partition_function(x, angles, mp=mp1, cfg=CRITERION8_CFG)
