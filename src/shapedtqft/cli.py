@@ -70,7 +70,10 @@ def _check_numbers(args):
 
 
 def _parse_complex(text):
-    return complex(text.replace(" ", "").replace("i", "j"))
+    try:
+        return complex(text.replace(" ", "").replace("i", "j"))
+    except ValueError:
+        raise UsageError(f"cannot parse complex number '{text}' (want e.g. 0.3+0.1i)") from None
 
 
 def cmd_special(args):

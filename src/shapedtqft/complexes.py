@@ -299,6 +299,8 @@ class GaugeFixing:
                                f"{sorted(interior)}")
         out = []
         for v, e, c in self.assignments:
+            if e not in range(x.n_edges):
+                raise InvalidGauge(f"edge {e} is not an edge class of the complex")
             if c == 0:
                 raise InvalidGauge("zero coefficient")
             if e in seen_edges:
@@ -501,6 +503,8 @@ def pachner_32(x: Triangulation, edge_class: int, angles, weight_tol=1e-9):
     surviving old edge class to its class in the result (the central edge
     maps to None).
     """
+    if edge_class not in range(x.n_edges):
+        raise NotApplicable(f"edge {edge_class} is not an edge class of the complex")
     a = validate_angles(x, angles)
     w = edge_weight(x, a, edge_class)
     if abs(w - 2 * np.pi) > weight_tol:

@@ -99,12 +99,9 @@ def check_hyperbolic_pentagon(p: BalancedParams33, mp: ModularParameter,
     """Relative residual of the five-term B-kernel identity."""
     p.validate(mp)
     log_den = np.log(hyperbolic_gamma(np.add(p.a, p.b), mp, cfg.phib_tol)).sum()
-
-    def log_f(g2, _phi, v, _x):
-        (t,) = v
-        return sum(g2(a, -t) + g2(b, t) for a, b in zip(p.a, p.b)) - log_den
-
-    lhs = integrate_nd(line_integrand(log_f, mp, cfg.phib_tol), 1, cfg).value
+    factors = [f for a, b in zip(p.a, p.b) for f in (("g2", a, -1, 1), ("g2", b, 1, 1))]
+    f = line_integrand(factors, mp, cfg.phib_tol, log_const=-log_den)
+    lhs = integrate_nd(f, 1, cfg).value
     rhs = complex(hyper_B(p.a[1] + p.b[0], p.a[2] + p.b[1], mp, cfg.phib_tol)
                   * hyper_B(p.a[0] + p.b[1], p.a[2] + p.b[0], mp, cfg.phib_tol))
     return abs(lhs - rhs) / abs(rhs)
@@ -116,17 +113,17 @@ def check_hyperbolic_beta_integral(p: BalancedParams6, mp: ModularParameter,
     """Relative residual of the six-parameter hyperbolic beta integral."""
     p.validate(mp, balance_tol)
 
-    def log_f(g2, _phi, v, x):
-        (t,), (xt,) = v, x
+    def log_measure(x):
         # the measure 1/(gamma2(2it) gamma2(-2it)) = 4 sinh(2 pi b t) sinh(2 pi t/b),
         # in log space; its double zero at t = 0 makes the integrand exactly 0 there
-        a = 2 * _PI * np.abs(xt)
+        a = 2 * _PI * np.abs(x[0])
         with np.errstate(divide="ignore"):
-            log_measure = (mp.q_total * a + np.log1p(-np.exp(-2 * mp.b * a))
-                           + np.log1p(-np.exp(-2 * a / mp.b)))
-        return sum(g2(al, t) + g2(al, -t) for al in p.alphas) + log_measure
+            return (mp.q_total * a + np.log1p(-np.exp(-2 * mp.b * a))
+                    + np.log1p(-np.exp(-2 * a / mp.b)))
 
-    lhs = 0.5 * integrate_nd(line_integrand(log_f, mp, cfg.phib_tol), 1, cfg).value
+    factors = [f for al in p.alphas for f in (("g2", al, 1, 1), ("g2", al, -1, 1))]
+    f = line_integrand(factors, mp, cfg.phib_tol, log_extra=log_measure)
+    lhs = 0.5 * integrate_nd(f, 1, cfg).value
     rhs = 1.0 + 0.0j
     for i in range(6):
         for j in range(i + 1, 6):
@@ -247,13 +244,12 @@ def check_orthogonality_smeared(a_im: float, center: float, sigma: float,
     a = re_eps + 1j * a_im
     log_dens = _log_g2(mp, cfg.phib_tol, 2 * a, -2 * a)
     log_norm = np.log(sigma * np.sqrt(2 * _PI))
-
-    def log_f(g2, _phi, v, x):
-        (u, b), (_xu, xb) = v, x
-        return (g2(a, -u) + g2(a, u) + g2(-a, -(u + b)) + g2(-a, u + b) - log_dens
-                - (xb - center)**2 / (2 * sigma**2) - log_norm)
-
-    smeared = integrate_nd(line_integrand(log_f, mp, cfg.phib_tol), 2, cfg).value
+    # gamma2(a -+ iu) gamma2(-a -+ i(u + b)), over (u, b)
+    factors = [("g2", a, (-1, 0), 1), ("g2", a, (1, 0), 1),
+               ("g2", -a, (-1, -1), 1), ("g2", -a, (1, 1), 1)]
+    f = line_integrand(factors, mp, cfg.phib_tol, log_const=-log_dens - log_norm,
+                       log_extra=lambda x: -(x[1] - center)**2 / (2 * sigma**2))
+    smeared = integrate_nd(f, 2, cfg).value
     prediction = np.exp(-center**2 / (2 * sigma**2) - log_norm)  # unit delta at b = 0
     dev = abs(smeared - prediction) / max(abs(prediction), abs(smeared), 1e-300)
     return {"smeared": smeared, "prediction": prediction,
@@ -310,13 +306,12 @@ def _octahedron_z4(al, be, t, s, u, w, mp, cfg, skew, tables=None):
     log_c4 = (_log_g2(mp, ptol, 2 * s) - _log_g2(mp, ptol, 2 * st)
               - _log_g2(mp, ptol, al[0] + be[0], al[1] + be[1]))
 
-    def log_z4(g2, _phi, v, _x):
-        # B(st+w-x, st-w+x) B(t+u+x, 2s) prod_i B(al_i - x, be_i + x), x = i xs
-        (xs,) = v
-        return (g2(st + w, -xs) + g2(st - w, xs) + g2(t + u, xs) - g2(t + u + 2 * s, xs)
-                + sum(g2(a, -xs) + g2(b, xs) for a, b in zip(al, be)) + log_c4)
-
-    return integrate_nd(line_integrand(log_z4, mp, ptol, tables), 1, cfg).value
+    # B(st+w-x, st-w+x) B(t+u+x, 2s) prod_i B(al_i - x, be_i + x), x = i xs
+    factors = [("g2", st + w, -1, 1), ("g2", st - w, 1, 1), ("g2", t + u, 1, 1),
+               ("g2", t + u + 2 * s, 1, -1)]
+    factors += [f for a, b in zip(al, be) for f in (("g2", a, -1, 1), ("g2", b, 1, 1))]
+    return integrate_nd(line_integrand(factors, mp, ptol, tables, log_const=log_c4),
+                        1, cfg).value
 
 
 def _octahedron_z5(al, be, t, s, u, w, mp, cfg, tables=None):
@@ -325,14 +320,13 @@ def _octahedron_z5(al, be, t, s, u, w, mp, cfg, tables=None):
     log_c5 = (_log_g2(mp, ptol, s + 2 * t + u + w) - _log_g2(mp, ptol, s + w + u, 2 * t)
               - _log_g2(mp, ptol, al[0] + be[0], al[1] + be[1]))
 
-    def log_z5(g2, _phi, v, _x):
-        # B(s+w-x, u+x) B(s+2t+u+w, s-w+x) B(t+x-y, t-x+y) prod_i B(al_i - y, be_i + y)
-        xs, ys = v
-        return (g2(s + w, -xs) + g2(u, xs) + g2(s - w, xs) - g2(2 * s + 2 * t + u, xs)
-                + g2(t, xs - ys) + g2(t, ys - xs)
-                + sum(g2(a, -ys) + g2(b, ys) for a, b in zip(al, be)) + log_c5)
-
-    return integrate_nd(line_integrand(log_z5, mp, ptol, tables), 2, cfg).value
+    # B(s+w-x, u+x) B(s+2t+u+w, s-w+x) B(t+x-y, t-x+y) prod_i B(al_i - y, be_i + y)
+    factors = [("g2", s + w, (-1, 0), 1), ("g2", u, (1, 0), 1), ("g2", s - w, (1, 0), 1),
+               ("g2", 2 * s + 2 * t + u, (1, 0), -1), ("g2", t, (1, -1), 1),
+               ("g2", t, (-1, 1), 1)]
+    factors += [f for a, b in zip(al, be) for f in (("g2", a, (0, -1), 1), ("g2", b, (0, 1), 1))]
+    return integrate_nd(line_integrand(factors, mp, ptol, tables, log_const=log_c5),
+                        2, cfg).value
 
 
 # -- entropy pentagon -----------------------------------------------------------

@@ -29,9 +29,10 @@ step in one pass: it factors their sums into one matrix product of cached
 per-step phase rows (O(M) exps per line on M nodes) and returns log Phi_b
 there, and FaddeevDilog.line is its one-line case.  Those grids are exact:
 special.LineTables keeps them, per lattice step, for every integrand of
-line factors, which the trapezoid takes in one to four dimensions, and
-fills all the entries one trapezoid level or box-probe family needs with
-one lines call per step.
+line factors gamma2(c + i d.x)^mult and Phi_b(c + d.x)^mult, d an integer
+vector (the Boltzmann weight and the identity integrands alike), and its
+reader fills all the entries one trapezoid level or box-probe family
+needs with one lines call per step.
 LineCache keeps log Phi_b on a line as a table of spline cubics for the
 Boltzmann weight off any lattice (Monte Carlo), which sums its logs before
 taking one exp.

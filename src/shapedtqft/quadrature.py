@@ -28,16 +28,18 @@ diagonal probe (r/sqrt(dim))*s for a sign vector s as (k = (r/2) s,
 h = 2/sqrt(dim)).  The probes of one ray family share their step and take
 one call.  An nD integrand f may carry an attribute f.lattice, a callable
 (h, hull) -> read that prepares, at step h once, the nodes in the convex
-hull of the (M, dim) integer array hull (its exact per-step tables, rather
-than interpolants) and returns a reader k -> values at the points k*h for
-(N, dim) integer arrays k in that hull.  The trapezoid calls it once per
-level with the 2^dim corners of the level's box, and the box probes once
-per ray family with the family's nodes; both fall back to f(k*h) without
-it.  The trapezoid enumerates the new nodes of each level row by row along
-the last axis, without visiting the old ones, and passes each chunk as the
-transpose of a (dim, n) array, so that every column of k is contiguous:
-the state integral's lattice form hands k unchanged to the Boltzmann
-weight, which forms its integer table indices from these columns.  The points, the box, the step sequence
+hull of the (M, dim) integer array hull and returns a reader k -> values
+at the points k*h for (N, dim) integer arrays k in that hull: the
+package's lattice integrands are products of line factors gamma2(c + i d.x)
+and Phi_b(c + d.x), d an integer vector, whose entries d.k of exact
+per-step tables special.LineTables.reader prepares and reads.  The
+trapezoid calls f.lattice once per level with the 2^dim corners of the
+level's box, and the box probes once per ray family with the family's
+nodes; both fall back to f(k*h) without it.  The trapezoid enumerates the
+new nodes of each level row by row along the last axis, without visiting
+the old ones, and passes each chunk as the transpose of a (dim, n) array,
+so that every column of k is contiguous: the reader forms its integer
+table indices from these columns.  The points, the box, the step sequence
 and the evaluation count are the same either way.
 
 Conjugation-even integrands.  An integrand that also carries

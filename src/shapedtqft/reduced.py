@@ -35,11 +35,8 @@ def ratio_integral_fig8(mp: ModularParameter, cfg: QuadratureConfig,
     """
     d = 0.1 * abs(mp.cb) if shift is None else shift
 
-    def log_f(_g2, phi, v, _x):
-        (t,) = v
-        return phi(1j * d, -t) - phi(-1j * d, t)
-
-    return integrate_nd(line_integrand(log_f, mp, cfg.phib_tol), 1, cfg)
+    factors = [("phi", 1j * d, -1, 1), ("phi", -1j * d, 1, -1)]
+    return integrate_nd(line_integrand(factors, mp, cfg.phib_tol), 1, cfg)
 
 
 def triple_ratio_52(mp: ModularParameter, cfg: QuadratureConfig,
@@ -50,11 +47,9 @@ def triple_ratio_52(mp: ModularParameter, cfg: QuadratureConfig,
     """
     d = 0.1 * abs(mp.cb) if shift is None else shift
 
-    def log_f(_g2, phi, v, x):
-        (t,), (xt,) = v, x
-        return 1j * _PI * (xt - 1j * d) ** 2 - 3.0 * phi(-1j * d, t)
-
-    return integrate_nd(line_integrand(log_f, mp, cfg.phib_tol), 1, cfg)
+    f = line_integrand([("phi", -1j * d, 1, -3)], mp, cfg.phib_tol,
+                       log_extra=lambda x: 1j * _PI * (x[0] - 1j * d) ** 2)
+    return integrate_nd(f, 1, cfg)
 
 
 def tilde52_reduced2d(beta1, gamma3, delta1, theta, mp: ModularParameter,
@@ -73,14 +68,12 @@ def tilde52_reduced2d(beta1, gamma3, delta1, theta, mp: ModularParameter,
     ug = mp.u_of(gamma3).imag
     ud = mp.u_of(delta1).imag
     cb = abs(mp.cb)
-
-    def log_f(_g2, phi, v, x):
-        (v1, v2), (x1, x2) = v, x
-        return (phi(1j * ub, v1) + phi(1j * ug, -v2) + phi(1j * ud, v1)
-                - phi(-1j * ub, v2) - phi(-1j * ug, -v1) - phi(-1j * ud, v2)
-                - 1j * _PI * (x1**2 - x2**2) + 2.0 * cb * theta * (x1 + x2))
-
-    return integrate_nd(line_integrand(log_f, mp, cfg.phib_tol), 2, cfg)
+    factors = [("phi", 1j * ub, (1, 0), 1), ("phi", 1j * ug, (0, -1), 1),
+               ("phi", 1j * ud, (1, 0), 1), ("phi", -1j * ub, (0, 1), -1),
+               ("phi", -1j * ug, (-1, 0), -1), ("phi", -1j * ud, (0, 1), -1)]
+    f = line_integrand(factors, mp, cfg.phib_tol, log_extra=lambda x: (
+        -1j * _PI * (x[0]**2 - x[1]**2) + 2.0 * cb * theta * (x[0] + x[1])))
+    return integrate_nd(f, 2, cfg)
 
 
 def knot61_reduced2d(beta2, gamma2, rho2, delta3, theta_x, theta_z,
@@ -103,16 +96,12 @@ def knot61_reduced2d(beta2, gamma2, rho2, delta3, theta_x, theta_z,
     yd = mp.u_of(delta3).imag
     cb = abs(mp.cb)
     if not partner:
-        def log_f(_g2, phi, v, xz):
-            (vx, vz), (x, z) = v, xz
-            return (phi(1j * yb, vx) + phi(1j * yr, vz)
-                    - phi(-1j * yg, -vx) - phi(-1j * yd, vz - vx)
-                    + 2.0 * cb * (theta_x * x + theta_z * z) + 1j * _PI * z**2)
+        factors = [("phi", 1j * yb, (1, 0), 1), ("phi", 1j * yr, (0, 1), 1),
+                   ("phi", -1j * yg, (-1, 0), -1), ("phi", -1j * yd, (-1, 1), -1)]
     else:
-        def log_f(_g2, phi, v, yv):
-            (vy, vv), (y, v_) = v, yv
-            return (phi(1j * yg, -vy) + phi(1j * yd, vv - vy)
-                    - phi(-1j * yb, vy) - phi(-1j * yr, vv)
-                    + 2.0 * cb * (theta_x * y + theta_z * v_) - 1j * _PI * v_**2)
-
-    return integrate_nd(line_integrand(log_f, mp, cfg.phib_tol), 2, cfg)
+        factors = [("phi", 1j * yg, (-1, 0), 1), ("phi", 1j * yd, (-1, 1), 1),
+                   ("phi", -1j * yb, (1, 0), -1), ("phi", -1j * yr, (0, 1), -1)]
+    chirp = -1j * _PI if partner else 1j * _PI
+    f = line_integrand(factors, mp, cfg.phib_tol, log_extra=lambda x: (
+        2.0 * cb * (theta_x * x[0] + theta_z * x[1]) + chirp * x[1]**2))
+    return integrate_nd(f, 2, cfg)

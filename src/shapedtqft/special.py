@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import loggamma, zeta as riemann_zeta
 
-from .errors import NonConvergence, PoleHit
+from .errors import NonConvergence, PoleHit, WeightOutOfRange
 from .params import EllipticBases, ModularParameter
 from .qdilog import get_engine
 from .quadrature import IntegralResult, QuadratureConfig, integrate_1d
@@ -147,7 +147,8 @@ class LineTables:
     holds log Phi_b on one contiguous range of m: no spline, and no
     pointwise pole check, but a line through the zero/pole lattice raises
     PoleHit.  reserve extends the tables to the spans a caller is about to
-    read; phi(z0, h, m) and gamma2(c, h, m) only read them.  No table is
+    read, and phi(z0, h, m) only reads them; reader(factors, h, hull) does
+    both for every lattice integrand of the package.  No table is
     ever rebuilt, so an entry once computed never changes.  A table at step
     h whose step-parent (same z0, step 2h) exists, as each halving of the
     trapezoid finds, takes its even m from the parent (extending it if
@@ -162,20 +163,6 @@ class LineTables:
     def gamma2_key(self, c, h):
         """The table whose entry m is the Phi_b factor of gamma2(c + i m h)."""
         return complex(_phi_argument(c, self.mp)), -float(h)
-
-    def gamma2(self, c, h, m):
-        """log gamma2(c + i m h) for an integer array m inside a reserved span."""
-        m = np.asarray(m, dtype=np.intp)
-        if not m.size:
-            return np.zeros(m.shape, dtype=complex)
-        # map Phi_b to gamma2 once per m in the range, not once per point
-        lo = m.min()
-        return self.gamma2_span(c, h, lo, m.max())[m - lo]
-
-    def gamma2_span(self, c, h, lo, hi):
-        """log gamma2(c + i m h) at m = lo..hi, inside a reserved span."""
-        (z0, step), span = self.gamma2_key(c, h), np.arange(lo, hi + 1)
-        return _log_gamma2_from_phi(z0 + step * span, self.phi(z0, step, span), self.mp)
 
     def phi(self, z0, h, m):
         """log Phi_b(z0 + m h) for an integer array m inside a reserved span."""
@@ -241,6 +228,71 @@ class LineTables:
                 self._tables[(z0, h)] = ((a, np.concatenate([vals, old])) if a < first
                                          else (first, np.concatenate([old, vals])))
 
+    def reader(self, factors, h, hull, log_const=0.0, log_extra=None):
+        """Reader k -> e^{log_const} * (the product of the line factors, see
+        line_integrand) * exp(log_extra(x)) at x = k h, for (N, dim) integer
+        arrays k in the convex hull of the (M, dim) integer nodes hull.
+
+        A factor's entry m = d.k spans [lo, hi], the extremes of d.p over the
+        nodes p of hull.  Every span is reserved here in one call, a gamma2
+        factor with a real offset c only at 0 <= m <= max(-lo, hi), its
+        m < 0 taken by conjugation: gamma2(c - i m h) = conj gamma2(c + i m h)
+        for real c.  Each factor's table is the exp of mult * its log less
+        its largest real part top, so every entry has modulus <= 1.  The
+        scale e^{log_const + sum of top} times the factors with lo = hi must
+        be a finite nonzero double, or WeightOutOfRange is raised.  The
+        reader multiplies the scale by the other factors' entries, gathered
+        at the index m - lo formed by adding and subtracting columns of k.
+        """
+        hull = np.asarray(hull, dtype=np.intp)
+        forms = np.array([f[2] for f in factors], dtype=np.intp).reshape(len(factors), hull.shape[1])
+        m = hull @ forms.T
+        h, plan = float(h), []
+        for (kind, c, _d, mult), d, lo, hi in zip(factors, forms.tolist(), m.min(axis=0).tolist(),
+                                                  m.max(axis=0).tolist()):
+            mirror = kind == "g2" and complex(c).imag == 0
+            key = self.gamma2_key(c, h) if kind == "g2" else (complex(c), h)
+            plan.append((kind, key, mirror, lo, hi, d, mult))
+        self.reserve([(key, 0, max(-lo, hi)) if mirror else (key, lo, hi)
+                      for _kind, key, mirror, lo, hi, *_rest in plan])
+        log_scale, tables = complex(log_const), []
+        for kind, (z0, step), mirror, lo, hi, d, mult in plan:
+            span = np.arange(0, max(-lo, hi) + 1) if mirror else np.arange(lo, hi + 1)
+            logs = self.phi(z0, step, span)
+            if kind == "g2":
+                logs = _log_gamma2_from_phi(z0 + step * span, logs, self.mp)
+            if mirror:
+                logs = np.concatenate([logs[:0:-1].conj(), logs])
+            logs, first = mult * logs, (-span[-1] if mirror else lo)   # first: the m of logs[0]
+            if lo == hi:
+                log_scale += logs[lo - first]
+                continue
+            top = logs.real.max()
+            log_scale += top
+            terms = [(j, dj) for j, dj in enumerate(d) if dj]
+            tables.append((terms, -first, np.exp(logs - top)))
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            scale = np.exp(log_scale)
+        if not (np.isfinite(scale) and scale != 0):
+            raise WeightOutOfRange(f"lattice scale exp({log_scale:.6g}) is not a finite nonzero "
+                                   f"double at step h = {h:g}")
+
+        def read(k):
+            out = np.full(len(k), scale)
+            for ((j, c), *rest), offset, table in tables:
+                m = c * k[:, j] + offset
+                for j, c in rest:           # small integer entries: add or subtract columns
+                    if c == 1:
+                        m += k[:, j]
+                    elif c == -1:
+                        m -= k[:, j]
+                    else:
+                        m += c * k[:, j]
+                out *= table[m]
+            return out if log_extra is None else out * np.exp(log_extra(h * k.T))
+
+        return read
+
     def _fill(self, pieces):
         """log Phi_b(z0 + m h) at m = lo, lo + stride, ... (n entries) for each
         piece (key, lo, stride, n), through one FaddeevDilog.lines call per
@@ -260,24 +312,20 @@ class LineTables:
         return out
 
 
-def line_integrand(log_body, mp: ModularParameter, tol: float = 1e-13,
-                   tables: LineTables | None = None):
-    """nD integrand exp(log_body(g2, phi, v, x)) with a lattice form on LineTables.
+def line_integrand(factors, mp: ModularParameter, tol: float = 1e-13,
+                   tables: LineTables | None = None, log_const=0.0, log_extra=None):
+    """nD integrand e^{log_const} * (product of factors) * exp(log_extra(x)),
+    with a lattice form on LineTables.
 
-    v and x hold one row per variable.  log_body sums the logs of its line
-    factors, g2(c, a) = log gamma2(c + i a h) and phi(z0, a) =
-    log Phi_b(z0 + a h), each at an integer linear form a in the rows of v,
-    and may add terms in the coordinates x themselves.  f(x) for points x of
-    shape (N, dim) runs on the direct engine (v = x, h = 1).
-    f.lattice(h, hull), which the trapezoid calls once per level and the box
-    probes once per ray family, runs log_body on the nodes hull with
-    recorders that note the span of a each factor needs and return 0: a is
-    linear in k, so those nodes give each factor's span on their convex
-    hull, and LineTables.reserve fills every missing entry at once (one
-    engine call per grid step).  It returns the reader
-    k -> exp(log_body) on the exact tables (v = k, x = k h).  Integrands
-    that share line factors may share tables (built for the same mp and
-    tol), so each entry is filled once.
+    A factor (kind, c, d, mult) is gamma2(c + i d.x)^mult for kind "g2" and
+    Phi_b(c + d.x)^mult for kind "phi", with d an integer vector (an int in
+    1D) and mult a real power; log_extra(x), x with one row per variable,
+    holds any other log term: a Gaussian, a measure, a chirp.  f(x) for
+    points x of shape (N, dim) evaluates each factor on the direct engine,
+    the reference for f.lattice(h, hull) = LineTables.reader on the same
+    factors, which the trapezoid calls once per level and the box probes
+    once per ray family.  Integrands that share line factors may share
+    tables (built for the same mp and tol), so each entry is filled once.
     """
     eng = get_engine(mp.b, tol)
     if tables is None:
@@ -285,23 +333,14 @@ def line_integrand(log_body, mp: ModularParameter, tol: float = 1e-13,
 
     def f(x):
         x = np.asarray(x, dtype=float).T
-        return np.exp(log_body(lambda c, w: np.log(hyperbolic_gamma(c + 1j * w, mp, tol)),
-                               lambda z0, w: np.log(eng(z0 + w)), x, x))
+        logs = log_const if log_extra is None else log_const + log_extra(x)
+        for kind, c, d, mult in factors:
+            w = np.atleast_1d(d) @ x
+            logs = logs + mult * np.log(hyperbolic_gamma(c + 1j * w, mp, tol) if kind == "g2"
+                                        else eng(c + w))
+        return np.exp(logs)
 
-    def lattice(h, hull):
-        needs = []
-
-        def note(key, m):
-            needs.append((key, np.min(m), np.max(m)))
-            return 0.0
-
-        log_body(lambda c, m: note(tables.gamma2_key(c, h), m),
-                 lambda z0, m: note((z0, h), m), hull.T, h * hull.T)
-        tables.reserve(needs)
-        return lambda k: np.exp(log_body(lambda c, m: tables.gamma2(c, h, m),
-                                         lambda z0, m: tables.phi(z0, h, m), k.T, h * k.T))
-
-    f.lattice = lattice
+    f.lattice = lambda h, hull: tables.reader(factors, h, hull, log_const, log_extra)
     return f
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import QUAD_PAIRS, GaugeFixing, Triangulation, validate_angles
-from .errors import InvalidGauge, ShapeViolation, WeightOutOfRange
+from .errors import InvalidGauge, ShapeViolation
 from .params import ModularParameter
 from .quadrature import QuadratureConfig, integrate_nd
 from .special import LineTables, gamma2_line, hyperbolic_gamma
@@ -62,13 +62,13 @@ class BoltzmannEvaluator:
     serves states origin + h k for integer vectors k on the edges
     `variables` in the convex hull of the nodes hull, which the trapezoid
     of dim 1 to 4 asks for once per level (the corners of its box), the box
-    probes once per ray family and the dim-0 state once: there each row's
-    argument is its constant plus an integer multiple of h, and the weight
-    multiplies factors read exactly from the shared LineTables, prepared
-    when the copy is made.  The evaluator itself serves states off any
-    lattice (Monte Carlo): it sums mult * log gamma2 over the rows, each
-    read from its line's gamma2_line evaluator (a spline LineCache
-    underneath), and takes one exp per state.
+    probes once per ray family and the dim-0 state once: there row r is the
+    line factor gamma2(base_r + i c_r + i (D_r . k) h)^mult_r, D_r an
+    integer vector, the form the identity integrands declare too, and the
+    weight is the shared LineTables' reader on those factors.  The
+    evaluator itself serves states off any lattice (Monte Carlo): it sums
+    mult * log gamma2 over the rows, each read from its line's gamma2_line
+    evaluator (a spline LineCache underneath), and takes one exp per state.
     """
 
     def __init__(self, x: Triangulation, angles, mp: ModularParameter,
@@ -96,56 +96,22 @@ class BoltzmannEvaluator:
         self._mults = [mult for _, mult in rows]
         self._lines = {}
         self._tables = LineTables(mp, self.cfg.phib_tol)
-        self._lattice = None    # (scale, per-row (terms, M_r, table)) on a copy from on_lattice
+        self._lattice = None    # the LineTables reader, on a copy from on_lattice
 
     def on_lattice(self, h: float, origin, variables, hull):
         """This evaluator for states origin + h k, where k is an integer vector
         on the edges `variables` (the other edges hold origin's values) in the
-        convex hull of the nodes hull, of shape (M, len(variables)).
-
-        The copy shares the rows and the tables of this evaluator, and its
-        weight takes the integer array k of shape (N, len(variables)), not
-        states.  Row r's argument is then c_r + m_r h with c_r = origin .
-        diff_r and the integer m_r = k . D_r, D_r = diff_r on `variables`,
-        kept as its nonzero terms (j, D_rj); its gamma2 comes from the table
-        of the offset base_r + i c_r at step h.  The table work is done here,
-        once for the hull: every row's span |m_r| <= M_r, M_r the largest
-        |D_r . p| over the nodes p of hull (m_r is linear in k), is reserved
-        in one call, a row with a real offset (c_r = 0, every row at a zero
-        origin) only at m >= 0, its m < 0 taken by conjugation:
-        gamma2(c - i m h) = conj gamma2(c + i m h) for real c.  Each row's
-        table is the exp of mult_r * log gamma2 less its largest real part
-        top_r, so every entry has modulus <= 1.  The weight is the scale
-        e^{sum of top_r} times the factors of the rows with M_r = 0 (whose m
-        is 0), which must be a finite nonzero double or WeightOutOfRange is
-        raised, times the product over the other rows of table_r[m_r + M_r].
+        convex hull of the nodes hull, of shape (M, len(variables)); its
+        weight takes k of shape (N, len(variables)), not states.  Row r is
+        the factor ("g2", base_r + i c_r, D_r, mult_r), c_r = origin . diff_r
+        and D_r = diff_r on `variables`, of this evaluator's LineTables.
         """
-        h = float(h)
         rows = np.rint(self._diff[:, list(variables)]).astype(int)
-        reach = np.abs(rows @ np.asarray(hull, dtype=int).T).max(axis=1)
-        spans = [(base + 1j * c, 0 if c == 0 else -hi, hi) for base, c, hi in
-                 zip(self._bases, self._diff @ np.asarray(origin, dtype=float), reach.tolist())]
-        self._tables.reserve([(self._tables.gamma2_key(c, h), lo, hi) for c, lo, hi in spans])
-        factors, log_scale = [], 0j
-        for (c, lo, hi), mult, d in zip(spans, self._mults, rows.tolist()):
-            logs = self._tables.gamma2_span(c, h, lo, hi)
-            if lo == 0:     # mirror a real offset's m >= 0 onto m < 0
-                logs = np.concatenate([logs[:0:-1].conj(), logs])
-            if mult != 1:
-                logs = mult * logs
-            if not hi:
-                log_scale += logs[0]
-                continue
-            top = logs.real.max()
-            log_scale += top
-            factors.append(([(j, c) for j, c in enumerate(d) if c], hi, logs - top))
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            scale = np.exp(log_scale)
-        if not (np.isfinite(scale) and scale != 0):
-            raise WeightOutOfRange(f"weight scale exp({log_scale:.6g}) is not a finite nonzero "
-                                   f"double at step h = {h:g}")
+        offsets = self._diff @ np.asarray(origin, dtype=float)
+        factors = [("g2", base + 1j * c, d, mult)
+                   for base, c, d, mult in zip(self._bases, offsets, rows, self._mults)]
         lat = copy.copy(self)
-        lat._lattice = (scale, [(terms, hi, np.exp(logs)) for terms, hi, logs in factors])
+        lat._lattice = self._tables.reader(factors, h, hull)
         return lat
 
     def weight(self, states):
@@ -153,7 +119,7 @@ class BoltzmannEvaluator:
         from on_lattice, for integer k of shape (len(variables),) or
         (N, len(variables))."""
         if self._lattice is not None:
-            out = self._lattice_weight(np.atleast_2d(np.asarray(states, dtype=np.intp)))
+            out = self._lattice(np.atleast_2d(np.asarray(states, dtype=np.intp)))
         else:
             s = np.atleast_2d(np.asarray(states, dtype=float))
             logw = np.zeros(s.shape[0], dtype=complex)
@@ -165,25 +131,6 @@ class BoltzmannEvaluator:
                 logw += mult * line(dr)
             out = np.exp(logw)
         return out[0] if np.ndim(states) == 1 else out
-
-    def _lattice_weight(self, k):
-        """The weight at the integer nodes k, shape (N, len(variables)), from
-        the tables on_lattice prepared: each row's index m_r + M_r is formed
-        by adding and subtracting integer columns of k, and its entries are
-        gathered and multiplied."""
-        scale, factors = self._lattice
-        out = np.full(len(k), scale)
-        for ((j, c), *rest), hi, table in factors:
-            m = c * k[:, j] + hi
-            for j, c in rest:           # small integer entries: add or subtract columns
-                if c == 1:
-                    m += k[:, j]
-                elif c == -1:
-                    m -= k[:, j]
-                else:
-                    m += c * k[:, j]
-            out *= table[m]
-        return out
 
 
 @dataclass

@@ -108,6 +108,17 @@ def test_bad_coupling_exits_2_without_traceback():
     assert r.stderr == "--b -1: coupling b must be a positive real\n"
 
 
+@pytest.mark.parametrize("argv", [["special", "phi_b", "--z", "abc"],
+                                  ["special", "gamma2", "--check-inversion", "--x", "1+"]])
+def test_malformed_complex_is_a_usage_error(capsys, argv):
+    # a number that does not parse is refused with exit 2 and one line of
+    # stderr, not a ValueError traceback
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("cannot parse complex number")
+
+
 def test_partition_trefoil(tmp_path):
     out = tmp_path / "w.json"
     r = run_cli("partition", str(path_of("trefoil.json")), "--b", "1",
@@ -136,6 +147,12 @@ def test_partition_renormalize_without_knot_edge_refuses_before_integrating(monk
     assert cli.main(argv) == cli.EXIT_USAGE == 2
     assert calls == []
     assert capsys.readouterr().err == "no degree-1 knot edge to renormalize by\n"
+
+
+def test_partition_gauge_edge_outside_the_complex_is_an_error(capsys):
+    argv = ["partition", str(path_of("trefoil.json")), "--gauge", "v0:e99*0.5"]
+    assert cli.main(argv) == cli.EXIT_RESIDUAL
+    assert capsys.readouterr().err.startswith("error: edge 99 is not an edge class")
 
 
 def test_partition_malformed_angles_exit_3(tmp_path):
@@ -297,3 +314,11 @@ def test_pachner_subcommand(tmp_path):
     assert rep["edge_map"]["4"] is None
     r2 = run_cli("pachner", str(path_of("bipyramid.json")), "--edge", "0")
     assert r2.returncode == 1  # boundary edge: move not applicable
+
+
+@pytest.mark.parametrize("name,edge", [("fig8.json", "99"), ("bipyramid.json", "-1")])
+def test_pachner_refuses_edge_outside_the_complex(capsys, name, edge):
+    # no IndexError traceback, and -1 does not silently take the last edge
+    assert cli.main(["pachner", str(path_of(name)), "--edge", edge]) == cli.EXIT_RESIDUAL
+    assert capsys.readouterr().err.startswith(
+        f"move not applicable: edge {edge} is not an edge class")

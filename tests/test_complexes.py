@@ -242,6 +242,17 @@ def test_pachner_32_preconditions():
         pass  # either degeneration is acceptable for this contrived shape
 
 
+def test_pachner_32_refuses_edge_outside_the_complex(fig8):
+    # an edge class outside range(n_edges) is refused by name: 99 is no
+    # IndexError, and -1 does not take the last edge class
+    x, angles = fig8
+    xb, _central = standalone_bipyramid()
+    for xx, ang in ((x, angles), (xb, random_bipyramid_angles(np.random.default_rng(5)))):
+        for edge in (xx.n_edges, 99, -1):
+            with pytest.raises(NotApplicable, match=f"edge {edge} is not an edge class"):
+                pachner_32(xx, edge, ang)
+
+
 def test_degree4_edge_not_applicable():
     # four tetrahedra around one edge: suspension of a square
     gl = [Gluing(0, 0, 3, 3, ID), Gluing(0, 2, 1, 3, ID),
@@ -264,6 +275,13 @@ def test_gauge_fixing_rules(trefoil):
         GaugeFixing(((0, 1, 0.0),)).validated(x)
     with pytest.raises(InvalidGauge):
         GaugeFixing(()).validated(x)
+
+
+def test_gauge_refuses_edge_outside_the_complex(trefoil):
+    x, _ = trefoil
+    for edge in (x.n_edges, 99, -1):
+        with pytest.raises(InvalidGauge, match=f"edge {edge} is not an edge class"):
+            GaugeFixing(((0, edge, 0.5),)).validated(x)
 
 
 def test_gauge_pairing_property(fig8):

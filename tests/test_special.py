@@ -126,60 +126,82 @@ def test_gamma2_line_matches_hyperbolic_gamma(b):
 @pytest.mark.parametrize("b", [1.0, 1.3])
 def test_line_tables_extend_without_rebuild(b, monkeypatch):
     # a reserve past the table fills only the new entries, leaves the old ones
-    # bit-identical, and every entry matches the direct engine; a lookup
-    # outside the reserved span is refused
+    # bit-identical, and the reader on the reserved span fills nothing and
+    # matches the direct engine; a lookup outside the reserved span is refused
     mp = ModularParameter(b)
     filled = record_fills(monkeypatch)
     tables = LineTables(mp)
     c, z0, h = 0.4 * mp.q_total + 0.1j, 0.3 + 0.2j, 0.1
-    for key, lookup, direct in ((tables.gamma2_key(c, h), lambda m: tables.gamma2(c, h, m),
+    for key, factor, direct in ((tables.gamma2_key(c, h), ("g2", c, 1, 1),
                                  lambda m: hyperbolic_gamma(c + 1j * m * h, mp)),
-                                ((z0, h), lambda m: tables.phi(z0, h, m),
+                                ((z0, h), ("phi", z0, 1, 1),
                                  lambda m: phi_b(z0 + m * h, mp))):
         filled.clear()
         tables.reserve([(key, -5, 5)])
-        first = lookup(np.arange(-5, 6))
+        first = tables.phi(*key, np.arange(-5, 6))
         tables.reserve([(key, -40, 30), (key, -7, 2)])
-        wider = lookup(np.arange(-40, 31))
+        wider = tables.phi(*key, np.arange(-40, 31))
         assert np.array_equal(wider[35:46], first)
         # 11, then 35 and 25 new entries
         assert [m for _z0, _h, m in filled] == [*range(-5, 6), *range(-40, -5), *range(6, 31)]
-        m = np.arange(-40, 31)
-        assert np.abs(np.exp(wider) / direct(m) - 1).max() <= 1e-12
+        m = np.arange(-40, 31)[:, None]
+        read = tables.reader([factor], h, m)
+        assert len(filled) == 71
+        assert np.abs(read(m) / direct(m[:, 0]) - 1).max() <= 1e-12
         with pytest.raises(IndexError):
-            lookup(np.arange(25, 32))
+            tables.phi(*key, np.arange(25, 32))
 
 
 @pytest.mark.parametrize("b", [1.0, 1.3])
 def test_line_tables_reuse_coarser_step(b, monkeypatch):
     # a table at step h/2 takes its even entries from the step-h table, bit
-    # for bit, and fills only its odd entries, a grid of step h; the gamma2
-    # lookup runs the same reuse at step -h
+    # for bit, and fills only its odd entries, a grid of step h; a gamma2
+    # factor's tables run the same reuse at step -h
     mp = ModularParameter(b)
     filled = record_fills(monkeypatch)
     tables = LineTables(mp)
     c, z0, h = 0.4 * mp.q_total + 0.1j, 0.3 + 0.2j, 0.1
     coarse, fine = np.arange(-20, 21), np.arange(-40, 41)
-    for key, lookup, direct in ((lambda step: tables.gamma2_key(c, step),
-                                 lambda m, step: tables.gamma2(c, step, m),
+    for key, factor, direct in ((lambda step: tables.gamma2_key(c, step), ("g2", c, 1, 1),
                                  lambda m: hyperbolic_gamma(c + 1j * m * h / 2, mp)),
-                                (lambda step: (complex(z0), step),
-                                 lambda m, step: tables.phi(z0, step, m),
+                                (lambda step: (complex(z0), step), ("phi", z0, 1, 1),
                                  lambda m: phi_b(z0 + m * h / 2, mp))):
         tables.reserve([(key(h), -20, 20)])
-        parent = lookup(coarse, h)
+        parent = tables.phi(*key(h), coarse)
         filled.clear()
         tables.reserve([(key(h / 2), -40, 40)])
-        child = lookup(fine, h / 2)
+        child = tables.phi(*key(h / 2), fine)
         assert filled == [(*key(h / 2), m) for m in range(-39, 40, 2)]    # the 40 odd m
         assert np.array_equal(child[::2], parent)
-        assert np.abs(np.exp(child) / direct(fine) - 1).max() <= 1e-12
+        read = tables.reader([factor], h / 2, fine[:, None])
+        assert len(filled) == 40
+        assert np.abs(read(fine[:, None]) / direct(fine) - 1).max() <= 1e-12
     # both steps reserved at once: the child still reads its even entries from the parent
     filled.clear()
     both = LineTables(mp)
     both.reserve([((z0, h / 2), -40, 40), ((z0, h), -20, 20)])
     assert len(filled) == len(set(filled)) == 81
     assert np.array_equal(both.phi(z0, h / 2, fine)[::2], both.phi(z0, h, coarse))
+
+
+@pytest.mark.parametrize("b", [1.0, 1.3])
+def test_reader_mirrors_real_offset_gamma2(b, monkeypatch):
+    # a gamma2 factor with a real offset is filled at m >= 0 only, out to the
+    # largest |m| the hull reaches, and read at m < 0 by conjugation; a
+    # complex offset is filled on its span [lo, hi]
+    mp = ModularParameter(b)
+    filled = record_fills(monkeypatch)
+    tables = LineTables(mp)
+    c, h = 0.4 * mp.q_total, 0.1
+    k = np.arange(-30, 21)[:, None]
+    read = tables.reader([("g2", c, 1, 1), ("g2", c, -1, 2)], h, k)
+    assert [m for _z0, _h, m in filled] == list(range(31))
+    w = 1j * k[:, 0] * h
+    direct = hyperbolic_gamma(c + w, mp) * hyperbolic_gamma(c - w, mp)**2
+    assert np.abs(read(k) / direct - 1).max() <= 1e-12
+    filled.clear()
+    tables.reader([("g2", c + 0.1j, 1, 1)], h, k)
+    assert [m for _z0, _h, m in filled] == list(range(-30, 21))
 
 
 @pytest.mark.parametrize("b", [1.0, 1.3, 0.77])

@@ -12,7 +12,8 @@ from shapedtqft.errors import ShapedTqftError, ShapeViolation, WeightOutOfRange
 from shapedtqft.params import ModularParameter
 from shapedtqft.qdilog import phi_b
 from shapedtqft.quadrature import QuadratureConfig
-from shapedtqft.special import LineTables, hyperbolic_gamma
+from shapedtqft.identities import random_balanced_33
+from shapedtqft.special import LineTables, hyperbolic_gamma, line_integrand
 from shapedtqft.tqft import (BoltzmannEvaluator, check_pachner_invariance,
                              check_shape_gauge_invariance, faddeev_popov_check,
                              knot_quad_angle, partition_function, tet_weight)
@@ -140,14 +141,20 @@ def free_edges(x):
 def test_lattice_weight_refuses_nonfinite_scale(fig8, mp1, monkeypatch, shift):
     # the lattice weight multiplies factors of modulus <= 1 and rescales once
     # by e^{sum of the rows' largest log moduli}: a scale that overflows,
-    # underflows to 0 or is NaN raises, when the box is prepared, instead of
-    # returning inf, 0 or NaN
+    # underflows to 0 or is NaN raises, when LineTables.reader prepares the
+    # box, instead of returning inf, 0 or NaN.  Shifting every log Phi_b
+    # table read shifts each row's log gamma2 by -shift.  The identity
+    # integrands share that preparation: a pentagon integrand raises too.
     x, angles = fig8
-    span = LineTables.gamma2_span
-    monkeypatch.setattr(LineTables, "gamma2_span", lambda self, *a: span(self, *a) + shift)
+    phi = LineTables.phi
+    monkeypatch.setattr(LineTables, "phi", lambda self, *a: phi(self, *a) + shift)
     with pytest.raises(WeightOutOfRange):
         BoltzmannEvaluator(x, angles, mp1).on_lattice(0.1, np.zeros(x.n_edges), free_edges(x),
                                                       [(1, 2, 3), (-1, -2, -3)])
+    p = random_balanced_33(np.random.default_rng(5), mp1)
+    factors = [f for a, b in zip(p.a, p.b) for f in (("g2", a, -1, 1), ("g2", b, 1, 1))]
+    with pytest.raises(WeightOutOfRange):
+        line_integrand(factors, mp1).lattice(0.1, [[-5], [5]])
     assert issubclass(WeightOutOfRange, ShapedTqftError)
 
 
