@@ -149,7 +149,6 @@ class Triangulation:
         glued = {(g.tet_a, g.face_a) for g in self.gluings} | {(g.tet_b, g.face_b) for g in self.gluings}
         self.boundary_faces = sorted((t, f) for t in range(self.n_tets) for f in range(4)
                                      if (t, f) not in glued)
-        self.n_faces = (4 * self.n_tets + len(self.boundary_faces)) // 2
         bverts, bedges = set(), set()
         for (t, f) in self.boundary_faces:
             cv = face_vertices(f)
@@ -175,9 +174,6 @@ class Triangulation:
     def n_edges(self):
         return len(self.edge_classes)
 
-    def euler_characteristic(self):
-        return self.n_vertices - self.n_edges + self.n_faces - self.n_tets
-
     def edge_endpoints(self, edge_class):
         """Vertex classes (c0, c1) of an edge class (equal for a loop)."""
         t, e = self.edge_classes[edge_class][0]
@@ -193,11 +189,6 @@ class Triangulation:
             return g.tet_b, g.face_b, g.vertex_map()
         inv = {vb: va for va, vb in g.vertex_map().items()}
         return g.tet_a, g.face_a, inv
-
-    def describe(self):
-        return {"tets": self.n_tets, "vertices": self.n_vertices, "edges": self.n_edges,
-                "faces": self.n_faces, "boundary_faces": len(self.boundary_faces),
-                "euler_characteristic": self.euler_characteristic()}
 
     # -- serialization ------------------------------------------------------
     def to_json_dict(self, angles=None):

@@ -33,9 +33,9 @@ line factors gamma2(c + i d.x)^mult and Phi_b(c + d.x)^mult, d an integer
 vector (the Boltzmann weight and the identity integrands alike), and its
 reader fills all the entries one trapezoid level or box-probe family
 needs with one lines call per step.
-LineCache keeps log Phi_b on a line as a table of spline cubics for the
-Boltzmann weight off any lattice (Monte Carlo), which sums its logs before
-taking one exp.
+LineCache keeps log Phi_b on a line as a table of spline cubics.  Nothing
+in the package builds one any more (special.gamma2_line, its one user, has
+no package caller either); both are kept for the benchmark harness:
 bench/tracing.py wraps LineCache.__init__ (reading its spacing default)
 and LineCache.__call__, so their signatures are load-bearing.
 """

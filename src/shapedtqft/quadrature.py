@@ -11,36 +11,37 @@ strip around the real state space (Trefethen & Weideman, SIAM Review 56,
 2014).  Its error estimate is halving_estimate, which every nested rule
 of the package shares: with d_k = |T(h_k) - T(h_{k-1})| and
 r = d_k / d_{k-1}, it is d_k r / (1 - r) when r < 1/4, else d_k (Bailey,
-Jeyabalan & Li, Exp. Math. 14, 2005),
-floored at cfg.phib_tol * h^dim * sum |f|, the precision of the line
-factors; the reported error is that plus the truncation tail measured on
-the faces of the box.  A request below the floor, and a box whose tail
-alone exceeds the tolerance, are refused with QuadratureFailure; the grid
-cap, not a radius cap, bounds the box.  integrate_1d refines
-Gauss-Kronrod panels on a finite interval; it too meets its tolerance or
-raises QuadratureFailure.  Sums are accumulated in a fixed order so
-results are reproducible to the bit.
+Jeyabalan & Li, Exp. Math. 14, 2005), floored at cfg.phib_tol * h^dim *
+sum |f|, the precision of the line factors; the reported error is that plus
+the truncation tail measured on the faces of the box.  A request below the
+floor, and a box whose tail alone exceeds the tolerance, are refused with
+QuadratureFailure; the grid cap, not a radius cap, bounds the box.  Dim 5
+and up take Monte Carlo over lattice cells, whose error is a standard
+error, not a bound.  integrate_1d refines Gauss-Kronrod panels on a finite
+interval; it too meets its tolerance or raises QuadratureFailure.  Sums are
+accumulated in a fixed order so results are reproducible to the bit.
 
-Lattice integrands.  Every point the trapezoid and the box probes evaluate
-is a lattice point k*h, with k an integer vector: a trapezoid node at step
-h; an axis probe at radius r = 2, 4, 8 as (k = (r/2) e_j, h = 2); a
-diagonal probe (r/sqrt(dim))*s for a sign vector s as (k = (r/2) s,
-h = 2/sqrt(dim)).  The probes of one ray family share their step and take
-one call.  An nD integrand f may carry an attribute f.lattice, a callable
-(h, hull) -> read that prepares, at step h once, the nodes in the convex
-hull of the (M, dim) integer array hull and returns a reader k -> values
-at the points k*h for (N, dim) integer arrays k in that hull: the
-package's lattice integrands are products of line factors gamma2(c + i d.x)
-and Phi_b(c + d.x), d an integer vector, whose entries d.k of exact
-per-step tables special.LineTables.reader prepares and reads.  The
-trapezoid calls f.lattice once per level with the 2^dim corners of the
-level's box, and the box probes once per ray family with the family's
-nodes; both fall back to f(k*h) without it.  The trapezoid enumerates the
-new nodes of each level row by row along the last axis, without visiting
-the old ones, and passes each chunk as the transpose of a (dim, n) array,
-so that every column of k is contiguous: the reader forms its integer
-table indices from these columns.  The points, the box, the step sequence
-and the evaluation count are the same either way.
+Lattice integrands.  Every point integrate_nd evaluates is a lattice point
+k*h, with k an integer vector: a trapezoid node at step h; a Monte Carlo
+sample's node at step _MC_STEP; an axis probe at radius r = 2, 4, 8 as
+(k = (r/2) e_j, h = 2); a diagonal probe (r/sqrt(dim))*s for a sign vector
+s as (k = (r/2) s, h = 2/sqrt(dim)).  The probes of one ray family share
+their step and take one call.  An nD integrand f may carry an attribute
+f.lattice, a callable (h, hull) -> read that prepares, at step h once, the
+nodes in the convex hull of the (M, dim) integer array hull and returns a
+reader k -> values at the points k*h for (N, dim) integer arrays k in that
+hull: the package's lattice integrands are products of line factors
+gamma2(c + i d.x) and Phi_b(c + d.x), d an integer vector, whose entries
+d.k of exact per-step tables special.LineTables.reader prepares and reads.
+The trapezoid calls f.lattice once per level with the 2^dim corners of the
+level's box, Monte Carlo once per batch and the box probes once per ray
+family with their nodes; all fall back to f(k*h) without it, so an
+integrand with a lattice form need not be callable.  The trapezoid
+enumerates the new nodes of each level row by row along the last axis,
+without visiting the old ones, and passes each chunk as the transpose of a
+(dim, n) array, so that every column of k is contiguous: the reader forms
+its integer table indices from these columns.  The points, the box, the
+step sequence and the evaluation count are the same either way.
 
 Conjugation-even integrands.  An integrand that also carries
 f.conjugation_even = True promises f(-x) = conj f(x), as the closed state
@@ -49,8 +50,7 @@ evaluates the origin once and, at each level, only the new nodes k > 0 in
 lexicographic order: T(h) = h^dim (Re f(0) + 2 Re sum_{k > 0} f(k h)), with
 the mass |f(0)| + 2 sum |f| and each face layer the sum of the half's two
 layers at +-edge.  That is (full + 1)/2 evaluations; the grid cap still
-counts the full grid.  Gauss-Kronrod panels and Monte Carlo evaluate off
-the lattice and always call f itself.
+counts the full grid.  Monte Carlo ignores the mark.
 """
 from __future__ import annotations
 
@@ -90,6 +90,7 @@ _TRAP_MAX_POINTS = 1 << 27  # largest grid the trapezoid may halve to
 _GK_MAX_ROUNDS = 22         # panel-splitting rounds of integrate_1d
 _GK_MAX_PANELS = 60_000     # panels integrate_1d may hold at once
 _PROBE_RADII = (2.0, 4.0, 8.0)  # radii of the box probes along each ray
+_MC_STEP = 0.05             # lattice step of the Monte Carlo cells
 
 
 @dataclass(frozen=True)
@@ -406,21 +407,28 @@ def _trapezoid(f, dim, cfg, radii, rates, counter):
 
 
 def _monte_carlo(f, dim, cfg, radii, counter):
-    """Importance sampling with a separable Laplace envelope fitted to the decay."""
+    """Importance sampling of lattice cells with a separable Laplace envelope
+    fitted to the decay: a draw x falls in the cell of k = rint(x/h), h =
+    _MC_STEP, whose mass is P(k) = prod_j p_j(k_j), p(0) = 1 - e^{-mu h/2},
+    p(k) = e^{-mu |k| h} sinh(mu h/2); so h^dim f(k h) / P(k) is unbiased for
+    T(h) = h^dim sum_k f(k h).  Each batch reads f once, on its own nodes."""
     rng = np.random.default_rng(cfg.rng_seed)
     # per-axis rates: envelope exp(-mu_i |x_i|) with mu_i from the radius estimate
     target = max(cfg.abs_tol / (10.0 * dim), 1e-280)
     mus = np.array([max(np.log(1.0 / target) / r, 0.05) for r in radii])
+    h = _MC_STEP
     nbatch = 32
     per = max(cfg.mc_samples // nbatch, 1)
     sums = []
     for _ in range(nbatch):
         u = rng.uniform(-1.0, 1.0, size=(per, dim))
         x = -np.sign(u) * np.log(1.0 - np.abs(u)) / mus[None, :]
-        q = np.prod(0.5 * mus[None, :] * np.exp(-mus[None, :] * np.abs(x)), axis=1)
-        fv = np.asarray(f(x), dtype=complex)
+        k = np.rint(x / h).astype(np.intp)
+        mass = np.where(k == 0, -np.expm1(-0.5 * mus * h),
+                        np.exp(-mus * np.abs(k) * h) * np.sinh(0.5 * mus * h)).prod(axis=1)
+        fv = _on_lattice(f, h, k)(k)
         counter[0] += per
-        sums.append(np.mean(fv / q))
+        sums.append(np.mean(fv / mass) * h ** dim)
     sums = np.array(sums)
     value = complex(np.mean(sums))
     stderr = float(np.hypot(np.std(sums.real, ddof=1), np.std(sums.imag, ddof=1)) / np.sqrt(nbatch))
@@ -431,7 +439,7 @@ def integrate_nd(f, dim: int, cfg: QuadratureConfig) -> IntegralResult:
     """Integrate a vectorized integrand over R^dim (truncated by decay estimates).
 
     dim 1 to 4 take the nested-halving tensor trapezoid, dim >= 5 (or
-    cfg.force_monte_carlo) Monte-Carlo importance sampling.
+    cfg.force_monte_carlo) Monte-Carlo importance sampling of lattice cells.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")

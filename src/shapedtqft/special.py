@@ -109,10 +109,9 @@ def gamma2_line(c: complex, mp: ModularParameter, tol: float = 1e-13, radius: fl
     The underlying dilogarithm argument runs along a horizontal line, whose
     LineCache gives log Phi_b at interpolation speed; the Gaussian prefactor
     is added in log space.  The cache covers |w| <= radius (plus |Im c|) and
-    grows on demand.  The package's one caller is the Boltzmann weight off
-    the trapezoid lattice (Monte Carlo), which sums the logs of its rows
-    and takes one exp per state.  Integrands on the lattice, the 1D
-    identities among them, read exact LineTables.
+    grows on demand.  Nothing in the package calls it: every integrand,
+    the Boltzmann weight included, reads exact LineTables.  It is kept, with
+    LineCache, for the benchmark harness (bench/), which calls it.
     """
     from .qdilog import LineCache
     z0 = _phi_argument(c, mp)

@@ -20,7 +20,10 @@ pins s_e = 0 and contributes 1/|c| (c = 1/2 on a loop edge, else 1).
 from __future__ import annotations
 
 import copy
+import math
+import numbers
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from .complexes import QUAD_PAIRS, GaugeFixing, Triangulation, validate_angles
 from .errors import InvalidGauge, ShapeViolation
 from .params import ModularParameter
 from .quadrature import QuadratureConfig, integrate_nd
-from .special import LineTables, gamma2_line, hyperbolic_gamma
+from .special import LineTables, hyperbolic_gamma
 
 __all__ = ["tet_weight", "BoltzmannEvaluator", "PartitionResult", "partition_function",
            "check_pachner_invariance", "check_shape_gauge_invariance",
@@ -61,14 +64,12 @@ class BoltzmannEvaluator:
     multiplicities.  A copy made by on_lattice(h, origin, variables, hull)
     serves states origin + h k for integer vectors k on the edges
     `variables` in the convex hull of the nodes hull, which the trapezoid
-    of dim 1 to 4 asks for once per level (the corners of its box), the box
-    probes once per ray family and the dim-0 state once: there row r is the
-    line factor gamma2(base_r + i c_r + i (D_r . k) h)^mult_r, D_r an
-    integer vector, the form the identity integrands declare too, and the
-    weight is the shared LineTables' reader on those factors.  The
-    evaluator itself serves states off any lattice (Monte Carlo): it sums
-    mult * log gamma2 over the rows, each read from its line's gamma2_line
-    evaluator (a spline LineCache underneath), and takes one exp per state.
+    of dim 1 to 4 asks for once per level (the corners of its box), Monte
+    Carlo once per batch (its nodes), the box probes once per ray family
+    and the dim-0 state once: there row r is the line factor
+    gamma2(base_r + i c_r + i (D_r . k) h)^mult_r, D_r an integer vector,
+    the form the identity integrands declare too, and the weight is the
+    shared LineTables' reader on those factors.
     """
 
     def __init__(self, x: Triangulation, angles, mp: ModularParameter,
@@ -94,7 +95,6 @@ class BoltzmannEvaluator:
         self._bases = [base_r for (base_r, _), _ in rows]
         self._diff = np.array([diff_r for (_, diff_r), _ in rows])   # (rows, n_edges)
         self._mults = [mult for _, mult in rows]
-        self._lines = {}
         self._tables = LineTables(mp, self.cfg.phib_tol)
         self._lattice = None    # the LineTables reader, on a copy from on_lattice
 
@@ -114,23 +114,13 @@ class BoltzmannEvaluator:
         lat._lattice = self._tables.reader(factors, h, hull)
         return lat
 
-    def weight(self, states):
-        """B(X, s) for states of shape (n_edges,) or (N, n_edges); on a copy
-        from on_lattice, for integer k of shape (len(variables),) or
-        (N, len(variables))."""
-        if self._lattice is not None:
-            out = self._lattice(np.atleast_2d(np.asarray(states, dtype=np.intp)))
-        else:
-            s = np.atleast_2d(np.asarray(states, dtype=float))
-            logw = np.zeros(s.shape[0], dtype=complex)
-            for base, mult, dr in zip(self._bases, self._mults, self._diff @ s.T):
-                line = self._lines.get(base)
-                if line is None:    # sized to the first states; the cache grows on demand
-                    rad = float(np.abs(dr).max()) + 4.0 if dr.size else 6.0
-                    line = self._lines[base] = gamma2_line(base, self.mp, self.cfg.phib_tol, rad)
-                logw += mult * line(dr)
-            out = np.exp(logw)
-        return out[0] if np.ndim(states) == 1 else out
+    def weight(self, k):
+        """B(X, origin + h k) on a copy from on_lattice, for integer k of
+        shape (len(variables),) or (N, len(variables))."""
+        if self._lattice is None:
+            raise TypeError("the weight reads a lattice: call it on a copy from on_lattice")
+        out = self._lattice(np.atleast_2d(np.asarray(k, dtype=np.intp)))
+        return out[0] if np.ndim(k) == 1 else out
 
 
 @dataclass
@@ -148,24 +138,22 @@ class PartitionResult:
                 "gauge": self.gauge, "b": mp.b, "config_hash": config_hash}
 
 
-def _assemble_states(x, variables, pinned, boundary_state):
-    """Closure building full edge-state rows from integration variables."""
-    n_e = x.n_edges
-    fixed = np.zeros(n_e)
-    if boundary_state is not None:
-        for e, v in (boundary_state.items() if isinstance(boundary_state, dict)
-                     else zip(x.boundary_edges, boundary_state)):
-            fixed[e] = v
-    for e in pinned:
-        fixed[e] = 0.0
-    var_idx = np.array(variables, dtype=int)
-
-    def build(tmat):
-        s = np.tile(fixed, (len(tmat), 1))
-        if len(var_idx):
-            s[:, var_idx] = tmat
-        return s
-    return build
+def _boundary_values(x: Triangulation, boundary_state):
+    """{boundary edge: value} from a dict keyed by the boundary edges of x or
+    a sequence in x.boundary_edges order (None on a closed complex); anything
+    but one finite real value per boundary edge raises InvalidGauge."""
+    edges = x.boundary_edges
+    if boundary_state is None and edges:
+        raise InvalidGauge("complex has boundary edges; a boundary state is required")
+    if isinstance(boundary_state, dict):
+        ok, values = set(boundary_state) == set(edges), [boundary_state.get(e) for e in edges]
+    else:
+        values = list(() if boundary_state is None else boundary_state)
+        ok = len(values) == len(edges)
+    if not (ok and all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values)):
+        raise InvalidGauge(f"a boundary state takes one finite real value per boundary "
+                           f"edge {edges}, not {boundary_state!r}")
+    return dict(zip(edges, map(float, values)))
 
 
 def partition_function(x: Triangulation, angles, boundary_state=None,
@@ -178,8 +166,9 @@ def partition_function(x: Triangulation, angles, boundary_state=None,
     if gauge is None:
         gauge = GaugeFixing.automatic(x)
     assigned = gauge.validated(x)
-    if x.boundary_edges and boundary_state is None:
-        raise InvalidGauge("complex has boundary edges; a boundary state is required")
+    fixed = _boundary_values(x, boundary_state)
+    origin = np.zeros(x.n_edges)
+    origin[list(fixed)] = list(fixed.values())
     pinned = [e for (_v, e, _c) in assigned]
     jacobian = float(np.prod([1.0 / abs(c) for (_v, _e, c) in assigned])) if assigned else 1.0
     variables = [e for e in x.interior_edges if e not in pinned]
@@ -187,20 +176,16 @@ def partition_function(x: Triangulation, angles, boundary_state=None,
     if dim != len(x.interior_edges) - len(x.interior_vertices):
         raise InvalidGauge("gauge does not eliminate exactly one edge per interior vertex")
     ev = BoltzmannEvaluator(x, angles, mp, cfg)
-    build = _assemble_states(x, variables, pinned, boundary_state)
     gauge_desc = ";".join(f"v{v}:e{e}*{c}" for (v, e, c) in assigned) or "none"
-    origin = build(np.zeros((1, dim)))[0]
     if dim == 0:
         node = np.zeros((1, 0), dtype=np.intp)
         val = ev.on_lattice(1.0, origin, variables, node).weight(node[0])
         return PartitionResult(complex(jacobian * val), 0.0, 0, gauge_desc, 1, "exact")
-
-    def integrand(tm):
-        return ev.weight(build(tm))
-
-    integrand.lattice = lambda h, hull: ev.on_lattice(h, origin, variables, hull).weight
+    # the integrand is its lattice form alone: quadrature reads every point there;
     # at a zero origin every row has a real offset, and B(-s) = conj B(s)
-    integrand.conjugation_even = not origin.any()
+    integrand = SimpleNamespace(
+        lattice=lambda h, hull: ev.on_lattice(h, origin, variables, hull).weight,
+        conjugation_even=not origin.any())
     res = integrate_nd(integrand, dim, cfg)
     return PartitionResult(jacobian * res.value, jacobian * res.error_estimate,
                            dim, gauge_desc, res.evaluations, res.method)
@@ -230,11 +215,7 @@ def check_pachner_invariance(x, angles, edge_class, mp, cfg, boundary_state=None
     """Compare W before/after the shaped 3-2 move at matched boundary states."""
     from .complexes import pachner_32
     x2, angles2, edge_map = pachner_32(x, edge_class, angles)
-    bs2 = None
-    if boundary_state is not None:
-        bs_full = dict(boundary_state) if isinstance(boundary_state, dict) \
-            else dict(zip(x.boundary_edges, boundary_state))
-        bs2 = {edge_map[e]: v for e, v in bs_full.items() if edge_map[e] is not None}
+    bs2 = {edge_map[e]: v for e, v in _boundary_values(x, boundary_state).items()}
     return _compare(partition_function(x, angles, boundary_state, gauge, mp, cfg),
                     partition_function(x2, angles2, bs2, None, mp, cfg))
 

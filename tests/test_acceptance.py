@@ -35,6 +35,13 @@ def record(num, label, ok, detail, elapsed, budget):
     assert elapsed < budget, f"criterion {num} exceeded budget: {elapsed:.1f}s"
 
 
+def record_stretch(label, res, target, cfg, elapsed):
+    """Summary line of a Monte Carlo stretch test: its margin to the 3-sigma gate."""
+    ACCEPTANCE_LINES.append(
+        f"stretch [{label}]: |W-target|/abs_err={abs(res.value - target) / res.error_estimate:.2f}"
+        f"  samples={cfg.mc_samples}  ({elapsed:.1f}s)")
+
+
 def test_criterion_01_special_function_suite():
     t0 = time.time()
     rng = np.random.default_rng(2024)
@@ -293,6 +300,7 @@ def test_criterion_14_volume_maximization():
 def test_stretch_full_4d_monte_carlo_52():
     """Optional stretch: full 4D pipeline for 5_2 by Monte Carlo vs the
     renormalized closed form, within 3 reported standard errors."""
+    t0 = time.time()
     mp = ModularParameter(1.0)
     x, angles = load_bundled("knot52.json")
     closed = abs(triple_ratio_52(mp, QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10)).value) ** 2
@@ -302,6 +310,7 @@ def test_stretch_full_4d_monte_carlo_52():
     cfg = QuadratureConfig(mc_samples=4_000_000, rng_seed=5, force_monte_carlo=True,
                            phib_tol=1e-10)
     res = partition_function(x, angles, mp=mp, cfg=cfg)
+    record_stretch("5_2 4D Monte Carlo", res, target, cfg, time.time() - t0)
     assert res.dim == 4
     assert abs(res.value - target) < 3 * res.error_estimate
 
@@ -310,6 +319,7 @@ def test_stretch_full_4d_monte_carlo_52():
 def test_stretch_full_monte_carlo_61():
     """Optional stretch: the whole 6_1 state integral (5D after one delta)
     against the knot factor times the reduced modulus-squared form."""
+    t0 = time.time()
     mp = ModularParameter(1.0)
     x, angles = load_bundled("knot61.json")
     pars = dict(beta2=angles[1][1], gamma2=angles[2][1], rho2=angles[3][1],
@@ -323,5 +333,6 @@ def test_stretch_full_monte_carlo_61():
     cfg = QuadratureConfig(mc_samples=4_000_000, rng_seed=11, force_monte_carlo=True,
                            phib_tol=1e-10)
     res = partition_function(x, angles, mp=mp, cfg=cfg)
+    record_stretch("6_1 5D Monte Carlo", res, target, cfg, time.time() - t0)
     assert res.dim == 5 and res.method == "monte_carlo"
     assert abs(res.value - target) < 3 * res.error_estimate

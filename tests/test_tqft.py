@@ -8,7 +8,7 @@ from shapedtqft import quadrature, special, tqft
 from shapedtqft.complexes import (GaugeFixing, random_bipyramid_angles, standalone_bipyramid,
                                   state_gauge_image)
 from shapedtqft.data import load as load_bundled
-from shapedtqft.errors import ShapedTqftError, ShapeViolation, WeightOutOfRange
+from shapedtqft.errors import InvalidGauge, ShapedTqftError, ShapeViolation, WeightOutOfRange
 from shapedtqft.params import ModularParameter
 from shapedtqft.qdilog import phi_b
 from shapedtqft.quadrature import QuadratureConfig
@@ -76,15 +76,21 @@ def test_tet_weight_decays_in_state(mp1):
     assert rate > 0.1
 
 
+def state_weight(ev, s):
+    """B(X, s) at one state s: the lattice weight at the origin s of a
+    lattice with no free edges."""
+    return ev.on_lattice(1.0, s, [], np.zeros((1, 0), int)).weight(np.zeros(0, int))
+
+
 def test_weight_gauge_invariance_full_complex(fig8, mp1):
     x, angles = fig8
     ev = BoltzmannEvaluator(x, angles, mp1)
     rng = np.random.default_rng(9)
     s = rng.normal(size=x.n_edges)
-    w0 = ev.weight(s)
+    w0 = state_weight(ev, s)
     for v in range(x.n_vertices):
         bg = state_gauge_image(x, {v: rng.normal()})
-        assert abs(ev.weight(s + bg) / w0 - 1) < 1e-9
+        assert abs(state_weight(ev, s + bg) / w0 - 1) < 1e-12
 
 
 def direct_weight(x, angles, s, mp):
@@ -94,16 +100,6 @@ def direct_weight(x, angles, s, mp):
         cls = [x.edge_class_of[(t, e)] for e in range(6)]
         out *= tet_weight(tet.orientation, np.asarray(angles)[t], s[:, cls], mp)
     return out
-
-
-def test_fast_path_matches_exact(fig8, mp1):
-    # the line-cache weight against the direct-engine oracle: the product of
-    # tet_weight over the tetrahedra, each local edge read from its edge class
-    x, angles = fig8
-    rng = np.random.default_rng(10)
-    s = rng.normal(size=(40, x.n_edges))
-    fast = BoltzmannEvaluator(x, angles, mp1).weight(s)
-    assert np.abs(fast / direct_weight(x, angles, s, mp1) - 1).max() < 1e-7
 
 
 @pytest.mark.parametrize("h", LATTICE_STEPS)
@@ -162,11 +158,16 @@ def test_fig8_trapezoid_builds_no_line_cache(fig8, mp1, monkeypatch):
     # criterion 8's integral: every weight call, box probes included, reads
     # the lattice tables; the squared halving estimate stops it at h = 0.2,
     # and at its zero origin the trapezoid evaluates the origin and one node
-    # of each pair {k, -k}
+    # of each pair {k, -k}.  Forced Monte Carlo samples lattice cells and
+    # reads the same tables, landing within 3 of its standard errors.
     built = count_line_caches(monkeypatch)
     x, angles = fig8
     res = partition_function(x, angles, mp=mp1, cfg=CRITERION8_CFG)
     assert res.method == "trapezoid" and res.evaluations == 37_265
+    mc = partition_function(x, angles, mp=mp1,
+                            cfg=QuadratureConfig(mc_samples=32_000, force_monte_carlo=True))
+    assert mc.method == "monte_carlo" and mc.evaluations == 32_000
+    assert abs(mc.value - res.value) < 3 * mc.error_estimate
     assert built == []
 
 
@@ -251,9 +252,9 @@ def test_orientation_flip_conjugates_weight(fig8, mp1):
         [Gluing(g.tet_a, g.face_a, g.tet_b, g.face_b, g.perm) for g in x.gluings])
     rng = np.random.default_rng(11)
     s = 0.5 * rng.normal(size=x.n_edges)
-    w = BoltzmannEvaluator(x, angles, mp1).weight(s)
-    wf = BoltzmannEvaluator(flipped, angles, mp1).weight(s)
-    assert abs(wf - np.conj(w)) < 1e-7 * abs(w)
+    w = state_weight(BoltzmannEvaluator(x, angles, mp1), s)
+    wf = state_weight(BoltzmannEvaluator(flipped, angles, mp1), s)
+    assert abs(wf - np.conj(w)) < 1e-12 * abs(w)
 
 
 @pytest.mark.parametrize("b,a0", [(1.0, np.pi / 2), (1.0, 1.1), (0.8, np.pi / 2)])
@@ -339,6 +340,32 @@ def test_pachner_inadmissible_reports_cleanly(mp1, cfg9):
     with pytest.raises(NotApplicable):
         check_pachner_invariance(x, ang, central, mp1, cfg9,
                                  boundary_state={e: 0.0 for e in x.boundary_edges})
+
+
+def test_malformed_boundary_state_is_refused(trefoil, mp1):
+    # partition_function and the 3-2 move read the boundary state the same
+    # way: exactly one finite real value per boundary edge, as a dict keyed
+    # by the boundary edges or a sequence in boundary_edges order; anything
+    # else raises InvalidGauge before integrating, where it was zero-padded,
+    # truncated, taken at an interior edge or failed later
+    x, central = standalone_bipyramid()
+    ang = random_bipyramid_angles(np.random.default_rng(12))
+    edges = x.boundary_edges
+    good = dict.fromkeys(edges, 0.1)
+    bad = [[0.1] * 3, [0.1] * (len(edges) + 1), {**good, x.interior_edges[0]: 0.1},
+           {**good, 99: 0.1}, {e: 0.1 for e in edges[1:]}, [np.nan] + [0.1] * (len(edges) - 1),
+           [0.1j] * len(edges), "abc"]
+    for bs in bad:
+        with pytest.raises(InvalidGauge):
+            partition_function(x, ang, boundary_state=bs, mp=mp1)
+        with pytest.raises(InvalidGauge):
+            check_pachner_invariance(x, ang, central, mp1, QuadratureConfig(), boundary_state=bs)
+    with pytest.raises(InvalidGauge):
+        partition_function(*trefoil, boundary_state=[0.1], mp=mp1)
+    cfg = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8)
+    by_key = partition_function(x, ang, boundary_state=good, mp=mp1, cfg=cfg)
+    in_order = partition_function(x, ang, boundary_state=[0.1] * len(edges), mp=mp1, cfg=cfg)
+    assert by_key.value == in_order.value
 
 
 def test_knot_quad_angle(fig8):
