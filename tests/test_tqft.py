@@ -346,8 +346,8 @@ def test_malformed_boundary_state_is_refused(trefoil, mp1):
     # partition_function and the 3-2 move read the boundary state the same
     # way: exactly one finite real value per boundary edge, as a dict keyed
     # by the boundary edges or a sequence in boundary_edges order; anything
-    # else raises InvalidGauge before integrating, where it was zero-padded,
-    # truncated, taken at an interior edge or failed later
+    # else (short, long, off-boundary keys, NaN, complex) raises InvalidGauge
+    # before integrating
     x, central = standalone_bipyramid()
     ang = random_bipyramid_angles(np.random.default_rng(12))
     edges = x.boundary_edges
