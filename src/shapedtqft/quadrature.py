@@ -33,15 +33,18 @@ reader k -> values at the points k*h for (N, dim) integer arrays k in that
 hull: the package's lattice integrands are products of line factors
 gamma2(c + i d.x) and Phi_b(c + d.x), d an integer vector, whose entries
 d.k of exact per-step tables special.LineTables.reader prepares and reads.
-The trapezoid calls f.lattice once per level with the 2^dim corners of the
-level's box, Monte Carlo once per batch and the box probes once per ray
-family with their nodes; all fall back to f(k*h) without it, so an
-integrand with a lattice form need not be callable.  The trapezoid
-enumerates the new nodes of each level row by row along the last axis,
-without visiting the old ones, and passes each chunk as the transpose of a
-(dim, n) array, so that every column of k is contiguous: the reader forms
-its integer table indices from these columns.  The points, the box, the
-step sequence and the evaluation count are the same either way.
+The trapezoid calls f.lattice once for its first three levels h0, h0/2
+and h0/4, at step h0/4 with the 2^dim corners of the h0/4 box (node k of
+level h0/2^l is node 2^(2-l) k there), and once for each later level with
+the corners of its box; Monte Carlo calls it once per batch with the
+corners of the batch's bounding box and the box probes once per ray family
+with their nodes.  All fall back to f(k*h) without it, so an integrand
+with a lattice form need not be callable.  The trapezoid enumerates the
+new nodes of each level row by row along the last axis, without visiting
+the old ones, and passes each chunk as the transpose of a (dim, n) array,
+so that every column of k is contiguous: the reader forms its integer
+table indices from these columns.  The points, the box, the step sequence
+and the evaluation count are the same either way.
 
 Conjugation-even integrands.  An integrand that also carries
 f.conjugation_even = True promises f(-x) = conj f(x), as the closed state
@@ -141,21 +144,21 @@ def estimate_decay(f_abs, radii=_PROBE_RADII, floor=1e-280):
     f_abs maps radius -> |f|.  Raises DecayEstimateFailure when the samples
     grow outward (mu <= 0) above the underflow floor.
     """
-    rs = np.asarray(radii, dtype=float)
-    vals = np.array([float(f_abs(r)) for r in rs])
-    live = vals > floor
-    if not live.any():
+    samples = [(float(r), float(f_abs(r))) for r in radii]
+    live = [(r, v) for r, v in samples if v > floor]
+    if not live:
         return floor, 1.0  # already dead at the innermost radius
-    if live.sum() == 1:
-        return float(vals[live][0]), 2.0
-    rs, logs = rs[live], np.log(vals[live])
-    dr = rs - rs.mean()     # closed-form least-squares line through (r, log |f|)
-    slope = float(dr @ (logs - logs.mean()) / (dr @ dr))
-    intercept = logs.mean() - slope * rs.mean()
+    if len(live) == 1:
+        return live[0][1], 2.0
+    r_mean = sum(r for r, _v in live) / len(live)
+    logs = [math.log(v) for _r, v in live]
+    log_mean = sum(logs) / len(logs)
+    dr = [r - r_mean for r, _v in live]     # closed-form least-squares line through (r, log |f|)
+    slope = sum(d * (g - log_mean) for d, g in zip(dr, logs)) / sum(d * d for d in dr)
     if slope >= -1e-12:
         raise DecayEstimateFailure(
             f"integrand does not decay along a sampled ray (fitted rate {-slope:.3g})")
-    return float(np.exp(intercept)), float(-slope)
+    return float(np.exp(log_mean - slope * r_mean)), -slope   # inf, not OverflowError, past range
 
 
 def integrate_1d(f, cfg: QuadratureConfig, interval) -> IntegralResult:
@@ -207,6 +210,11 @@ def _on_lattice(f, h, hull):
     read = lattice(h, np.asarray(hull, dtype=np.intp)) if lattice is not None \
         else (lambda k: f(k * h))
     return lambda k: np.asarray(read(k), dtype=complex)
+
+
+def _box_corners(lo, hi):
+    """The 2^dim corners of the integer box lo <= k <= hi, as (2^dim, dim) nodes."""
+    return np.array(list(itertools.product(*zip(hi, lo))), dtype=np.intp)
 
 
 def _probe_rays(f, rays):
@@ -340,8 +348,11 @@ def _trapezoid(f, dim, cfg, radii, rates, counter):
 
     Nodes sit at k*h; each halving evaluates only the new nodes (an odd
     index on some axis), which _level_chunks enumerates row by row, and
-    _face_layers sums |f| on the faces from the rows.  The error of T(h_k)
-    is estimated by halving_estimate of d_k = |T(h_k) - T(h_{k-1})| and d_{k-1}.
+    _face_layers sums |f| on the faces from the rows.  Every result reads at
+    least three levels (the squared estimate needs two differences), so the
+    first three read one lattice preparation at h0/4, and each later level
+    takes its own.  The error of T(h_k) is estimated by halving_estimate of
+    d_k = |T(h_k) - T(h_{k-1})| and d_{k-1}.
     Its squared form also squares away the roundoff and Phi_b noise that d_k
     carries, so it is floored at cfg.phib_tol * h^dim * sum |f|.  The
     reported error is max(estimate, floor) plus a tail bound: for each
@@ -359,9 +370,8 @@ def _trapezoid(f, dim, cfg, radii, rates, counter):
     module docstring); its value is real.
     """
     half = getattr(f, "conjugation_even", False)
-    signs = np.array(list(itertools.product((1, -1), repeat=dim)))
     h, total, mass, value, diff, est = 2.0 * _TRAP_H0, 0j, 0.0, None, None, np.inf
-    while True:
+    for level in itertools.count():
         h *= 0.5
         kmax = (radii // h).astype(int)
         shape = tuple(int(m) for m in 2 * kmax + 1)
@@ -371,7 +381,13 @@ def _trapezoid(f, dim, cfg, radii, rates, counter):
                                     f"nodes; last halving estimate {est:.3g} above tolerance")
         edge = kmax - (kmax % 2 == 0)  # outermost odd index per axis
         layers = np.zeros((dim, 2))     # sum of |f| on the layers k_j = +edge_j, -edge_j
-        read = _on_lattice(f, h, signs * kmax)   # the corners of the box
+        if level == 0:      # h0, h0/2 and h0/4 read one preparation at step h0/4
+            kmax4 = (radii // (h / 4)).astype(int)
+            shared = _on_lattice(f, h / 4, _box_corners(-kmax4, kmax4))
+        if level < 2:       # node k at step h is node (4 >> level) k at step h0/4
+            read = lambda k, s=4 >> level: shared(s * k)
+        else:
+            read = shared if level == 2 else _on_lattice(f, h, _box_corners(-kmax, kmax))
         if half and value is None:
             origin = complex(read(np.zeros((1, dim), dtype=np.intp))[0])
             counter[0] += 1
@@ -411,7 +427,8 @@ def _monte_carlo(f, dim, cfg, radii, counter):
     fitted to the decay: a draw x falls in the cell of k = rint(x/h), h =
     _MC_STEP, whose mass is P(k) = prod_j p_j(k_j), p(0) = 1 - e^{-mu h/2},
     p(k) = e^{-mu |k| h} sinh(mu h/2); so h^dim f(k h) / P(k) is unbiased for
-    T(h) = h^dim sum_k f(k h).  Each batch reads f once, on its own nodes."""
+    T(h) = h^dim sum_k f(k h).  Each batch reads f once, prepared on the
+    corners of its nodes' bounding box."""
     rng = np.random.default_rng(cfg.rng_seed)
     # per-axis rates: envelope exp(-mu_i |x_i|) with mu_i from the radius estimate
     target = max(cfg.abs_tol / (10.0 * dim), 1e-280)
@@ -426,7 +443,7 @@ def _monte_carlo(f, dim, cfg, radii, counter):
         k = np.rint(x / h).astype(np.intp)
         mass = np.where(k == 0, -np.expm1(-0.5 * mus * h),
                         np.exp(-mus * np.abs(k) * h) * np.sinh(0.5 * mus * h)).prod(axis=1)
-        fv = _on_lattice(f, h, k)(k)
+        fv = _on_lattice(f, h, _box_corners(k.min(axis=0), k.max(axis=0)))(k)
         counter[0] += per
         sums.append(np.mean(fv / mass) * h ** dim)
     sums = np.array(sums)

@@ -64,9 +64,10 @@ class BoltzmannEvaluator:
     multiplicities.  A copy made by on_lattice(h, origin, variables, hull)
     serves states origin + h k for integer vectors k on the edges
     `variables` in the convex hull of the nodes hull, which the trapezoid
-    of dim 1 to 4 asks for once per level (the corners of its box), Monte
-    Carlo once per batch (its nodes), the box probes once per ray family
-    and the dim-0 state once: there row r is the line factor
+    of dim 1 to 4 asks for once for its first three levels (at step h0/4)
+    and once per later level (the corners of its box), Monte Carlo once per
+    batch (the corners of its bounding box), the box probes once per ray
+    family and the dim-0 state once: there row r is the line factor
     gamma2(base_r + i c_r + i (D_r . k) h)^mult_r, D_r an integer vector,
     the form the identity integrands declare too, and the weight is the
     shared LineTables' reader on those factors.

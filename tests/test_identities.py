@@ -286,6 +286,27 @@ def test_1d_identity_lattice_forms_match_direct(mp1, monkeypatch, h):
         assert lattice_mismatch(f, dim, h) <= 1e-12
 
 
+@pytest.mark.parametrize("integrand", ["pentagon", "z4"])
+def test_lattice_and_pointwise_forms_integrate_alike(mp1, monkeypatch, integrand):
+    # criterion 3's first pentagon and criterion 13's first Z4: through its
+    # lattice form the trapezoid reads h0, h0/2 and h0/4 from one
+    # preparation at h0/4 and each later level from its own; the same
+    # integrand without the lattice form is evaluated at each level's points
+    # k h.  Same nodes and step sequence, values equal to rounding.
+    seen = capture_integrands(monkeypatch, identities)
+    if integrand == "pentagon":
+        check_hyperbolic_pentagon(random_balanced_33(np.random.default_rng(2026), mp1), mp1,
+                                  QuadratureConfig())
+    else:
+        identities._octahedron_z4(*criterion13_octahedron(mp1), mp1, QuadratureConfig(), 0.0)
+    (f, dim), = seen
+    cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
+    lattice = quadrature.integrate_nd(f, dim, cfg)
+    pointwise = quadrature.integrate_nd(lambda x: f(x), dim, cfg)
+    assert lattice.evaluations == pointwise.evaluations
+    assert abs(lattice.value - pointwise.value) <= 1e-13 * abs(pointwise.value)
+
+
 def test_identity_quadrature_work_is_pinned(mp1, monkeypatch):
     # the evaluation counts of criterion 3's first pentagon at each coupling
     # (its draws 1 and 11) and of Z4 and Z5 of criterion 13's first
@@ -316,10 +337,11 @@ def test_identity_quadrature_work_is_pinned(mp1, monkeypatch):
 
 
 def test_lattice_calls_fill_in_one_engine_call_per_step(mp1, monkeypatch):
-    # each trapezoid level and each box-probe family reserves every table
-    # entry it reads at once: at most one _raw_grid call (one GEMM) per grid
-    # step, on criterion 3's first pentagon and criterion 13's first
-    # octahedron
+    # each box-probe family, the first three trapezoid levels together (h0,
+    # h0/2 and h0/4 read one preparation at h0/4) and each later level
+    # reserve every table entry they read at once: at most one _raw_grid
+    # call (one GEMM) per grid step, on criterion 3's first pentagon and
+    # criterion 13's first octahedron
     calls = []     # per LineTables.reserve: the grid steps of its _raw_grid calls
     reserve, raw_grid = special.LineTables.reserve, qdilog.FaddeevDilog._raw_grid
     monkeypatch.setattr(special.LineTables, "reserve",
@@ -334,7 +356,7 @@ def test_lattice_calls_fill_in_one_engine_call_per_step(mp1, monkeypatch):
     assert check_octahedron_duality(*criterion13_octahedron(mp1), mp1, cfg) <= 1e-7
     for steps in (pentagon, calls):
         assert all(len(set(dxs)) == len(dxs) for dxs in steps)
-    assert [sum(map(len, steps)) for steps in (pentagon, calls)] == [7, 14]
+    assert [sum(map(len, steps)) for steps in (pentagon, calls)] == [5, 10]
 
 
 def test_identity_checks_build_no_line_cache(mp1, monkeypatch):

@@ -107,6 +107,39 @@ def _gaussian(dim):
     return lambda p: np.exp(-(a * p**2).sum(axis=1) - 0.1 * p[:, 0] * p[:, -1] + 1j * p[:, 0])
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_first_three_levels_share_one_lattice_call(monkeypatch, dim):
+    # h0, h0/2 and h0/4 are read from one lattice call at step h0/4 on the
+    # corners of the h0/4 box (their nodes are its nodes of index divisible
+    # by 4 and 2); every later level takes one call on its own box's corners
+    # on prod_j sech(3 x_j), whose poles at +-i pi/6 keep the halving going
+    # to h0/16 at tol 1e-12
+    calls, diffs = [], []
+
+    def f(p):
+        return 1 / np.cosh(3 * p).prod(axis=1) + 0j
+
+    def lattice(h, hull):
+        calls.append((h, hull))
+        return lambda k: f(k * h)
+
+    f.lattice = lattice
+    estimate = quadrature.halving_estimate
+    monkeypatch.setattr(quadrature, "halving_estimate",
+                        lambda d, p: diffs.append(d) or estimate(d, p))
+    radii, rates = np.array([12.0, 11.0])[:dim], np.full((dim, 2), 3.0)
+    value, _err = quadrature._trapezoid(f, dim, QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12),
+                                        radii, rates, [0])
+    assert abs(value - (np.pi / 3)**dim) <= 1e-12
+    levels = len(diffs) + 1
+    assert levels == 5
+    h0 = quadrature._TRAP_H0
+    assert [h for h, _hull in calls] == [h0 / 2**j for j in range(2, levels)]
+    for h, hull in calls:
+        kmax = (radii // h).astype(int)
+        assert sorted(map(tuple, hull)) == sorted(itertools.product(*((-m, m) for m in kmax)))
+
+
 def test_box_probes_one_lattice_call_per_family(fig8, mp1, monkeypatch):
     # each ray family (axis rays, diagonals) takes its probes in one lattice
     # call, and the box and rates are those of probing each radius r along

@@ -1,5 +1,6 @@
 """Boltzmann weights and the gauge-fixed state integral."""
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -187,30 +188,78 @@ def test_weight_is_conjugation_even_at_zero_origin(name, b):
     assert (np.abs(direct_weight(x, angles, -s, mp) - np.conj(w)) <= 1e-12 * np.abs(w)).all()
 
 
-@pytest.mark.parametrize("name,cfg", [("fig8.json", CRITERION8_CFG),
-                                      ("trefoil.json", QuadratureConfig(abs_tol=1e-9,
-                                                                        rel_tol=1e-9))])
-def test_half_lattice_state_integral_matches_full_grid(name, cfg, mp1, monkeypatch):
+SUMMATION_ROUNDINGS = 64     # see test_half_lattice_state_integral_matches_full_grid
+TOL9_CFG = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("name,b,cfg", [
+    pytest.param("fig8.json", 1.0, CRITERION8_CFG, id="fig8.json-cfg0"),
+    pytest.param("trefoil.json", 1.0, TOL9_CFG, id="trefoil.json-cfg1"),
+    *(pytest.param("trefoil.json", b, TOL9_CFG, id=f"trefoil.json-b{b}") for b in (0.9, 1.1, 1.3)),
+    pytest.param("fig8_complement.json", 1.0, TOL9_CFG, id="fig8_complement.json-b1.0"),
+])
+def test_half_lattice_state_integral_matches_full_grid(name, b, cfg, monkeypatch):
     # at a zero origin partition_function marks its integrand
     # conjugation-even; the half lattice gives the real part of the full
-    # grid's value (the same integrand without the mark), the same error,
-    # and (full + 1) / 2 evaluations
+    # grid's value (the same integrand without the mark) and (full + 1) / 2
+    # evaluations.  Its error estimate agrees only as far as the rounding of
+    # T(h) allows: the two runs sum the same node values in different
+    # orders.  numpy sums a chunk of at most 2^15 values pairwise (at most 27
+    # roundings along any term's path), the chunk totals add in sequence
+    # (a few chunks here), and h^dim and the half's 2 Re(total) + f(0) add
+    # three: so each T(h_k) is within SUMMATION_ROUNDINGS * u * h_k^dim * M_k
+    # of its exact sum, M_k the sum of |f| read up to level k.  With T(h_{k-1})
+    # bounded by the same M_k, the two runs' d_k differ by at most
+    # eps_k = 2 * SUMMATION_ROUNDINGS * u * (1 + 2^dim) * h_k^dim * M_k, and
+    # their estimates lie in the interval halving_estimate spans over
+    # d_k +- eps_k and d_{k-1} -+ eps_{k-1}: it grows with d_k and falls
+    # with d_{k-1}, d_k^2 / (d_{k-1} - d_k) on its squared branch
     x, angles = load_bundled(name)
     seen = capture_integrands(monkeypatch, tqft)
-    partition_function(x, angles, mp=mp1, cfg=cfg)
+    partition_function(x, angles, mp=ModularParameter(b), cfg=cfg)
     (f, dim), = seen
     assert f.conjugation_even
+    levels, mass = [], [0.0]    # per run and level: (d_k, d_{k-1}, estimate, M_k)
+    estimate = quadrature.halving_estimate
 
-    def full(p):
-        return f(p)
+    def recorded(diff, prev_diff):
+        levels[-1].append((diff, prev_diff, estimate(diff, prev_diff), mass[0]))
+        return levels[-1][-1][2]
 
-    full.lattice = f.lattice
-    half_res = quadrature.integrate_nd(f, dim, cfg)
-    full_res = quadrature.integrate_nd(full, dim, cfg)
+    def lattice(h, hull):
+        read = f.lattice(h, hull)
+
+        def summed(k):
+            vals = read(k)
+            mass[0] += float(np.abs(vals).sum())
+            return vals
+        return summed
+
+    def run(conjugation_even):
+        levels.append([])
+        mass[0] = 0.0
+        g = types.SimpleNamespace(lattice=lattice, conjugation_even=conjugation_even)
+        return quadrature.integrate_nd(g, dim, cfg)
+
+    monkeypatch.setattr(quadrature, "halving_estimate", recorded)
+    half_res, full_res = run(True), run(False)
     assert half_res.value.imag == 0.0
     assert abs(half_res.value.real - full_res.value.real) <= 1e-14 * abs(full_res.value)
-    assert abs(half_res.error_estimate - full_res.error_estimate) <= 1e-12 * full_res.error_estimate
     assert half_res.evaluations == (full_res.evaluations + 1) // 2
+    half, full = levels
+    assert len(half) == len(full) >= 2
+    u = np.finfo(float).eps / 2
+    eps = [2 * SUMMATION_ROUNDINGS * u * (1 + 2**dim) * (quadrature._TRAP_H0 / 2**k)**dim * m_k
+           for k, (*_d, m_k) in enumerate(full, start=1)]
+    for k, ((d, p, est, _m), (d_f, p_f, est_f, _m_f)) in enumerate(zip(half, full)):
+        assert abs(d - d_f) <= eps[k]
+        lo, hi = ((estimate(d_f - eps[k], None), estimate(d_f + eps[k], None)) if p_f is None else
+                  (estimate(d_f - eps[k], p_f + eps[k - 1]), estimate(d_f + eps[k], p_f - eps[k - 1])))
+        assert lo <= est <= hi and lo <= est_f <= hi
+    # the reported error adds the face tail and the floor, each summed from
+    # the same |f| in another order
+    assert abs(half_res.error_estimate - full_res.error_estimate) <= (
+        hi - lo + SUMMATION_ROUNDINGS * u * full_res.error_estimate)
 
 
 def test_nonzero_boundary_state_keeps_the_full_grid(mp1, monkeypatch):
@@ -225,9 +274,10 @@ def test_nonzero_boundary_state_keeps_the_full_grid(mp1, monkeypatch):
 
 
 def test_fig8_tables_reserve_once_per_level_and_half_of_real_offsets(fig8, mp1, monkeypatch):
-    # criterion 8's integral prepares its tables once per lattice level (h =
-    # 0.8, 0.4, 0.2) and once per box-probe family (axis rays, diagonals):
-    # five reserves, not one per chunk; at its zero origin every row has a
+    # criterion 8's integral prepares its tables once per box-probe family
+    # (axis rays, diagonals) and once for its three trapezoid levels (h =
+    # 0.8, 0.4, 0.2 all read the preparation at h = 0.2): three reserves,
+    # not one per level or chunk; at its zero origin every row has a
     # real offset, whose table holds only m >= 0 (filled or taken from the
     # step-parent) and mirrors m < 0 by conjugation
     tables = []
@@ -237,7 +287,7 @@ def test_fig8_tables_reserve_once_per_level_and_half_of_real_offsets(fig8, mp1, 
     filled = record_fills(monkeypatch)
     x, angles = fig8
     partition_function(x, angles, mp=mp1, cfg=CRITERION8_CFG)
-    assert len(tables) == 5 and len({id(t) for t in tables}) == 1
+    assert len(tables) == 3 and len({id(t) for t in tables}) == 1
     keys = tables[0]._tables
     assert keys and all(z0.real == 0 for z0, _h in keys)
     assert all(first >= 0 for first, _vals in keys.values())
