@@ -217,17 +217,18 @@ def _box_corners(lo, hi):
     return np.array(list(itertools.product(*zip(hi, lo))), dtype=np.intp)
 
 
-def _probe_rays(f, rays):
-    """Fitted (C, mu) of |f| along each row d of the integer array rays
-    (all of one length |d|), from one lattice call: the probe at radius r
-    is the node k = d r / r0 at step h = r0 / |d|, r0 = _PROBE_RADII[0]."""
-    r0 = _PROBE_RADII[0]
-    scale = (np.array(_PROBE_RADII) / r0).astype(int)
-    k = (rays[:, None, :] * scale[None, :, None]).reshape(-1, rays.shape[1])
-    read = _on_lattice(f, r0 / np.linalg.norm(rays[0]), k)
-    mags = np.abs(read(k)).reshape(len(rays), -1)
-    return [estimate_decay(dict(zip(_PROBE_RADII, row)).__getitem__, _PROBE_RADII)
-            for row in mags]
+def _probe_rays(f, rays, h):
+    """Fitted (C, mu) of |f| along each row d of the integer array rays,
+    from one lattice call at step h: the probe at radius R is the node k
+    nearest the point R d/|d| (k = rint(R d / (|d| h))), and the fit takes
+    it at its own radius |k| h."""
+    unit = rays / np.linalg.norm(rays, axis=1, keepdims=True)
+    k = np.rint(unit[:, None, :] * np.array(_PROBE_RADII)[:, None] / h).astype(np.intp)
+    k = k.reshape(-1, rays.shape[1])
+    mags = np.abs(_on_lattice(f, h, k)(k)).reshape(len(rays), -1)
+    radii = (np.linalg.norm(k, axis=1) * h).reshape(len(rays), -1)
+    return [estimate_decay(dict(zip(r.tolist(), row)).__getitem__, r.tolist())
+            for r, row in zip(radii, mags)]
 
 
 def _estimate_box(f, dim, cfg):
@@ -235,24 +236,27 @@ def _estimate_box(f, dim, cfg):
     fitted decay rates along the +ax and -ax rays (rates[ax]).
 
     Each axis ray is cut where both the fitted envelope c e^{-mu r} and its
-    tail integral c e^{-mu r}/mu are below target.  The probes of one ray
-    family take one lattice call: the axis rays +-e_j at step 2, the
-    diagonals s at step 2/sqrt(dim).  In 1D the diagonals are the axis
-    rays, so only dim 2 and up take diagonal probes.
+    tail integral c e^{-mu r}/mu are below target.  Every probe, axis rays
+    +-e_j and diagonals s together, takes one lattice call at the
+    trapezoid's step h0/4, whose tables its first three levels then find
+    filled: the axis probes sit at radii 2, 4, 8 exactly, the diagonals at
+    the nearest nodes (exact in 4D, within 0.1 of them in 2D and 3D).  In
+    1D the diagonals are the axis rays, so only dim 2 and up take diagonal
+    probes.
     """
     target = max(cfg.abs_tol / (10.0 * dim), 1e-280)
     eye = np.eye(dim, dtype=int)
-    axis = _probe_rays(f, np.stack([eye, -eye], axis=1).reshape(-1, dim))  # +e_0, -e_0, ...
+    rays = np.stack([eye, -eye], axis=1).reshape(-1, dim)   # +e_0, -e_0, ...
+    if 2 <= dim <= 3:
+        rays = np.vstack([rays, list(itertools.product((1, -1), repeat=dim))])
+    elif dim >= 4:
+        rays = np.vstack([rays, np.ones((1, dim), dtype=int)])
+    fits = _probe_rays(f, rays, _TRAP_H0 / 4)  # raises on growth along any ray
+    axis, diags = fits[:2 * dim], fits[2 * dim:]
     rates = np.array([mu for _c, mu in axis]).reshape(dim, 2)
     need = [np.log(max(c / (target * min(mu, 1.0)), 1.0)) / mu + 1.0 for c, mu in axis]
     radii = np.maximum(np.reshape(need, (dim, 2)).max(axis=1), 4.0)
-    if dim == 1:
-        return radii, rates
-    if dim <= 3:
-        diags = np.array(list(itertools.product((1, -1), repeat=dim)))
-    else:
-        diags = np.ones((1, dim), dtype=int)
-    for c, mu in _probe_rays(f, diags):  # raises on growth along a diagonal
+    for c, mu in diags:
         r_need = np.log(max(c / target, 1.0)) / mu + 1.0
         if r_need > np.linalg.norm(radii):
             radii *= min(1.8, float(r_need / np.linalg.norm(radii)) + 0.1)
@@ -428,7 +432,10 @@ def _monte_carlo(f, dim, cfg, radii, counter):
     _MC_STEP, whose mass is P(k) = prod_j p_j(k_j), p(0) = 1 - e^{-mu h/2},
     p(k) = e^{-mu |k| h} sinh(mu h/2); so h^dim f(k h) / P(k) is unbiased for
     T(h) = h^dim sum_k f(k h).  Each batch reads f once, prepared on the
-    corners of its nodes' bounding box."""
+    corners of its nodes' bounding box.  A conjugation-even f has a real
+    T(h), so its samples take Re f: the value is real and the standard
+    error is the spread of the real parts alone."""
+    half = getattr(f, "conjugation_even", False)
     rng = np.random.default_rng(cfg.rng_seed)
     # per-axis rates: envelope exp(-mu_i |x_i|) with mu_i from the radius estimate
     target = max(cfg.abs_tol / (10.0 * dim), 1e-280)
@@ -444,6 +451,8 @@ def _monte_carlo(f, dim, cfg, radii, counter):
         mass = np.where(k == 0, -np.expm1(-0.5 * mus * h),
                         np.exp(-mus * np.abs(k) * h) * np.sinh(0.5 * mus * h)).prod(axis=1)
         fv = _on_lattice(f, h, _box_corners(k.min(axis=0), k.max(axis=0)))(k)
+        if half:
+            fv = fv.real
         counter[0] += per
         sums.append(np.mean(fv / mass) * h ** dim)
     sums = np.array(sums)

@@ -237,7 +237,9 @@ def test_octahedron_one_integral_per_side(mp1, monkeypatch):
 def test_octahedron_sides_fill_each_phib_entry_once(mp1, monkeypatch):
     # Z4 and Z5 read one LineTables, so the alpha/beta factors they share are
     # filled once: no (line, step, m) is computed twice.  Every offset is
-    # real, so each gamma2 table is filled at m >= 0 only and mirrored.
+    # real, so each gamma2 table is filled at m >= 0 only and mirrored.  The
+    # count includes the entries the radius-8 axis probes read at step h0/4
+    # past the trapezoid's radius-4 box.
     built = []
     init = special.LineTables.__init__
     monkeypatch.setattr(special.LineTables, "__init__",
@@ -246,7 +248,7 @@ def test_octahedron_sides_fill_each_phib_entry_once(mp1, monkeypatch):
     cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
     assert check_octahedron_duality(*criterion13_octahedron(mp1), mp1, cfg) <= 1e-7
     assert len(built) == 1
-    assert len(filled) == len(set(filled)) == 2_033
+    assert len(filled) == len(set(filled)) == 2_188
 
 
 def criterion13_octahedron(mp):
@@ -337,11 +339,11 @@ def test_identity_quadrature_work_is_pinned(mp1, monkeypatch):
 
 
 def test_lattice_calls_fill_in_one_engine_call_per_step(mp1, monkeypatch):
-    # each box-probe family, the first three trapezoid levels together (h0,
-    # h0/2 and h0/4 read one preparation at h0/4) and each later level
-    # reserve every table entry they read at once: at most one _raw_grid
-    # call (one GEMM) per grid step, on criterion 3's first pentagon and
-    # criterion 13's first octahedron
+    # the box probes, the first three trapezoid levels together (h0, h0/2
+    # and h0/4 read one preparation at h0/4, the probes' step) and each
+    # later level reserve every table entry they read at once: at most one
+    # _raw_grid call (one GEMM) per grid step, on criterion 3's first
+    # pentagon and criterion 13's first octahedron
     calls = []     # per LineTables.reserve: the grid steps of its _raw_grid calls
     reserve, raw_grid = special.LineTables.reserve, qdilog.FaddeevDilog._raw_grid
     monkeypatch.setattr(special.LineTables, "reserve",
@@ -356,7 +358,7 @@ def test_lattice_calls_fill_in_one_engine_call_per_step(mp1, monkeypatch):
     assert check_octahedron_duality(*criterion13_octahedron(mp1), mp1, cfg) <= 1e-7
     for steps in (pentagon, calls):
         assert all(len(set(dxs)) == len(dxs) for dxs in steps)
-    assert [sum(map(len, steps)) for steps in (pentagon, calls)] == [5, 10]
+    assert [sum(map(len, steps)) for steps in (pentagon, calls)] == [4, 7]
 
 
 def test_identity_checks_build_no_line_cache(mp1, monkeypatch):

@@ -140,10 +140,10 @@ def test_first_three_levels_share_one_lattice_call(monkeypatch, dim):
         assert sorted(map(tuple, hull)) == sorted(itertools.product(*((-m, m) for m in kmax)))
 
 
-def test_box_probes_one_lattice_call_per_family(fig8, mp1, monkeypatch):
-    # each ray family (axis rays, diagonals) takes its probes in one lattice
-    # call, and the box and rates are those of probing each radius r along
-    # each ray d by its own call at the node d of step r/|d|
+def test_box_probes_take_one_lattice_call(fig8, mp1, monkeypatch):
+    # every probe, axis rays and diagonals together, is read in one lattice
+    # call at step h0/4, and the box and rates are those of probing each
+    # node k = m d (d a ray) by its own call at the node d of step m h0/4
     x, angles = fig8
     seen = capture_integrands(monkeypatch, tqft)
     partition_function(x, angles, mp=mp1, cfg=QuadratureConfig(abs_tol=2e-5, rel_tol=2e-5,
@@ -168,11 +168,64 @@ def test_box_probes_one_lattice_call_per_family(fig8, mp1, monkeypatch):
         calls = []
         monkeypatch.setattr(quadrature, "_on_lattice", counted)
         radii, rates = quadrature._estimate_box(f, dim, cfg)
-        assert calls == ([6] if dim == 1 else [6 * dim, 3 * 2**dim])
+        assert calls == [6 * dim + (3 * 2**dim if dim > 1 else 0)]
         monkeypatch.setattr(quadrature, "_on_lattice", per_probe)
         ref_radii, ref_rates = quadrature._estimate_box(f, dim, cfg)
         assert np.abs(radii - ref_radii).max() <= 1e-12 * np.abs(ref_radii).max()
         assert np.abs(rates - ref_rates).max() <= 1e-12 * np.abs(ref_rates).max()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_box_probes_fit_at_their_own_radii(monkeypatch, dim):
+    # |f| = e^{-|x|} along every ray, and each probe is fitted at its node's
+    # radius |k| h0/4: every axis and diagonal fit is (C, mu) = (1, 1),
+    # although the 2D and 3D diagonal nodes lie up to 0.08 off the radii 2, 4, 8
+    fits = []
+    fit = quadrature.estimate_decay
+    monkeypatch.setattr(quadrature, "estimate_decay", lambda *a: fits.append(fit(*a)) or fits[-1])
+    quadrature._estimate_box(lambda p: np.exp(-np.linalg.norm(p, axis=1)) + 0j, dim,
+                             QuadratureConfig())
+    assert len(fits) == 2 * dim + {1: 0, 2: 4, 3: 8, 4: 1}[dim]
+    assert np.abs(np.array(fits) - 1.0).max() <= 1e-12
+
+
+# diagonal probe nodes k = m (1, ..., 1) at step h0/4 nearest the radii 2, 4, 8
+DIAGONAL_PROBE_SCALES = {2: (7, 14, 28), 3: (6, 12, 23), 4: (5, 10, 20)}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_lattice_form_sees_step_h0_over_4_until_h0_over_8(monkeypatch, dim):
+    # the box probes and the first three trapezoid levels read step h0/4:
+    # the probes on a hull of exactly their nodes, the trapezoid on the
+    # corners of its h0/4 box; each later level reads its own step.  In 1D
+    # and 2D prod_j sech(3 x_j) halves to h0/16 at tol 1e-12; in 3D and 4D
+    # a Gaussian stops at h0/4
+    calls, diffs = [], []
+    if dim <= 2:
+        f, tol = (lambda p: 1 / np.cosh(3 * p).prod(axis=1) + 0j), 1e-12
+    else:
+        f, tol = (lambda p: np.exp(-np.pi * (p**2).sum(axis=1)) + 0j), 1e-9
+
+    def lattice(h, hull):
+        calls.append((h, hull))
+        return lambda k: f(k * h)
+
+    f.lattice = lattice
+    estimate = quadrature.halving_estimate
+    monkeypatch.setattr(quadrature, "halving_estimate",
+                        lambda d, p: diffs.append(d) or estimate(d, p))
+    res = integrate_nd(f, dim, QuadratureConfig(abs_tol=tol, rel_tol=tol))
+    assert res.method == "trapezoid"
+    levels = len(diffs) + 1
+    assert levels == (5 if dim <= 2 else 3)
+    h0 = quadrature._TRAP_H0
+    assert [h for h, _hull in calls] == [h0 / 4] * 2 + [h0 / 2**j for j in range(3, levels)]
+    eye = np.eye(dim, dtype=int)
+    probes = [s * m * e for e in eye for s in (1, -1) for m in (10, 20, 40)]
+    if dim > 1:
+        signs = itertools.product((1, -1), repeat=dim) if dim <= 3 else [(1,) * dim]
+        probes += [m * np.array(s) for s in signs for m in DIAGONAL_PROBE_SCALES[dim]]
+    assert sorted(map(tuple, calls[0][1])) == sorted(map(tuple, probes))
 
 
 def test_product_gaussian_3d():
@@ -305,6 +358,24 @@ def test_monte_carlo_unbiased_over_seeds():
     assert abs(mean - 1.0) < 3 * se
     # reported per-run error estimates are the right scale
     assert np.median(errors) < 0.05 and np.median(errors) > 1e-5
+
+
+def test_monte_carlo_takes_real_parts_of_a_conjugation_even_integrand():
+    # e^{-|x|^2 + i x_0} has f(-x) = conj f(x); marked so, each sample takes
+    # Re f: the value is real, with the unmarked run's real part, and its
+    # standard error is the spread of the real parts alone
+    cfg = QuadratureConfig(mc_samples=20_000, force_monte_carlo=True)
+
+    def f(p):
+        return np.exp(-(p**2).sum(axis=1) + 1j * p[:, 0])
+
+    plain = integrate_nd(f, 2, cfg)
+    f.conjugation_even = True
+    marked = integrate_nd(f, 2, cfg)
+    assert plain.value.imag != 0.0 and marked.value.imag == 0.0
+    assert abs(marked.value.real - plain.value.real) <= 1e-15 * abs(plain.value)
+    assert marked.error_estimate < plain.error_estimate
+    assert abs(marked.value - np.pi * np.exp(-0.25)) <= 3 * marked.error_estimate
 
 
 def test_monte_carlo_reproducible():

@@ -273,11 +273,26 @@ def test_nonzero_boundary_state_keeps_the_full_grid(mp1, monkeypatch):
     assert [f.conjugation_even for f, _dim in seen] == [True, False]
 
 
+def test_monte_carlo_state_integral_is_real_at_zero_origin(fig8, mp1):
+    # forced Monte Carlo on a conjugation-even integrand averages Re f / P,
+    # so fig8's W_im is exactly 0; at a nonzero boundary state the
+    # integrand is not marked and keeps its imaginary part
+    cfg = QuadratureConfig(mc_samples=32_000, force_monte_carlo=True)
+    x, angles = fig8
+    mc = partition_function(x, angles, mp=mp1, cfg=cfg)
+    assert mc.method == "monte_carlo" and mc.value.imag == 0.0
+    xb, _central = standalone_bipyramid()
+    angles = random_bipyramid_angles(np.random.default_rng(3))
+    mc = partition_function(xb, angles, boundary_state=np.full(len(xb.boundary_edges), 0.3),
+                            mp=mp1, cfg=cfg)
+    assert mc.method == "monte_carlo" and mc.value.imag != 0.0
+
+
 def test_fig8_tables_reserve_once_per_level_and_half_of_real_offsets(fig8, mp1, monkeypatch):
-    # criterion 8's integral prepares its tables once per box-probe family
-    # (axis rays, diagonals) and once for its three trapezoid levels (h =
-    # 0.8, 0.4, 0.2 all read the preparation at h = 0.2): three reserves,
-    # not one per level or chunk; at its zero origin every row has a
+    # criterion 8's integral prepares its tables once for its box probes and
+    # once for its three trapezoid levels, both at step h = 0.2 (h = 0.8,
+    # 0.4, 0.2 all read the preparation there): two reserves, not one per
+    # level or chunk; at its zero origin every row has a
     # real offset, whose table holds only m >= 0 (filled or taken from the
     # step-parent) and mirrors m < 0 by conjugation
     tables = []
@@ -287,7 +302,7 @@ def test_fig8_tables_reserve_once_per_level_and_half_of_real_offsets(fig8, mp1, 
     filled = record_fills(monkeypatch)
     x, angles = fig8
     partition_function(x, angles, mp=mp1, cfg=CRITERION8_CFG)
-    assert len(tables) == 3 and len({id(t) for t in tables}) == 1
+    assert len(tables) == 2 and len({id(t) for t in tables}) == 1
     keys = tables[0]._tables
     assert keys and all(z0.real == 0 for z0, _h in keys)
     assert all(first >= 0 for first, _vals in keys.values())
