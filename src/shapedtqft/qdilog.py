@@ -31,8 +31,10 @@ there, and FaddeevDilog.line is its one-line case.  Those grids are exact:
 special.LineTables keeps them, per lattice step, for every integrand of
 line factors gamma2(c + i d.x)^mult and Phi_b(c + d.x)^mult, d an integer
 vector (the Boltzmann weight and the identity integrands alike), and its
-reader fills all the entries one trapezoid level or box-probe family
-needs with one lines call per step.
+reader fills all the entries one trapezoid level or the box probes need
+with one lines call per step.  A reader's fill costs mostly a fixed part
+per call, not per entry, so the box probes sit on the trapezoid's first
+table step h0/4: before level h0/8 an integral prepares at one step only.
 LineCache keeps log Phi_b on a line as a table of spline cubics.  Nothing
 in the package builds one any more (special.gamma2_line, its one user, has
 no package caller either); both are kept for the benchmark harness:

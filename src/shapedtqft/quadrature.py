@@ -23,28 +23,30 @@ accumulated in a fixed order so results are reproducible to the bit.
 
 Lattice integrands.  Every point integrate_nd evaluates is a lattice point
 k*h, with k an integer vector: a trapezoid node at step h; a Monte Carlo
-sample's node at step _MC_STEP; an axis probe at radius r = 2, 4, 8 as
-(k = (r/2) e_j, h = 2); a diagonal probe (r/sqrt(dim))*s for a sign vector
-s as (k = (r/2) s, h = 2/sqrt(dim)).  The probes of one ray family share
-their step and take one call.  An nD integrand f may carry an attribute
-f.lattice, a callable (h, hull) -> read that prepares, at step h once, the
-nodes in the convex hull of the (M, dim) integer array hull and returns a
-reader k -> values at the points k*h for (N, dim) integer arrays k in that
-hull: the package's lattice integrands are products of line factors
-gamma2(c + i d.x) and Phi_b(c + d.x), d an integer vector, whose entries
-d.k of exact per-step tables special.LineTables.reader prepares and reads.
-The trapezoid calls f.lattice once for its first three levels h0, h0/2
-and h0/4, at step h0/4 with the 2^dim corners of the h0/4 box (node k of
-level h0/2^l is node 2^(2-l) k there), and once for each later level with
-the corners of its box; Monte Carlo calls it once per batch with the
-corners of the batch's bounding box and the box probes once per ray family
-with their nodes.  All fall back to f(k*h) without it, so an integrand
-with a lattice form need not be callable.  The trapezoid enumerates the
-new nodes of each level row by row along the last axis, without visiting
-the old ones, and passes each chunk as the transpose of a (dim, n) array,
-so that every column of k is contiguous: the reader forms its integer
-table indices from these columns.  The points, the box, the step sequence
-and the evaluation count are the same either way.
+sample's node at step _MC_STEP; a box probe at the trapezoid's step h0/4,
+on the node nearest radius r = 2, 4, 8 along its ray (an axis ray e_j at
+k = (r/(h0/4)) e_j exactly, a diagonal s at k = rint(r s/(|s| h0/4))),
+fitted at its own radius |k| h0/4.  An nD integrand f may carry an
+attribute f.lattice, a callable (h, hull) -> read that prepares, at step h
+once, the nodes in the convex hull of the (M, dim) integer array hull and
+returns a reader k -> values at the points k*h for (N, dim) integer arrays
+k in that hull: the package's lattice integrands are products of line
+factors gamma2(c + i d.x) and Phi_b(c + d.x), d an integer vector, whose
+entries d.k of exact per-step tables special.LineTables.reader prepares
+and reads.  The trapezoid calls f.lattice once for its first three levels
+h0, h0/2 and h0/4, at step h0/4 with the 2^dim corners of the h0/4 box
+(node k of level h0/2^l is node 2^(2-l) k there), and once for each later
+level with the corners of its box; Monte Carlo calls it once per batch
+with the corners of the batch's bounding box and the box probes once, all
+rays together, with their nodes.  So every preparation before level h0/8 is at
+step h0/4, and the trapezoid's finds the probes' entries filled.  All fall
+back to f(k*h) without it, so an integrand with a lattice form need not be
+callable.  The trapezoid enumerates the new nodes of each level row by row
+along the last axis, without visiting the old ones, and passes each chunk
+as the transpose of a (dim, n) array, so that every column of k is
+contiguous: the reader forms its integer table indices from these columns.
+The points, the box, the step sequence and the evaluation count are the
+same either way.
 
 Conjugation-even integrands.  An integrand that also carries
 f.conjugation_even = True promises f(-x) = conj f(x), as the closed state
@@ -53,7 +55,8 @@ evaluates the origin once and, at each level, only the new nodes k > 0 in
 lexicographic order: T(h) = h^dim (Re f(0) + 2 Re sum_{k > 0} f(k h)), with
 the mass |f(0)| + 2 sum |f| and each face layer the sum of the half's two
 layers at +-edge.  That is (full + 1)/2 evaluations; the grid cap still
-counts the full grid.  Monte Carlo ignores the mark.
+counts the full grid.  Monte Carlo samples Re f instead: its value is real
+and its standard error the spread of the real parts alone.
 """
 from __future__ import annotations
 
@@ -240,9 +243,9 @@ def _estimate_box(f, dim, cfg):
     +-e_j and diagonals s together, takes one lattice call at the
     trapezoid's step h0/4, whose tables its first three levels then find
     filled: the axis probes sit at radii 2, 4, 8 exactly, the diagonals at
-    the nearest nodes (exact in 4D, within 0.1 of them in 2D and 3D).  In
-    1D the diagonals are the axis rays, so only dim 2 and up take diagonal
-    probes.
+    the nearest nodes (exact in 4D, within 0.1 of those radii in 2D and 3D
+    and 0.21 in 5D).  In 1D the diagonals are the axis rays, so only dim 2
+    and up take diagonal probes.
     """
     target = max(cfg.abs_tol / (10.0 * dim), 1e-280)
     eye = np.eye(dim, dtype=int)
@@ -435,7 +438,7 @@ def _monte_carlo(f, dim, cfg, radii, counter):
     corners of its nodes' bounding box.  A conjugation-even f has a real
     T(h), so its samples take Re f: the value is real and the standard
     error is the spread of the real parts alone."""
-    half = getattr(f, "conjugation_even", False)
+    even = getattr(f, "conjugation_even", False)
     rng = np.random.default_rng(cfg.rng_seed)
     # per-axis rates: envelope exp(-mu_i |x_i|) with mu_i from the radius estimate
     target = max(cfg.abs_tol / (10.0 * dim), 1e-280)
@@ -451,7 +454,7 @@ def _monte_carlo(f, dim, cfg, radii, counter):
         mass = np.where(k == 0, -np.expm1(-0.5 * mus * h),
                         np.exp(-mus * np.abs(k) * h) * np.sinh(0.5 * mus * h)).prod(axis=1)
         fv = _on_lattice(f, h, _box_corners(k.min(axis=0), k.max(axis=0)))(k)
-        if half:
+        if even:
             fv = fv.real
         counter[0] += per
         sums.append(np.mean(fv / mass) * h ** dim)

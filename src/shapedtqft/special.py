@@ -150,9 +150,10 @@ class LineTables:
     both for every lattice integrand of the package.  No table is
     ever rebuilt, so an entry once computed never changes.  A table at step
     h whose step-parent (same z0, step 2h) exists, as each trapezoid level
-    past h0/4 finds (the first three levels read one preparation at h0/4),
-    takes its even m from the parent (extending it if need be) and fills
-    only its odd m, so each Phi_b entry is computed once.
+    past h0/4 finds (the box probes and the first three levels read step
+    h0/4, the trapezoid finding the probes' entries filled), takes its even
+    m from the parent (extending it if need be) and fills only its odd m,
+    so each Phi_b entry is computed once.
     """
 
     def __init__(self, mp: ModularParameter, tol: float = 1e-13):
@@ -323,9 +324,9 @@ def line_integrand(factors, mp: ModularParameter, tol: float = 1e-13,
     holds any other log term: a Gaussian, a measure, a chirp.  f(x) for
     points x of shape (N, dim) evaluates each factor on the direct engine,
     the reference for f.lattice(h, hull) = LineTables.reader on the same
-    factors, which the trapezoid calls once for its first three levels (at
-    step h0/4) and once per later level, and the box probes once per ray
-    family.  Integrands that share line factors may share
+    factors, which the box probes call once and the trapezoid once for its
+    first three levels, both at step h0/4, then once per later level.
+    Integrands that share line factors may share
     tables (built for the same mp and tol), so each entry is filled once.
     """
     eng = get_engine(mp.b, tol)

@@ -66,11 +66,11 @@ class BoltzmannEvaluator:
     `variables` in the convex hull of the nodes hull, which the trapezoid
     of dim 1 to 4 asks for once for its first three levels (at step h0/4)
     and once per later level (the corners of its box), Monte Carlo once per
-    batch (the corners of its bounding box), the box probes once per ray
-    family and the dim-0 state once: there row r is the line factor
-    gamma2(base_r + i c_r + i (D_r . k) h)^mult_r, D_r an integer vector,
-    the form the identity integrands declare too, and the weight is the
-    shared LineTables' reader on those factors.
+    batch (the corners of its bounding box), the box probes once (their
+    nodes, at step h0/4 too) and the dim-0 state once: there row r is the
+    line factor gamma2(base_r + i c_r + i (D_r . k) h)^mult_r, D_r an
+    integer vector, the form the identity integrands declare too, and the
+    weight is the shared LineTables' reader on those factors.
     """
 
     def __init__(self, x: Triangulation, angles, mp: ModularParameter,

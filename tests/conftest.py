@@ -21,8 +21,8 @@ from shapedtqft.quadrature import IntegralResult, QuadratureConfig  # noqa: E402
 
 ACCEPTANCE_LINES = []
 CALIBRATION_LINES = []
-# trapezoid steps: the first level, a fine level, a coarse step, and the
-# diagonal box-probe step in 3D
+# trapezoid steps: the first level and a fine level, and two irrational
+# steps off the dyadic ones, a coarse one and 2/sqrt(3)
 LATTICE_STEPS = (0.8, 0.1, 8 / np.sqrt(3), 2 / np.sqrt(3))
 
 

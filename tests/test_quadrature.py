@@ -189,7 +189,8 @@ def test_box_probes_fit_at_their_own_radii(monkeypatch, dim):
     assert np.abs(np.array(fits) - 1.0).max() <= 1e-12
 
 
-# diagonal probe nodes k = m (1, ..., 1) at step h0/4 nearest the radii 2, 4, 8
+# the multiples m of the diagonal probe nodes k = m s (s a sign vector, all
+# ones from 4D) at step h0/4 nearest the radii 2, 4, 8
 DIAGONAL_PROBE_SCALES = {2: (7, 14, 28), 3: (6, 12, 23), 4: (5, 10, 20)}
 
 
