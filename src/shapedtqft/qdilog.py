@@ -27,19 +27,19 @@ it is representable.  Evaluation is vectorized over arrays of z;
 FaddeevDilog.lines takes several uniform grids on horizontal lines at one
 step in one pass: it factors their sums into one matrix product of cached
 per-step phase rows (O(M) exps per line on M nodes) and returns log Phi_b
-there, and FaddeevDilog.line is its one-line case.  Those grids are exact:
-special.LineTables keeps them, per lattice step, for every integrand of
-line factors gamma2(c + i d.x)^mult and Phi_b(c + d.x)^mult, d an integer
-vector (the Boltzmann weight and the identity integrands alike), and its
-reader fills all the entries one trapezoid level or the box probes need
-with one lines call per step.  A reader's fill costs mostly a fixed part
-per call, not per entry, so the box probes sit on the trapezoid's first
+there.  Every line value of the package comes from the engine directly:
+special.LineTables keeps such grids, per lattice step, for every integrand
+of line factors gamma2(c + i d.x)^mult and Phi_b(c + d.x)^mult, d an
+integer vector (the Boltzmann weight and the identity integrands alike),
+and its reader fills all the entries one trapezoid level or the box probes
+need with one lines call per step.  A reader's fill costs mostly a fixed
+part per call, not per entry, so the box probes sit on the trapezoid's first
 table step h0/4: before level h0/8 an integral prepares at one step only.
-LineCache keeps log Phi_b on a line as a table of spline cubics.  Nothing
-in the package builds one any more (special.gamma2_line, its one user, has
-no package caller either); both are kept for the benchmark harness:
-bench/tracing.py wraps LineCache.__init__ (reading its spacing default)
-and LineCache.__call__, so their signatures are load-bearing.
+LineCache reads log Phi_b on one horizontal line from the engine, with no
+package caller (nor has special.gamma2_line, its one user); both are kept
+for the benchmark harness: bench/tracing.py wraps LineCache.__init__
+(reading its spacing default) and LineCache.__call__, and reads the radius
+and spacing attributes, so these are load-bearing.
 """
 from __future__ import annotations
 
@@ -47,14 +47,12 @@ import itertools
 
 import numpy as np
 
-from .errors import PoleHit, QuadratureFailure
+from .errors import PoleHit
 from .params import ModularParameter
 
 __all__ = ["FaddeevDilog", "LineCache", "phi_b", "get_engine"]
 
 _PI = np.pi
-_LINE_CHECK_TOL = 1e-8      # relative spline error the LineCache self-check accepts
-_LINE_MIN_SPACING = 1.25e-3  # spacing floor: 0.02 halved four times
 _PHASE_CACHE_BYTES = 8 << 20   # bound on one engine's cached phase rows
 _ENGINES: dict[tuple[float, float], "FaddeevDilog"] = {}
 
@@ -260,23 +258,13 @@ class FaddeevDilog:
         logs = self._evaluate(z, lambda segs: self._raw_grid(segs, dx), starts)
         return np.split(logs, starts[1:])
 
-    def line(self, x0: float, dx: float, n: int, y: float):
-        """log Phi_b(x0 + k dx + i y) for k = 0..n-1 (dx > 0): lines() on one line."""
-        return self.lines([(x0, n, y)], dx)[0]
-
 
 class LineCache:
-    """log Phi_b along a fixed horizontal line Im z = y inside the strip.
+    """log Phi_b along a fixed horizontal line Im z = y inside the strip,
+    read from the engine's direct evaluation at every query.
 
-    log Phi_b is interpolated by cubic splines on the left half-lines
-    Im z = +-y (phase-unwrapped; the right half adds i pi z^2 - log zeta_inv
-    by the inversion relation).  The nodes are a uniform grid, which
-    FaddeevDilog.line evaluates with one GEMM, so a query finds its cubic in
-    one table by one division and evaluates it by Horner; callers sum these
-    logs and exponentiate once.  Both half-lines are checked against the
-    direct engine off the nodes.  Queries outside the cached radius trigger
-    a rebuild with a doubled range.  A failed self-check halves the spacing,
-    down to _LINE_MIN_SPACING.
+    radius and spacing record the arguments and never change: no table is
+    kept, so a query at any x is exact to the engine.
     """
 
     def __init__(self, engine: FaddeevDilog, y: float, radius: float, spacing: float = 0.02):
@@ -284,57 +272,13 @@ class LineCache:
             raise PoleHit(f"line Im z = {y} runs through the zero/pole lattice")
         self.engine = engine
         self.y = float(y)
+        self.radius = float(radius)
         self.spacing = float(spacing)
-        self._build(radius)
-
-    def _build(self, radius):
-        from scipy.interpolate import CubicSpline
-        eng = self.engine
-        self.radius = float(max(radius, 4.0))
-        x0 = -self.radius - 2.0
-        while True:
-            n = int(np.ceil((self.radius + 2.0) / self.spacing)) + 1
-            dx = (0.5 - x0) / (n - 1)
-            xs = x0 + dx * np.arange(n)
-            # columns k < n - 1 hold the cubics of Im z = +y, the rest those of -y
-            coef = []
-            for sgn in (+1.0, -1.0):
-                logs = eng.line(x0, dx, n, sgn * self.y)
-                coef.append(CubicSpline(xs, logs.real + 1j * np.unwrap(logs.imag)).c)
-            self._x0, self._dx, self._nint = x0, dx, n - 1
-            self._coef = np.concatenate(coef, axis=1)
-            # self-check of both half-lines against the direct evaluation
-            # (relative, off the nodes); the -y table at the probes is the
-            # cache at the mirrored points x > 0.25
-            probes = np.linspace(-self.radius - 1.5, 0.4, 23) + 0.37 * self.spacing
-            err = max(np.abs(np.exp(self._horner(probes, sgn < 0))
-                             / eng(probes + 1j * sgn * self.y, check=False) - 1.0).max()
-                      for sgn in (+1.0, -1.0))
-            if err <= _LINE_CHECK_TOL:
-                return
-            if 0.5 * self.spacing < _LINE_MIN_SPACING:
-                raise QuadratureFailure(f"line cache Im z = {self.y}: spline error {err:.3g} "
-                                        f"at the spacing floor {self.spacing:.3g}")
-            self.spacing *= 0.5
-
-    def _horner(self, x, minus):
-        """Spline of Im z = -y (minus) or +y at x in [x0, 0.5], by Horner."""
-        k = np.clip(((x - self._x0) / self._dx).astype(np.intp), 0, self._nint - 1)
-        t = x - (self._x0 + self._dx * k)
-        c = self._coef.take(k + self._nint * minus, axis=1)
-        return ((c[0] * t + c[1]) * t + c[2]) * t + c[3]
 
     def __call__(self, x):
         """log Phi_b(x + i y) for a real array x."""
-        x = np.asarray(x, dtype=float)
-        amax = float(np.abs(x).max()) if x.size else 0.0
-        if amax > self.radius:
-            self._build(max(2.0 * self.radius, amax + 2.0))
-        right = x > 0.25
-        out = self._horner(np.where(right, -x, x), right)
-        # log Phi(z) = i pi z^2 - log zeta_inv - log Phi(-z)
-        z = x + 1j * self.y
-        return np.where(right, 1j * _PI * z**2 - self.engine._log_zeta_inv - out, out)
+        z = np.asarray(x, dtype=float) + 1j * self.y
+        return self.engine._evaluate(z.ravel(), self.engine._raw).reshape(z.shape)
 
 
 def get_engine(b: float, tol: float = 1e-13) -> FaddeevDilog:

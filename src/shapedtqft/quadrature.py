@@ -17,9 +17,11 @@ the truncation tail measured on the faces of the box.  A request below the
 floor, and a box whose tail alone exceeds the tolerance, are refused with
 QuadratureFailure; the grid cap, not a radius cap, bounds the box.  Dim 5
 and up take Monte Carlo over lattice cells, whose error is a standard
-error, not a bound.  integrate_1d refines Gauss-Kronrod panels on a finite
-interval; it too meets its tolerance or raises QuadratureFailure.  Sums are
-accumulated in a fixed order so results are reproducible to the bit.
+error, not a bound.  A radius, a trapezoid level or a Monte Carlo value
+that is not finite is refused with QuadratureFailure too.  integrate_1d
+refines Gauss-Kronrod panels on a finite interval; it too meets its
+tolerance or raises QuadratureFailure.  Sums are accumulated in a fixed
+order so results are reproducible to the bit.
 
 Lattice integrands.  Every point integrate_nd evaluates is a lattice point
 k*h, with k an integer vector: a trapezoid node at step h; a Monte Carlo
@@ -245,7 +247,7 @@ def _estimate_box(f, dim, cfg):
     filled: the axis probes sit at radii 2, 4, 8 exactly, the diagonals at
     the nearest nodes (exact in 4D, within 0.1 of those radii in 2D and 3D
     and 0.21 in 5D).  In 1D the diagonals are the axis rays, so only dim 2
-    and up take diagonal probes.
+    and up take diagonal probes.  A non-finite radius raises QuadratureFailure.
     """
     target = max(cfg.abs_tol / (10.0 * dim), 1e-280)
     eye = np.eye(dim, dtype=int)
@@ -263,6 +265,8 @@ def _estimate_box(f, dim, cfg):
         r_need = np.log(max(c / target, 1.0)) / mu + 1.0
         if r_need > np.linalg.norm(radii):
             radii *= min(1.8, float(r_need / np.linalg.norm(radii)) + 0.1)
+    if not np.isfinite(radii).all():
+        raise QuadratureFailure(f"truncation radii {radii.tolist()} are not finite (target {target:.3g})")
     return radii, rates
 
 
@@ -367,8 +371,9 @@ def _trapezoid(f, dim, cfg, radii, rates, counter):
     the last halving) / (the fitted rate of that ray).
     The layer is measured rather than extrapolated from the fit on the axis,
     because the integrand's ridge can leave the box off the axis.  Returns
-    T(h) once that error meets the tolerance.  Raises QuadratureFailure when
-    the floor alone exceeds the tolerance, at the first level; and when the
+    T(h) once that error meets the tolerance.  Raises QuadratureFailure at
+    the first level whose sum or mass is not finite; when the floor alone
+    exceeds the tolerance, at the first level; and when the
     halving estimate meets it but the tail alone exceeds it: the box is too
     small, and halving h further would only move the measured layer towards
     the faces.  (On a coarse grid the tail is measured further inside the
@@ -412,6 +417,8 @@ def _trapezoid(f, dim, cfg, radii, rates, counter):
             layers[:] = layers.sum(axis=1, keepdims=True)
         else:
             value, level_mass = h ** dim * total, mass
+        if not (np.isfinite(value) and np.isfinite(level_mass)):
+            raise QuadratureFailure(f"trapezoid sum {value} (mass {level_mass:.3g}) at h={h:.3g} is not finite")
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
         floor = cfg.phib_tol * h ** dim * level_mass
         if floor > tol:
@@ -437,7 +444,8 @@ def _monte_carlo(f, dim, cfg, radii, counter):
     T(h) = h^dim sum_k f(k h).  Each batch reads f once, prepared on the
     corners of its nodes' bounding box.  A conjugation-even f has a real
     T(h), so its samples take Re f: the value is real and the standard
-    error is the spread of the real parts alone."""
+    error is the spread of the real parts alone; a non-finite value or
+    error raises QuadratureFailure."""
     even = getattr(f, "conjugation_even", False)
     rng = np.random.default_rng(cfg.rng_seed)
     # per-axis rates: envelope exp(-mu_i |x_i|) with mu_i from the radius estimate
@@ -461,6 +469,8 @@ def _monte_carlo(f, dim, cfg, radii, counter):
     sums = np.array(sums)
     value = complex(np.mean(sums))
     stderr = float(np.hypot(np.std(sums.real, ddof=1), np.std(sums.imag, ddof=1)) / np.sqrt(nbatch))
+    if not (np.isfinite(value) and np.isfinite(stderr)):
+        raise QuadratureFailure(f"Monte Carlo value {value} (standard error {stderr}) is not finite")
     return value, stderr
 
 

@@ -107,11 +107,12 @@ def gamma2_line(c: complex, mp: ModularParameter, tol: float = 1e-13, radius: fl
     """Evaluator of w -> log gamma2(c + i w) for real w (fixed offset c).
 
     The underlying dilogarithm argument runs along a horizontal line, whose
-    LineCache gives log Phi_b at interpolation speed; the Gaussian prefactor
-    is added in log space.  The cache covers |w| <= radius (plus |Im c|) and
-    grows on demand.  Nothing in the package calls it: every integrand,
-    the Boltzmann weight included, reads exact LineTables.  It is kept, with
-    LineCache, for the benchmark harness (bench/), which calls it.
+    LineCache reads log Phi_b from the direct engine; the Gaussian prefactor
+    is added in log space.  Every w is exact to the engine; radius is only
+    passed on to the LineCache.  Nothing in the package calls it: every
+    integrand, the Boltzmann weight included, reads exact LineTables.  It
+    is kept, with LineCache, for the benchmark harness (bench/), which
+    calls it.
     """
     from .qdilog import LineCache
     z0 = _phi_argument(c, mp)
@@ -143,17 +144,14 @@ class LineTables:
     Phi_b factor is only needed at z0 + m h, m an integer, and a gamma2
     factor at c + i m h, which is the Phi_b factor at z0 - m h with
     z0 = i c - c_b: the table key (z0, -h) that gamma2_key gives.  A table
-    holds log Phi_b on one contiguous range of m: no spline, and no
-    pointwise pole check, but a line through the zero/pole lattice raises
-    PoleHit.  reserve extends the tables to the spans a caller is about to
-    read, and phi(z0, h, m) only reads them; reader(factors, h, hull) does
-    both for every lattice integrand of the package.  No table is
-    ever rebuilt, so an entry once computed never changes.  A table at step
-    h whose step-parent (same z0, step 2h) exists, as each trapezoid level
-    past h0/4 finds (the box probes and the first three levels read step
-    h0/4, the trapezoid finding the probes' entries filled), takes its even
-    m from the parent (extending it if need be) and fills only its odd m,
-    so each Phi_b entry is computed once.
+    holds log Phi_b on one contiguous range of m, with no pointwise pole
+    check, but a line through the zero/pole lattice raises PoleHit.
+    reserve extends the tables to the spans a caller is about to read, and
+    phi(z0, h, m) only reads them; reader(factors, h, hull) does both for
+    every lattice integrand of the package.  Every entry comes from
+    FaddeevDilog.lines on its own line and step, so tables at different
+    steps are independent, and no table is ever rebuilt, so an entry once
+    computed never changes.
     """
 
     def __init__(self, mp: ModularParameter, tol: float = 1e-13):
@@ -180,54 +178,26 @@ class LineTables:
         """Extend the tables to cover each need (key, lo, hi): the entries
         m = lo..hi of the table key = (z0, h), h of either sign.
 
-        The spans of one key merge into their hull.  From the finest step up,
-        a table's new pieces become its fresh entries, or, where its parent
-        exists or is reserved here, its odd entries and a need of the parent
-        for the even ones (ceil(lo/2)..floor(hi/2)).  One _fill computes all
-        of them, and the tables are extended from the coarsest step down.
+        The spans of one key merge into their hull.  One _fill computes the
+        entries of every hull missing at either end of its table, and the
+        tables are extended by them.
         """
-        want = {}
-
-        def merge(key, lo, hi):
-            a, b = want.get(key, (lo, hi))
-            want[key] = min(a, lo), max(b, hi)
-
+        hulls = {}
         for (z0, h), lo, hi in needs:
-            merge((complex(z0), float(h)), int(lo), int(hi))
-        plan, pieces = [], []   # (key, [(lo, hi, piece)], halve), (key, lo, stride, n)
-        while want:
-            key = min(want, key=lambda k: abs(k[1]))
-            lo, hi = want.pop(key)
-            z0, h = key
-            if abs(abs(z0.imag) - self.eng.cb_abs) < 1e-9:
-                raise PoleHit(f"line Im z = {z0.imag} runs through the zero/pole lattice")
+            key = (complex(z0), float(h))
+            a, b = hulls.get(key, (int(lo), int(hi)))
+            hulls[key] = min(a, int(lo)), max(b, int(hi))
+        pieces = []     # (key, lo, n)
+        for key, (lo, hi) in hulls.items():
+            if abs(abs(key[0].imag) - self.eng.cb_abs) < 1e-9:
+                raise PoleHit(f"line Im z = {key[0].imag} runs through the zero/pole lattice")
             first, vals = self._tables.get(key, (lo, ()))
-            spans = [(a, b) for a, b in ((lo, first - 1), (first + len(vals), hi)) if a <= b]
-            parent = (z0, 2.0 * h)
-            halve = parent in self._tables or parent in want
-            planned = []
-            for a, b in spans:
-                start, stride = (a + 1 - a % 2, 2) if halve else (a, 1)
-                if halve and -(-a // 2) <= b // 2:
-                    merge(parent, -(-a // 2), b // 2)
-                planned.append((a, b, len(pieces) if start <= b else None))
-                if start <= b:
-                    pieces.append((key, start, stride, (b - start) // stride + 1))
-            plan.append((key, planned, halve))
-        filled = self._fill(pieces)
-        # coarsest step first, so that a parent is extended before its child reads it
-        for (z0, h), planned, halve in reversed(plan):
-            for a, b, i in planned:
-                if halve:
-                    vals = np.empty(b - a + 1, dtype=complex)
-                    vals[a % 2::2] = self.phi(z0, 2.0 * h, np.arange(-(-a // 2), b // 2 + 1))
-                    if i is not None:
-                        vals[1 - a % 2::2] = filled[i]
-                else:
-                    vals = filled[i]
-                first, old = self._tables.get((z0, h), (a, vals[:0]))
-                self._tables[(z0, h)] = ((a, np.concatenate([vals, old])) if a < first
-                                         else (first, np.concatenate([old, vals])))
+            pieces += [(key, a, b - a + 1) for a, b in ((lo, first - 1), (first + len(vals), hi))
+                       if a <= b]
+        for (key, lo, _n), logs in zip(pieces, self._fill(pieces)):
+            first, old = self._tables.get(key, (lo, logs[:0]))
+            self._tables[key] = ((lo, np.concatenate([logs, old])) if lo < first
+                                 else (first, np.concatenate([old, logs])))
 
     def reader(self, factors, h, hull, log_const=0.0, log_extra=None):
         """Reader k -> e^{log_const} * (the product of the line factors, see
@@ -295,19 +265,17 @@ class LineTables:
         return read
 
     def _fill(self, pieces):
-        """log Phi_b(z0 + m h) at m = lo, lo + stride, ... (n entries) for each
-        piece (key, lo, stride, n), through one FaddeevDilog.lines call per
-        grid step |h| stride: the one path by which table entries are computed."""
+        """log Phi_b(z0 + m h) at m = lo..lo + n - 1 for each piece (key, lo, n),
+        key = (z0, h), through one FaddeevDilog.lines call per grid step |h|:
+        the one path by which table entries are computed."""
         out = [None] * len(pieces)
         by_step = {}
-        for i, ((_z0, h), _lo, stride, _n) in enumerate(pieces):
-            by_step.setdefault(abs(h) * stride, []).append(i)
+        for i, ((_z0, h), _lo, _n) in enumerate(pieces):
+            by_step.setdefault(abs(h), []).append(i)
         for dx, idx in by_step.items():
-            specs = []
-            for i in idx:
-                (z0, h), lo, stride, n = pieces[i]
-                # FaddeevDilog.lines runs left to right
-                specs.append((z0.real + h * (lo if h > 0 else lo + stride * (n - 1)), n, z0.imag))
+            # FaddeevDilog.lines runs left to right
+            specs = [(z0.real + h * (lo if h > 0 else lo + n - 1), n, z0.imag)
+                     for (z0, h), lo, n in (pieces[i] for i in idx)]
             for i, logs in zip(idx, self.eng.lines(specs, dx)):
                 out[i] = logs if pieces[i][0][1] > 0 else logs[::-1]
         return out

@@ -69,8 +69,8 @@ def record_fills(monkeypatch):
     fill = special.LineTables._fill
 
     def recorded(self, pieces):
-        for (z0, h), lo, stride, n in pieces:
-            filled.extend((z0, h, m) for m in range(lo, lo + stride * n, stride))
+        for (z0, h), lo, n in pieces:
+            filled.extend((z0, h, m) for m in range(lo, lo + n))
         return fill(self, pieces)
     monkeypatch.setattr(special.LineTables, "_fill", recorded)
     return filled

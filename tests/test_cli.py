@@ -74,6 +74,20 @@ def test_import_pins_blas_threads(preset):
     assert r.stdout.strip() == str([preset or "1"] * 3)
 
 
+def test_gamma2_line_imports_no_interpolation():
+    # a fresh interpreter that loads the CLI and evaluates a gamma2 line
+    # never imports scipy.interpolate
+    code = ("import sys, shapedtqft.cli\n"
+            "from shapedtqft.params import ModularParameter\n"
+            "from shapedtqft.special import gamma2_line\n"
+            "mp = ModularParameter(1.0)\n"
+            "gamma2_line(0.5 * mp.q_total, mp, 1e-13)([0.0, 1.5])\n"
+            "print('scipy.interpolate' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
 TREFOIL = str(path_of("trefoil.json"))
 
 

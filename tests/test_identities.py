@@ -239,7 +239,8 @@ def test_octahedron_sides_fill_each_phib_entry_once(mp1, monkeypatch):
     # filled once: no (line, step, m) is computed twice.  Every offset is
     # real, so each gamma2 table is filled at m >= 0 only and mirrored.  The
     # count includes the entries the radius-8 axis probes read at step h0/4
-    # past the trapezoid's radius-4 box.
+    # past the trapezoid's radius-4 box, and every entry of each later
+    # level's table at its own step.
     built = []
     init = special.LineTables.__init__
     monkeypatch.setattr(special.LineTables, "__init__",
@@ -248,7 +249,7 @@ def test_octahedron_sides_fill_each_phib_entry_once(mp1, monkeypatch):
     cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
     assert check_octahedron_duality(*criterion13_octahedron(mp1), mp1, cfg) <= 1e-7
     assert len(built) == 1
-    assert len(filled) == len(set(filled)) == 2_188
+    assert len(filled) == len(set(filled)) == 3_826
 
 
 def criterion13_octahedron(mp):

@@ -321,6 +321,34 @@ def test_trapezoid_refuses_box_that_misses_a_ridge():
         integrate_nd(f, 2, QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9))
 
 
+def sech_with_nan_node(p):
+    """sech(2x) on (N, 1) points, NaN at the node x = 0.3 (k = 3 at h = 0.1)."""
+    v = (1.0 / np.cosh(2.0 * p[:, 0])).astype(complex)
+    v[np.abs(p[:, 0] - 0.3) < 1e-9] = np.nan
+    return v
+
+
+def test_box_refuses_an_overflowing_envelope():
+    # C e^{-10|x|} with C = 1e300: the radius where the envelope falls below
+    # the target is not finite, which is refused before any grid is sized
+    with pytest.raises(QuadratureFailure, match="not finite"):
+        integrate_nd(lambda p: 1e300 * np.exp(-10.0 * np.abs(p[:, 0])) + 0j, 1, QuadratureConfig())
+
+
+def test_trapezoid_refuses_a_nan_node():
+    # sech(2x) needs the level h = 0.1, whose new node x = 0.3 is NaN: that
+    # level is refused, rather than halved on towards the grid cap
+    with pytest.raises(QuadratureFailure, match="h=0.1 is not finite"):
+        integrate_nd(sech_with_nan_node, 1, QuadratureConfig())
+
+
+def test_monte_carlo_refuses_a_nan_node():
+    # Monte Carlo cells at step 0.05 sample the NaN node x = 0.3
+    cfg = QuadratureConfig(mc_samples=32_000, force_monte_carlo=True)
+    with pytest.raises(QuadratureFailure, match="not finite"):
+        integrate_nd(sech_with_nan_node, 1, cfg)
+
+
 def test_tolerance_tightening_consistency():
     # doubling effort keeps results within reported error estimates
     def f(t):

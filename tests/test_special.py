@@ -111,7 +111,7 @@ def test_gamma2_large_omega2_reduction():
 @pytest.mark.parametrize("b", [1.0, 1.3])
 def test_gamma2_line_matches_hyperbolic_gamma(b):
     # offsets include the pentagon's complex ones; the far points lie beyond
-    # the initial radius, so the line cache rebuilds
+    # the radius passed to the line cache
     mp = ModularParameter(b)
     p = random_balanced_33(np.random.default_rng(5), mp, imag_scale=0.05)
     near = np.linspace(-3.0, 3.0, 41)
@@ -153,10 +153,10 @@ def test_line_tables_extend_without_rebuild(b, monkeypatch):
 
 
 @pytest.mark.parametrize("b", [1.0, 1.3])
-def test_line_tables_reuse_coarser_step(b, monkeypatch):
-    # a table at step h/2 takes its even entries from the step-h table, bit
-    # for bit, and fills only its odd entries, a grid of step h; a gamma2
-    # factor's tables run the same reuse at step -h
+def test_line_tables_steps_are_independent(b, monkeypatch):
+    # a table at step h/2 reserved after the step-h table fills all its own
+    # entries, a grid of step h/2, leaves the step-h table bit-identical and
+    # matches the direct engine; a gamma2 factor's tables at step -h alike
     mp = ModularParameter(b)
     filled = record_fills(monkeypatch)
     tables = LineTables(mp)
@@ -167,21 +167,19 @@ def test_line_tables_reuse_coarser_step(b, monkeypatch):
                                 (lambda step: (complex(z0), step), ("phi", z0, 1, 1),
                                  lambda m: phi_b(z0 + m * h / 2, mp))):
         tables.reserve([(key(h), -20, 20)])
-        parent = tables.phi(*key(h), coarse)
+        before = tables.phi(*key(h), coarse).copy()
         filled.clear()
         tables.reserve([(key(h / 2), -40, 40)])
-        child = tables.phi(*key(h / 2), fine)
-        assert filled == [(*key(h / 2), m) for m in range(-39, 40, 2)]    # the 40 odd m
-        assert np.array_equal(child[::2], parent)
+        assert filled == [(*key(h / 2), m) for m in range(-40, 41)]    # its own 81 entries
+        assert np.array_equal(tables.phi(*key(h), coarse), before)
         read = tables.reader([factor], h / 2, fine[:, None])
-        assert len(filled) == 40
+        assert len(filled) == 81
         assert np.abs(read(fine[:, None]) / direct(fine) - 1).max() <= 1e-12
-    # both steps reserved at once: the child still reads its even entries from the parent
+    # both steps reserved at once: each fills its own entries
     filled.clear()
     both = LineTables(mp)
     both.reserve([((z0, h / 2), -40, 40), ((z0, h), -20, 20)])
-    assert len(filled) == len(set(filled)) == 81
-    assert np.array_equal(both.phi(z0, h / 2, fine)[::2], both.phi(z0, h, coarse))
+    assert len(filled) == len(set(filled)) == 41 + 81
 
 
 @pytest.mark.parametrize("b", [1.0, 1.3])
@@ -209,7 +207,7 @@ def test_line_tables_batch_matches_single_lines(b):
     # one reserve of tables at steps of either sign and at different |Im z|
     # (folded ones included), of 1 to 3 entries, and reaching past -re_cut
     # and +re_cut: one FaddeevDilog.lines call per grid step, whose entries
-    # agree with a FaddeevDilog.line fill of each table alone
+    # agree with a FaddeevDilog.lines fill of each table alone
     mp = ModularParameter(b)
     tables = LineTables(mp)
     eng = tables.eng
@@ -223,7 +221,7 @@ def test_line_tables_batch_matches_single_lines(b):
     for z0, step, lo, hi in keys:
         m = np.arange(lo, hi + 1)
         x = z0.real + step * m
-        alone = eng.line(float(x.min()), abs(step), len(m), z0.imag)
+        alone = eng.lines([(float(x.min()), len(m), z0.imag)], abs(step))[0]
         alone = alone if step > 0 else alone[::-1]
         assert np.abs(np.exp(tables.phi(z0, step, m) - alone) - 1).max() <= 1e-14
     with pytest.raises(PoleHit):

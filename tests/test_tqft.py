@@ -293,8 +293,8 @@ def test_fig8_tables_reserve_once_per_level_and_half_of_real_offsets(fig8, mp1, 
     # once for its three trapezoid levels, both at step h = 0.2 (h = 0.8,
     # 0.4, 0.2 all read the preparation there): two reserves, not one per
     # level or chunk; at its zero origin every row has a
-    # real offset, whose table holds only m >= 0 (filled or taken from the
-    # step-parent) and mirrors m < 0 by conjugation
+    # real offset, whose table holds only m >= 0 and mirrors m < 0 by
+    # conjugation
     tables = []
     reserve = special.LineTables.reserve
     monkeypatch.setattr(special.LineTables, "reserve",
