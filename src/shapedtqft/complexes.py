@@ -12,6 +12,11 @@ The cyclic successor acts as k -> k+1 (mod 3) on a positively oriented
 tetrahedron; see "Quad conventions" in the README for the worked picture.
 A dihedral-angle assignment lives on quads, one angle per quad per
 tetrahedron, with per-tetrahedron sum pi.
+
+The shaped 3-2 move `pachner_32` reads everything through one label map per
+source tetrahedron (the central edge's ends n, s to apex vertex 0, equator
+vertex E_i to i + 1), and refuses an edge weight further from 2*pi than
+`validate_angles` lets an angle sum stray from pi.
 """
 from __future__ import annotations
 
@@ -35,6 +40,9 @@ EDGE_INDEX = {pair: i for i, pair in enumerate(EDGE_PAIRS)}
 # quad k separates EDGE_PAIRS[QUAD_PAIRS[k][0]] from EDGE_PAIRS[QUAD_PAIRS[k][1]]
 QUAD_PAIRS = ((0, 5), (1, 4), (2, 3))
 EDGE_TO_QUAD = (0, 1, 2, 2, 1, 0)
+
+# largest |angle sum - pi| a tetrahedron of a shape may carry
+_ANGLE_SUM_TOL = 1e-12
 
 _PERM3_SIGN = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
                (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
@@ -230,7 +238,7 @@ def from_json_dict(d):
     return x, angles
 
 
-def validate_angles(x: Triangulation, angles, tol=1e-12):
+def validate_angles(x: Triangulation, angles, tol=_ANGLE_SUM_TOL):
     """Check shape-structure constraints; returns the (n_tets, 3) array."""
     a = np.asarray(angles, dtype=float)
     if a.shape != (x.n_tets, 3):
@@ -484,21 +492,25 @@ def _walk_bipyramid(x: Triangulation, edge_class: int):
     return tets, locs
 
 
-def pachner_32(x: Triangulation, edge_class: int, angles, weight_tol=1e-9):
+def pachner_32(x: Triangulation, edge_class: int, angles):
     """Replace the three tetrahedra around a balanced degree-3 interior edge
-    by two tetrahedra glued along the equator triangle.
+    by two apex tetrahedra tet_N, tet_S glued along the equator triangle.
 
-    Outer dihedral angles are preserved: the result angle at each spoke quad
-    is the sum of the two source quad angles at that spoke.  Returns
-    (new_triangulation, new_angles, edge_map) with edge_map sending every
-    surviving old edge class to its class in the result (the central edge
-    maps to None).
+    Source tet i holds (n, s, E_i, E_{i+1}); its label map sends n and s to
+    apex vertex 0 and E_j to vertex j + 1, and its face opposite s
+    (resp. n) becomes tet_N's (resp. tet_S's) face opposite E_{i+2}.  Each
+    result spoke angle is the sum of the two source angles at that spoke.
+    An edge weight further from 2*pi than the angle-sum tolerance of
+    validate_angles is refused (NotApplicable), as each apex sum is
+    3*pi - weight.  Returns (new_triangulation, new_angles, edge_map);
+    edge_map sends each old edge class to its class in the result and the
+    central edge to None.
     """
     if edge_class not in range(x.n_edges):
         raise NotApplicable(f"edge {edge_class} is not an edge class of the complex")
     a = validate_angles(x, angles)
     w = edge_weight(x, a, edge_class)
-    if abs(w - 2 * np.pi) > weight_tol:
+    if abs(w - 2 * np.pi) > _ANGLE_SUM_TOL:
         raise NotApplicable(f"edge weight {w} != 2*pi; the shaped move needs a balanced edge")
     tets, locs = _walk_bipyramid(x, edge_class)
 
@@ -508,111 +520,49 @@ def pachner_32(x: Triangulation, edge_class: int, angles, weight_tol=1e-9):
             for i, t in enumerate(tets)]
     if len(set(etas)) != 1:
         raise NotApplicable("inconsistent orientations around the edge")
-    eta = etas[0]
 
-    # dihedral sums at the six spokes; spoke (apex, E_i) lies in source tets i-1 and i
-    def spoke_angle(i, apex_is_north):
-        total = 0.0
-        for j in (i - 1, i):
-            t = tets[j % 3]
-            nn, ss, ea, eb = locs[j % 3]
-            apex = nn if apex_is_north else ss
-            eq = eb if j % 3 == (i - 1) % 3 else ea
-            total += a[t][EDGE_TO_QUAD[EDGE_INDEX[tuple(sorted((apex, eq)))]]]
-        return total
-
-    north = [spoke_angle(i, True) for i in range(3)]
-    south = [spoke_angle(i, False) for i in range(3)]
-    for vals in (north, south):
-        if abs(sum(vals) - np.pi) > 1e-8:
-            raise NotApplicable("transferred angles do not close (unbalanced data)")
-        if min(vals) <= 0 or max(vals) >= np.pi:
-            raise ShapeViolation(f"induced angle {vals} leaves (0, pi)")
-
-    # result complex: survivors keep order, then tet_N, tet_S with local
-    # vertices (apex, E0, E1, E2); quad k-1 of an apex tet sits at spoke E_{k-1}
+    # result complex: survivors keep their order and labels, then tet_N, tet_S
     survivors = [t for t in range(x.n_tets) if t not in tets]
-    remap = {t: i for i, t in enumerate(survivors)}
     idx_n, idx_s = len(survivors), len(survivors) + 1
-    new_orients = [x.tetrahedra[t].orientation for t in survivors] + [eta, -eta]
-
-    # relabel the six outer faces: source face opposite s (resp. n) in tet i
-    # becomes the apex tet's face opposite E_{i+2} (local index ((i+2)%3)+1)
-    face_relabel = {}
-    vert_relabel = {}
+    new = {t: {v: v for v in range(4)} for t in survivors}
+    kept = {(t, f): (i, f) for i, t in enumerate(survivors) for f in range(4)}
+    new_angles = np.zeros((idx_s + 1, 3))
+    new_angles[:idx_n] = a[survivors]
     for i, t in enumerate(tets):
         nn, ss, ea, eb = locs[i]
-        # face opposite s holds (n, E_i, E_{i+1}) and joins the north tet
-        face_relabel[(t, ss)] = (idx_n, ((i + 2) % 3) + 1)
-        face_relabel[(t, nn)] = (idx_s, ((i + 2) % 3) + 1)
-        vert_relabel[(t, "N")] = {nn: 0, ea: i + 1, eb: ((i + 1) % 3) + 1}
-        vert_relabel[(t, "S")] = {ss: 0, ea: i + 1, eb: ((i + 1) % 3) + 1}
+        new[t] = {nn: 0, ss: 0, ea: i + 1, eb: (i + 1) % 3 + 1}
+        kept[(t, ss)] = (idx_n, (i + 2) % 3 + 1)
+        kept[(t, nn)] = (idx_s, (i + 2) % 3 + 1)
+        # spoke (apex, E_j) is quad j of its apex tet and lies in source tets j-1, j
+        for row, apex in ((idx_n, nn), (idx_s, ss)):
+            for eq in (ea, eb):
+                quad = EDGE_TO_QUAD[EDGE_INDEX[tuple(sorted((apex, eq)))]]
+                new_angles[row, new[t][eq] - 1] += a[t, quad]
 
-    def relabel_side(t, f):
-        """(new_tet, new_face, old-local->new-local map) for an outer face."""
-        new_tet, new_face = face_relabel[(t, f)]
-        tag = "N" if new_tet == idx_n else "S"
-        return new_tet, new_face, vert_relabel[(t, tag)]
-
-    removed = set(tets)
     new_gluings = []
     for g in x.gluings:
-        a_in = g.tet_a in removed
-        b_in = g.tet_b in removed
-        if a_in and (g.tet_a, g.face_a) not in face_relabel:
-            continue  # internal bipyramid face
-        if b_in and (g.tet_b, g.face_b) not in face_relabel:
-            continue
-        vm = g.vertex_map()
-        if a_in:
-            ta, fa, ma = relabel_side(g.tet_a, g.face_a)
-            vm = {ma[va]: vb for va, vb in vm.items()}
-        else:
-            ta, fa = remap[g.tet_a], g.face_a
-        if b_in:
-            tb, fb, mb = relabel_side(g.tet_b, g.face_b)
-            vm = {va: mb[vb] for va, vb in vm.items()}
-        else:
-            tb, fb = remap[g.tet_b], g.face_b
-        ca, cb = face_vertices(fa), face_vertices(fb)
-        perm = tuple(cb.index(vm[v]) for v in ca)
-        new_gluings.append(Gluing(ta, fa, tb, fb, perm))
+        if (g.tet_a, g.face_a) not in kept:
+            continue  # an inner face of the bipyramid, glued to another
+        (ta, fa), (tb, fb) = kept[(g.tet_a, g.face_a)], kept[(g.tet_b, g.face_b)]
+        vm = {new[g.tet_a][va]: new[g.tet_b][vb] for va, vb in g.vertex_map().items()}
+        cb = face_vertices(fb)
+        new_gluings.append(Gluing(ta, fa, tb, fb, tuple(cb.index(vm[v]) for v in face_vertices(fa))))
     new_gluings.append(Gluing(idx_n, 0, idx_s, 0, (0, 1, 2)))  # equator triangle
 
-    new_angles = np.zeros((len(survivors) + 2, 3))
-    for t in survivors:
-        new_angles[remap[t]] = a[t]
-    new_angles[idx_n] = north  # quad k at spoke (N, E_k): pair {(0,k+1), ...}
-    new_angles[idx_s] = south
-
-    x2 = build_complex(new_orients, new_gluings)
+    x2 = build_complex([x.tetrahedra[t].orientation for t in survivors] + [etas[0], -etas[0]],
+                       new_gluings)
     validate_angles(x2, new_angles)
 
-    # edge map: survivors by identity, bipyramid boundary edges via labels
+    # edge map: an old edge lands in the result tet of a kept face holding it
     edge_map = {}
     for ec, cls in enumerate(x.edge_classes):
         if ec == edge_class:
             edge_map[ec] = None
             continue
-        tgt = None
-        for (t, e) in cls:
-            if t not in removed:
-                tgt = x2.edge_class_of[(remap[t], e)]
-                break
-        if tgt is None:
-            t, e = cls[0]
-            i = tets.index(t)
-            nn, ss, ea, eb = locs[i]
-            v1, v2 = EDGE_PAIRS[e]
-            mn = vert_relabel[(t, "N")]
-            ms = vert_relabel[(t, "S")]
-            if nn in (v1, v2):      # north spoke
-                tgt = x2.edge_class_of[(idx_n, EDGE_INDEX[tuple(sorted((mn[v1], mn[v2])))])]
-            elif ss in (v1, v2):    # south spoke
-                tgt = x2.edge_class_of[(idx_s, EDGE_INDEX[tuple(sorted((ms[v1], ms[v2])))])]
-            else:                   # equator edge
-                tgt = x2.edge_class_of[(idx_n, EDGE_INDEX[tuple(sorted((mn[v1], mn[v2])))])]
-        edge_map[ec] = tgt
+        t, e = cls[0]
+        pair = EDGE_PAIRS[e]
+        host = next(kept[(t, f)][0] for f in range(4) if f not in pair and (t, f) in kept)
+        edge_map[ec] = x2.edge_class_of[(host, EDGE_INDEX[tuple(sorted(new[t][v] for v in pair))])]
     return x2, new_angles, edge_map
 
 

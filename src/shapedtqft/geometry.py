@@ -19,6 +19,8 @@ __all__ = ["shape_parameters", "shape_volume", "volume_gradient",
            "angle_holonomy_eigenvalue_report"]
 
 _BOX_MARGIN = 1e-6
+_ASCENT_MAX_ITER = 500   # gradient steps of the volume ascent
+_CRIT_TOL = 1e-6         # largest gluing residual of a critical shape
 
 
 def shape_parameters(angles):
@@ -41,8 +43,7 @@ def volume_gradient(angles):
     return -np.log(2.0 * np.sin(a))
 
 
-def maximize_volume_in_gauge_class(x: Triangulation, angles, tol: float = 1e-10,
-                                   max_iter: int = 500):
+def maximize_volume_in_gauge_class(x: Triangulation, angles, tol: float = 1e-10):
     """Ascend the volume along the tangential deformation space.
 
     Returns (maximizer, converged); raises BoundaryDegeneration when the
@@ -71,7 +72,7 @@ def maximize_volume_in_gauge_class(x: Triangulation, angles, tol: float = 1e-10,
 
     c = np.zeros(k)
     step = 1.0
-    for _it in range(max_iter):
+    for _it in range(_ASCENT_MAX_ITER):
         a = angles_of(c)
         grad = grad_of(a)
         gn = float(np.linalg.norm(grad))
@@ -134,18 +135,17 @@ def gluing_residual(x: Triangulation, angles):
     return out
 
 
-def angle_holonomy_eigenvalue_report(x: Triangulation, angles, loops,
-                                     crit_tol: float = 1e-6):
+def angle_holonomy_eigenvalue_report(x: Triangulation, angles, loops):
     """Holonomies and predicted holonomy-eigenvalue phases +-h/2 per loop.
 
-    Requires a critical shape (all gluing residuals below crit_tol); no
+    Requires a critical shape (all gluing residuals below 1e-6); no
     representation matrices are constructed.
     """
     from .complexes import angle_holonomy
     res = gluing_residual(x, angles)
     worst = max((abs(v) for v in res.values()), default=0.0)
-    if worst > crit_tol:
-        raise NotCritical(f"largest gluing residual {worst:.3g} exceeds {crit_tol}")
+    if worst > _CRIT_TOL:
+        raise NotCritical(f"largest gluing residual {worst:.3g} exceeds {_CRIT_TOL}")
     report = []
     for loop in loops:
         h = angle_holonomy(x, angles, loop)

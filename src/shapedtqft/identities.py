@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _PI = np.pi
+_SMEAR_RE_EPS = 0.02   # real part detaching the smeared kernel's contour from its poles
 
 
 def _require_window(mp, *values):
@@ -222,8 +223,7 @@ def orthogonality_symbol_deviation(a_im: float, mp: ModularParameter,
 
 
 def check_orthogonality_smeared(a_im: float, center: float, sigma: float,
-                                mp: ModularParameter, cfg: QuadratureConfig,
-                                re_eps: float = 0.02):
+                                mp: ModularParameter, cfg: QuadratureConfig):
     """Delta-normalization check of the shift-form B-kernel orthogonality
 
         int_R B(a - iu, a + iu) B(-a - i(u+b), -a + i(u+b)) du  ->  delta(b).
@@ -232,7 +232,7 @@ def check_orthogonality_smeared(a_im: float, center: float, sigma: float,
     orthogonality_symbol_deviation(a_im), the quantitative residual.
 
     The real-space Gaussian smear of the straight-contour kernel (poles
-    detached by re_eps) is also reported: it contains the delta plus a
+    detached by Re a = 0.02, a = 0.02 + i a_im) is also reported: it contains the delta plus a
     regularization background concentrated near b = 0, so the trend
     |smeared| growing as sigma shrinks and the far-center smear staying
     small are the qualitative delta signatures.  The smear is one integral
@@ -241,7 +241,7 @@ def check_orthogonality_smeared(a_im: float, center: float, sigma: float,
     from exact LineTables, times the Gaussian in b.
     """
     symbol_dev = orthogonality_symbol_deviation(a_im, mp, cfg)
-    a = re_eps + 1j * a_im
+    a = _SMEAR_RE_EPS + 1j * a_im
     log_dens = _log_g2(mp, cfg.phib_tol, 2 * a, -2 * a)
     log_norm = np.log(sigma * np.sqrt(2 * _PI))
     # gamma2(a -+ iu) gamma2(-a -+ i(u + b)), over (u, b)

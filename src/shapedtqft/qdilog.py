@@ -54,18 +54,18 @@ __all__ = ["FaddeevDilog", "LineCache", "phi_b", "get_engine"]
 
 _PI = np.pi
 _PHASE_CACHE_BYTES = 8 << 20   # bound on one engine's cached phase rows
+_POLE_TOL = 1e-7                # closest approach to the zero/pole lattice
 _ENGINES: dict[tuple[float, float], "FaddeevDilog"] = {}
 
 
 class FaddeevDilog:
     """Vectorized evaluator of Phi_b at fixed coupling and target precision."""
 
-    def __init__(self, b: float, tol: float = 1e-13, pole_tol: float = 1e-7):
+    def __init__(self, b: float, tol: float = 1e-13):
         if not (b > 0 and np.isfinite(b)):
             raise ValueError("coupling b must be positive real")
         self.b = float(b)
         self.tol = float(tol)
-        self.pole_tol = float(pole_tol)
         self.step = min(self.b, 1.0 / self.b)
         self.cb_abs = 0.5 * (self.b + 1.0 / self.b)
         self.band = 0.5 * self.step                   # fold Im z into [-band, band]
@@ -116,9 +116,9 @@ class FaddeevDilog:
 
     def check_poles(self, z):
         d = self.lattice_distance(z)
-        if (d < self.pole_tol).any():
-            zbad = np.atleast_1d(np.asarray(z, dtype=complex))[d < self.pole_tol][0]
-            raise PoleHit(f"Phi_b argument {zbad} within {self.pole_tol} of the zero/pole lattice")
+        if (d < _POLE_TOL).any():
+            zbad = np.atleast_1d(np.asarray(z, dtype=complex))[d < _POLE_TOL][0]
+            raise PoleHit(f"Phi_b argument {zbad} within {_POLE_TOL} of the zero/pole lattice")
 
     # -- evaluation ----------------------------------------------------------
     def _nodes(self, ymax):

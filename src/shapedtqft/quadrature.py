@@ -99,6 +99,7 @@ _GK_MAX_ROUNDS = 22         # panel-splitting rounds of integrate_1d
 _GK_MAX_PANELS = 60_000     # panels integrate_1d may hold at once
 _PROBE_RADII = (2.0, 4.0, 8.0)  # radii of the box probes along each ray
 _MC_STEP = 0.05             # lattice step of the Monte Carlo cells
+_DECAY_FLOOR = 1e-280       # probe values at or below it count as underflow
 
 
 @dataclass(frozen=True)
@@ -143,16 +144,16 @@ def _panel_eval(f, a, b, counter):
     return ik, err
 
 
-def estimate_decay(f_abs, radii=_PROBE_RADII, floor=1e-280):
+def estimate_decay(f_abs, radii=_PROBE_RADII):
     """Fit |f| ~ C exp(-mu r) along one ray; returns (C, mu).
 
     f_abs maps radius -> |f|.  Raises DecayEstimateFailure when the samples
     grow outward (mu <= 0) above the underflow floor.
     """
     samples = [(float(r), float(f_abs(r))) for r in radii]
-    live = [(r, v) for r, v in samples if v > floor]
+    live = [(r, v) for r, v in samples if v > _DECAY_FLOOR]
     if not live:
-        return floor, 1.0  # already dead at the innermost radius
+        return _DECAY_FLOOR, 1.0  # already dead at the innermost radius
     if len(live) == 1:
         return live[0][1], 2.0
     r_mean = sum(r for r, _v in live) / len(live)

@@ -24,11 +24,12 @@ from .quadrature import IntegralResult, QuadratureConfig, integrate_1d
 __all__ = [
     "hyperbolic_gamma", "hyperbolic_gamma_product", "bernoulli_b22", "hyper_B",
     "cap_psi", "psi_fn", "cap_psi_direct", "elliptic_gamma", "theta_fn",
-    "classical_beta", "lobachevsky", "phi_b_asymptotic_tail",
+    "classical_beta", "lobachevsky",
     "LineTables", "line_integrand",
 ]
 
 _PI = np.pi
+_QPRODUCT_MAX_TERMS = 40000
 
 
 def bernoulli_b22(u, omega1=None, omega2=None, mp: ModularParameter | None = None):
@@ -64,8 +65,7 @@ def hyperbolic_gamma_general(u, omega1, omega2, tol: float = 1e-13):
     return hyperbolic_gamma_product(u, complex(omega1), complex(omega2), tol)
 
 
-def hyperbolic_gamma_product(u, omega1: complex, omega2: complex, tol: float = 1e-14,
-                             max_terms: int = 40000):
+def hyperbolic_gamma_product(u, omega1: complex, omega2: complex, tol: float = 1e-14):
     """gamma2 via the double q-product; needs Im(omega1/omega2) > 0.
 
     Used only for non-real period ratios and in cross-validation tests.
@@ -82,8 +82,8 @@ def hyperbolic_gamma_product(u, omega1: complex, omega2: complex, tol: float = 1
 
     def pochhammer(a, base):
         n = int(np.ceil(np.log(tol * (1 - abs(base))) / np.log(abs(base)))) + 2
-        if n > max_terms:
-            raise NonConvergence(f"q-product needs {n} terms (> {max_terms})")
+        if n > _QPRODUCT_MAX_TERMS:
+            raise NonConvergence(f"q-product needs {n} terms (> {_QPRODUCT_MAX_TERMS})")
         ks = np.arange(n)
         terms = 1.0 - np.multiply.outer(a, base**ks)
         if (np.abs(terms) < 1e-300).any():
@@ -331,17 +331,17 @@ def psi_fn(x, y, mp: ModularParameter, tol: float = 1e-13):
     return cap_psi(x, -x, y, mp, tol)
 
 
-def phi_b_asymptotic_tail(w, a_cut):
-    """Regularized left tail int_{-inf}^{-A} e^{2 pi i w x} dx = e^{-2 pi i w A}/(2 pi i w)."""
-    return np.exp(-2j * _PI * w * a_cut) / (2j * _PI * w)
-
-
 def cap_psi_direct(u, v, w, mp: ModularParameter, cfg: QuadratureConfig) -> IntegralResult:
     """Direct quadrature of the defining Fourier integral (oracle for cap_psi).
 
     Needs Im(u - v) > 0 so the ratio decays on the right; on the left the
-    ratio tends to 1 and the pure-oscillation tail is summed in closed
-    (Abel-regularized) form.  w must have nonzero real part if real.
+    ratio tends to 1 and the pure-oscillation tail int_{-inf}^{-A} e^{2 pi i w t} dt
+    = e^{-2 pi i w A}/(2 pi i w) is summed in closed (Abel-regularized) form.
+    w must be nonzero.  The reported error is the Gauss-Kronrod error plus
+    both cuts' tails, each 4 |g(cut)| / rate like the trapezoid's face tail:
+    g = (ratio - 1) e^{2 pi i w t} decays at rate 2 pi (min(b, 1/b) - Im w)
+    left of -A, and ratio e^{2 pi i w t} at rate 2 pi (Im(u - v) + Im w)
+    right of B.
     """
     u, v, w = complex(u), complex(v), complex(w)
     if (u - v).imag <= 0:
@@ -350,6 +350,9 @@ def cap_psi_direct(u, v, w, mp: ModularParameter, cfg: QuadratureConfig) -> Inte
         raise NonConvergence("w = 0 has no regularized tail")
     eng = get_engine(mp.b, cfg.phib_tol)
     step = min(mp.b, 1.0 / mp.b)
+    rate_a, rate_b = 2 * _PI * (step - w.imag), 2 * _PI * ((u - v).imag + w.imag)
+    if min(rate_a, rate_b) <= 0:
+        raise NonConvergence(f"e^(2 pi i w t) with Im w = {w.imag:.3g} outgrows a tail of the ratio")
     # left cut where |Phi(u+x)/Phi(v+x) - 1| < tol; right cut from the decay rate
     a_cut = (np.log(1.0 / cfg.abs_tol) + 4.0) / (2 * _PI * step) + max(abs(u), abs(v))
     b_cut = (np.log(1.0 / cfg.abs_tol) + 4.0) / (2 * _PI * (u - v).imag) + max(abs(u), abs(v))
@@ -358,8 +361,10 @@ def cap_psi_direct(u, v, w, mp: ModularParameter, cfg: QuadratureConfig) -> Inte
         return eng(u + t) / eng(v + t) * np.exp(2j * _PI * w * t)
 
     core = integrate_1d(f, cfg, interval=(-a_cut, b_cut))
-    tail = phi_b_asymptotic_tail(w, a_cut)
-    return IntegralResult(core.value + tail, core.error_estimate, core.evaluations, "adaptive")
+    wave = np.exp(-2j * _PI * w * a_cut)   # e^{2 pi i w t} at t = -A
+    cuts = 4.0 * abs(f(-a_cut) - wave) / rate_a + 4.0 * abs(f(b_cut)) / rate_b
+    return IntegralResult(core.value + wave / (2j * _PI * w), core.error_estimate + float(cuts),
+                          core.evaluations + 2, "adaptive")
 
 
 def elliptic_gamma(z, bases: EllipticBases, tol: float = 1e-14):

@@ -1,8 +1,9 @@
 """Calibration: each reported error bounds the distance to a closed form.
 
-Every case integrates on the trapezoid and checks |value - reference| <=
-abs_err, where abs_err is the integral's error estimate plus the error of
-the reference itself, when it carries one.  The worst slack
+Every case integrates on the trapezoid (the Fourier kernel's direct
+integral on Gauss-Kronrod) and checks |value - reference| <= abs_err, where
+abs_err is the integral's error estimate plus the error of the reference
+itself, when it carries one.  The worst slack
 |value - reference| / abs_err of each family is reported in the terminal
 summary.
 """
@@ -18,7 +19,7 @@ from shapedtqft.params import ModularParameter
 from shapedtqft.qdilog import phi_b
 from shapedtqft.quadrature import QuadratureConfig, integrate_nd
 from shapedtqft.reduced import ratio_integral_fig8, tilde52_reduced2d, triple_ratio_52
-from shapedtqft.special import hyper_B, hyperbolic_gamma
+from shapedtqft.special import cap_psi, cap_psi_direct, hyper_B, hyperbolic_gamma
 from shapedtqft.tqft import knot_quad_angle, partition_function
 from tests.conftest import CALIBRATION_LINES, count_line_caches
 
@@ -171,3 +172,21 @@ def test_kink_at_the_origin():
         res = integrate_nd(lambda p: np.exp(-np.abs(p[:, 0])) + 0j, 1, tol_cfg(tol))
         slacks.append(abs(res.value - 2) / res.error_estimate)
     assert report("e^-|x| kink", slacks) <= 1.0
+
+
+def test_fourier_kernel_direct_integral():
+    # criterion 2's draws at three couplings: the direct integral against
+    # the closed form, whose own error is taken as 1e-12 relative
+    slacks = []
+    for tol in (1e-5, 1e-7, 1e-9):
+        for b in (0.8, 1.0, 1.3):
+            mp = ModularParameter(b)
+            rng = np.random.default_rng(7)
+            for _ in range(10):
+                u = 1j * rng.uniform(0.05, 0.55)
+                v = -1j * rng.uniform(0.05, 0.55)
+                w = rng.uniform(0.05, 0.45) * rng.choice([-1.0, 1.0])
+                closed = complex(cap_psi(u, v, w, mp))
+                res = cap_psi_direct(u, v, w, mp, tol_cfg(tol))
+                slacks.append(abs(res.value - closed) / (res.error_estimate + 1e-12 * abs(closed)))
+    assert report("Fourier kernel", slacks) <= 1.0

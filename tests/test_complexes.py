@@ -13,6 +13,8 @@ from shapedtqft.complexes import (EDGE_INDEX, EDGE_TO_QUAD, GaugeFixing, Gluing,
 from shapedtqft.data import load as load_bundled
 from shapedtqft.errors import (BadGluing, BadLoop, InvalidGauge, NotApplicable,
                                ShapeViolation)
+from shapedtqft.quadrature import QuadratureConfig
+from shapedtqft.tqft import check_pachner_invariance
 
 ID = (0, 1, 2)
 
@@ -180,6 +182,20 @@ def test_shape_gauge_transform_properties(fig8):
         shape_gauge_transform(x, angles, 0, 50.0)
 
 
+def face_edge_sets(xx, mapping=None):
+    """Sorted edge-class triples of the boundary faces, optionally mapped."""
+    out = []
+    for (t, f) in xx.boundary_faces:
+        vs = [v for v in range(4) if v != f]
+        es = []
+        for i in range(3):
+            for j in range(i + 1, 3):
+                e = xx.edge_class_of[(t, EDGE_INDEX[tuple(sorted((vs[i], vs[j])))])]
+                es.append(mapping[e] if mapping else e)
+        out.append(tuple(sorted(es)))
+    return sorted(out)
+
+
 def test_pachner_32_bipyramid_combinatorics():
     x, central = standalone_bipyramid()
     assert len(x.boundary_faces) == 6 and x.n_edges == 10
@@ -189,18 +205,7 @@ def test_pachner_32_bipyramid_combinatorics():
     assert emap[central] is None
     assert sorted(v for v in emap.values() if v is not None) == list(range(9))
     validate_angles(x2, ang2)
-    # boundary face lattice preserved:同 multiset of per-face edge-class triples
-    def face_edge_sets(xx, mapping=None):
-        out = []
-        for (t, f) in xx.boundary_faces:
-            vs = [v for v in range(4) if v != f]
-            es = []
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    e = xx.edge_class_of[(t, EDGE_INDEX[tuple(sorted((vs[i], vs[j])))])]
-                    es.append(mapping[e] if mapping else e)
-            out.append(tuple(sorted(es)))
-        return sorted(out)
+    # boundary face lattice preserved: same multiset of per-face edge-class triples
     assert face_edge_sets(x, emap) == face_edge_sets(x2)
 
 
@@ -230,16 +235,47 @@ def test_pachner_32_preconditions():
     boundary_edge = next(e for e in range(x.n_edges) if e != central)
     with pytest.raises(NotApplicable):
         pachner_32(x, boundary_edge, ang)
-    # induced angle out of (0, pi): push one spoke sum above pi
-    skew = random_bipyramid_angles(np.random.default_rng(6))
-    skew[0][0] += skew[0][2] - 0.02
-    skew[0][2] = 0.02
-    skew[1][0] += skew[1][1] - 0.02
-    skew[1][1] = 0.02
-    try:
-        pachner_32(x, central, skew)
-    except (ShapeViolation, NotApplicable):
-        pass  # either degeneration is acceptable for this contrived shape
+    # a central weight off by 5e-10 would leave apex angle sums off by as
+    # much, which validate_angles refuses: the move refuses it by its weight
+    off = ang.copy()
+    t, e = x.edge_classes[central][0]
+    off[t][EDGE_TO_QUAD[e]] += 5e-10
+    off[t][(EDGE_TO_QUAD[e] + 1) % 3] -= 5e-10
+    with pytest.raises(NotApplicable, match="edge weight"):
+        pachner_32(x, central, off)
+
+
+# survivors of the move: the extra tetrahedra (3, 4, ...) and gluings added
+# to the standalone bipyramid, whose boundary faces include (0, 1) and (1, 1)
+SURVIVOR_CASES = {
+    "one tet on (0, 1)": (1, [Gluing(0, 1, 3, 0, ID)]),
+    "tets on (0, 1) and (1, 1)": (2, [Gluing(0, 1, 3, 0, ID), Gluing(1, 1, 4, 0, ID)]),
+    "(0, 1) glued to (1, 1)": (0, [Gluing(0, 1, 1, 1, (0, 2, 1))]),
+}
+
+
+@pytest.mark.parametrize("case", list(SURVIVOR_CASES))
+def test_pachner_32_remaps_survivor_gluings(case, mp1):
+    # survivor gluings to the bipyramid are relabelled onto the apex tets:
+    # W, every edge weight and the boundary face lattice are kept
+    xb, _ = standalone_bipyramid()
+    n_extra, extra = SURVIVOR_CASES[case]
+    n_tets = 3 + n_extra
+    x = build_complex([+1] * n_tets, list(xb.gluings) + extra)
+    central = x.edge_class_of[(0, EDGE_INDEX[(1, 3)])]
+    rng = np.random.default_rng(12)
+    ang = np.vstack([random_bipyramid_angles(rng), np.tile([0.9, 1.0, np.pi - 1.9], (n_extra, 1))])
+    x2, ang2, emap = pachner_32(x, central, ang)
+    assert x2.n_tets == n_tets - 1 and emap[central] is None
+    assert sorted(v for v in emap.values() if v is not None) == list(range(x2.n_edges))
+    for e in range(x.n_edges):
+        if e != central:
+            assert abs(edge_weight(x, ang, e) - edge_weight(x2, ang2, emap[e])) < 1e-12
+    assert face_edge_sets(x, emap) == face_edge_sets(x2)
+    bs = dict(zip(x.boundary_edges, rng.uniform(-0.4, 0.4, len(x.boundary_edges))))
+    cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
+    rep = check_pachner_invariance(x, ang, central, mp1, cfg, boundary_state=bs)
+    assert rep["rel_discrepancy"] <= 1e-8
 
 
 def test_pachner_32_refuses_edge_outside_the_complex(fig8):

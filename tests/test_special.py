@@ -313,6 +313,9 @@ def test_cap_psi_direct_preconditions(cfg9):
         cap_psi_direct(-0.2j, 0.3j, 0.1, mp, cfg9)  # Im(u - v) < 0
     with pytest.raises(NonConvergence):
         cap_psi_direct(0.3j, -0.2j, 0.0, mp, cfg9)  # w = 0: no regularized tail
+    for w in (0.1 + 1.5j, 0.1 - 0.6j):  # the wave outgrows the left, resp. right, decay
+        with pytest.raises(NonConvergence, match="outgrows"):
+            cap_psi_direct(0.3j, -0.2j, w, mp, cfg9)
 
 
 def test_elliptic_reflection():
