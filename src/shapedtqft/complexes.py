@@ -32,7 +32,7 @@ __all__ = [
     "state_gauge_image", "edge_weight", "angle_holonomy", "tas_basis",
     "shape_gauge_transform", "pachner_32", "standalone_bipyramid", "random_bipyramid_angles",
     "EDGE_PAIRS", "EDGE_INDEX", "QUAD_PAIRS", "EDGE_TO_QUAD", "face_vertices",
-    "validate_angles",
+    "validate_angles", "validate_shape",
 ]
 
 EDGE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -44,8 +44,16 @@ EDGE_TO_QUAD = (0, 1, 2, 2, 1, 0)
 # largest |angle sum - pi| a tetrahedron of a shape may carry
 _ANGLE_SUM_TOL = 1e-12
 
-_PERM3_SIGN = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-               (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
+
+def _ordered_sign(order):
+    """Sign of the permutation that sorts `order`."""
+    sign = 1
+    order = list(order)
+    for i in range(len(order)):
+        for j in range(i + 1, len(order)):
+            if order[i] > order[j]:
+                sign = -sign
+    return sign
 
 
 def face_vertices(face: int):
@@ -125,7 +133,7 @@ class Triangulation:
                 raise BadGluing(f"perm {g.perm} is not a permutation of (0,1,2)")
             sa = self.tetrahedra[g.tet_a].orientation
             sb = self.tetrahedra[g.tet_b].orientation
-            if _PERM3_SIGN[tuple(g.perm)] != -sa * sb * (-1) ** (g.face_a + g.face_b):
+            if _ordered_sign(g.perm) != -sa * sb * (-1) ** (g.face_a + g.face_b):
                 raise BadGluing(
                     f"gluing ({g.tet_a},{g.face_a})<->({g.tet_b},{g.face_b}) "
                     f"perm {g.perm} does not reverse orientation")
@@ -238,16 +246,24 @@ def from_json_dict(d):
     return x, angles
 
 
-def validate_angles(x: Triangulation, angles, tol=_ANGLE_SUM_TOL):
+def validate_shape(angles3, where: str = "tetrahedron"):
+    """Check one tetrahedron's quad angles: each in (0, pi), summing to pi
+    within _ANGLE_SUM_TOL; returns them as a float array."""
+    a = np.asarray(angles3, dtype=float)
+    if abs(a.sum() - np.pi) > _ANGLE_SUM_TOL:
+        raise ShapeViolation(f"{where}: angle sum {a.sum()} != pi")
+    if (a <= 0).any() or (a >= np.pi).any():
+        raise ShapeViolation(f"{where}: angles {a} leave (0, pi)")
+    return a
+
+
+def validate_angles(x: Triangulation, angles):
     """Check shape-structure constraints; returns the (n_tets, 3) array."""
     a = np.asarray(angles, dtype=float)
     if a.shape != (x.n_tets, 3):
         raise ShapeViolation(f"angles must be shaped ({x.n_tets}, 3), got {a.shape}")
     for t in range(x.n_tets):
-        if abs(a[t].sum() - np.pi) > tol:
-            raise ShapeViolation(f"tetrahedron {t}: angle sum {a[t].sum()} != pi")
-        if (a[t] <= 0).any() or (a[t] >= np.pi).any():
-            raise ShapeViolation(f"tetrahedron {t}: angles {a[t]} leave (0, pi)")
+        validate_shape(a[t], f"tetrahedron {t}")
     return a
 
 
@@ -445,16 +461,6 @@ def shape_gauge_transform(x: Triangulation, angles, edge_class: int, t: float):
 
 
 # -- Pachner 3-2 ---------------------------------------------------------------
-
-def _ordered_sign(order):
-    sign = 1
-    order = list(order)
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if order[i] > order[j]:
-                sign = -sign
-    return sign
-
 
 def _walk_bipyramid(x: Triangulation, edge_class: int):
     """Walk the three tetrahedra around a degree-3 interior edge.

@@ -19,7 +19,7 @@ __all__ = ["shape_parameters", "shape_volume", "volume_gradient",
            "angle_holonomy_eigenvalue_report"]
 
 _BOX_MARGIN = 1e-6
-_ASCENT_MAX_ITER = 500   # gradient steps of the volume ascent
+_ASCENT_MAX_ITER = 500   # Newton steps of the volume ascent
 _CRIT_TOL = 1e-6         # largest gluing residual of a critical shape
 
 
@@ -44,77 +44,46 @@ def volume_gradient(angles):
 
 
 def maximize_volume_in_gauge_class(x: Triangulation, angles, tol: float = 1e-10):
-    """Ascend the volume along the tangential deformation space.
+    """Maximize the volume over the gauge class of `angles` by damped Newton ascent.
 
-    Returns (maximizer, converged); raises BoundaryDegeneration when the
-    ascent is pushed against the angle box (some angle within 1e-6 of
-    {0, pi} with an outward gradient component).
+    On the chart of an orthonormal basis B of span(tas_basis) the volume is
+    strictly concave, with gradient B grad V and Hessian -B diag(cot a) B^T.
+    Each Newton step is halved until every angle stays 1e-6 inside (0, pi)
+    (or, already closer, gets no closer) and the volume clears the Armijo
+    line less 1e-14 |V| for rounding.  Returns (maximizer, converged):
+    converged once the chart gradient norm is below tol, False on a singular
+    Hessian or after _ASCENT_MAX_ITER steps.  Raises BoundaryDegeneration
+    when the halving bottoms out against the angle box.
     """
     a0 = validate_angles(x, angles)
     gens = tas_basis(x)
     if not gens:
         return a0.copy(), True
-    gmat = np.stack([g.ravel() for g in gens])
-    # orthonormal basis of the span
-    u, s, _vt = np.linalg.svd(gmat, full_matrices=False)
-    basis = _vt[s > 1e-10 * s[0]]
-    k = len(basis)
-    if k == 0:
-        return a0.copy(), True
-
-    flat0 = a0.ravel()
-
-    def angles_of(c):
-        return flat0 + c @ basis
-
-    def grad_of(a):
-        return basis @ (-np.log(2.0 * np.sin(a)))
-
-    c = np.zeros(k)
-    step = 1.0
+    _u, s, vt = np.linalg.svd(np.stack([g.ravel() for g in gens]), full_matrices=False)
+    basis = vt[s > 1e-10 * s[0]]
+    a = a0.flatten()
     for _it in range(_ASCENT_MAX_ITER):
-        a = angles_of(c)
-        grad = grad_of(a)
-        gn = float(np.linalg.norm(grad))
-        if gn < max(tol, 1e-6):
+        grad = basis @ volume_gradient(a)
+        if np.linalg.norm(grad) < tol:
+            return a.reshape(a0.shape), True
+        try:
+            dc = np.linalg.solve(-(basis / np.tan(a)) @ basis.T, -grad)
+        except np.linalg.LinAlgError:
             break
-        v_here = float(np.sum(lobachevsky(a)))
-        step = min(step * 4.0, 1.0)
+        v_here, slope, step = shape_volume(a), float(grad @ dc), 1.0
+        floor = np.minimum(_BOX_MARGIN, np.minimum(a, np.pi - a))
         while True:
-            trial = angles_of(c + step * grad)
-            inside = (trial > _BOX_MARGIN).all() and (trial < np.pi - _BOX_MARGIN).all()
-            if inside and float(np.sum(lobachevsky(trial))) > v_here + 0.25 * step * gn**2:
+            trial = a + step * (dc @ basis)
+            if ((np.minimum(trial, np.pi - trial) >= floor).all()
+                    and shape_volume(trial) >= v_here + 0.25 * step * slope
+                    - 1e-14 * abs(v_here)):
                 break
             step *= 0.5
             if step < 1e-14:
-                if not inside or (np.minimum(a, np.pi - a) < 10 * _BOX_MARGIN).any():
-                    raise BoundaryDegeneration(
-                        "volume ascent ran into the boundary of the angle box")
-                break  # flat curvature: hand over to the Newton polish
-        if step < 1e-14:
-            break
-        c = c + step * grad
-    # Newton polish on the chart (the volume is strictly concave there)
-    for _it in range(40):
-        a = angles_of(c)
-        grad = grad_of(a)
-        gn = float(np.linalg.norm(grad))
-        if gn < tol:
-            return angles_of(c).reshape(a0.shape), True
-        hess = -(basis * (1.0 / np.tan(a))[None, :]) @ basis.T
-        try:
-            dc = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            break
-        scale = 1.0
-        while scale > 1e-12:
-            trial = angles_of(c + scale * dc)
-            if (trial > _BOX_MARGIN).all() and (trial < np.pi - _BOX_MARGIN).all():
-                break
-            scale *= 0.5
-        c = c + scale * dc
-    gn = float(np.linalg.norm(grad_of(angles_of(c))))
-    return angles_of(c).reshape(a0.shape), gn < tol
+                raise BoundaryDegeneration(
+                    "volume ascent ran into the boundary of the angle box")
+        a = trial
+    return a.reshape(a0.shape), False
 
 
 def gluing_residual(x: Triangulation, angles):

@@ -37,6 +37,15 @@ def _require_window(mp, *values):
                 f"gamma2 argument offset {v} has real part outside (0, {q})")
 
 
+def _require_balanced(mp, values, balance_tol):
+    """Refuse parameters whose sum misses omega1 + omega2 by more than
+    balance_tol * max(1, Q), or whose real parts leave the window (0, Q)."""
+    total = sum(values)
+    if abs(total - mp.q_total) > balance_tol * max(1.0, mp.q_total):
+        raise ConstraintViolation(f"balancing sum {total} != {mp.q_total}")
+    _require_window(mp, *values)
+
+
 @dataclass(frozen=True)
 class BalancedParams33:
     """Three (a_i, b_i) pairs with sum(a_i + b_i) = omega1 + omega2."""
@@ -46,10 +55,7 @@ class BalancedParams33:
     def validate(self, mp: ModularParameter):
         if len(self.a) != 3 or len(self.b) != 3:
             raise ConstraintViolation("need three a and three b parameters")
-        total = sum(self.a) + sum(self.b)
-        if abs(total - mp.q_total) > 1e-14 * max(1.0, mp.q_total):
-            raise ConstraintViolation(f"balancing sum {total} != {mp.q_total}")
-        _require_window(mp, *self.a, *self.b)
+        _require_balanced(mp, (*self.a, *self.b), 1e-14)
 
 
 @dataclass(frozen=True)
@@ -60,10 +66,7 @@ class BalancedParams6:
     def validate(self, mp: ModularParameter, balance_tol: float = 1e-14):
         if len(self.alphas) != 6:
             raise ConstraintViolation("need six parameters")
-        total = sum(self.alphas)
-        if abs(total - mp.q_total) > balance_tol * max(1.0, mp.q_total):
-            raise ConstraintViolation(f"balancing sum {total} != {mp.q_total}")
-        _require_window(mp, *self.alphas)
+        _require_balanced(mp, self.alphas, balance_tol)
 
 
 def random_balanced_33(rng, mp, imag_scale=0.0):

@@ -27,8 +27,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .complexes import QUAD_PAIRS, GaugeFixing, Triangulation, validate_angles
-from .errors import InvalidGauge, ShapeViolation
+from .complexes import QUAD_PAIRS, GaugeFixing, Triangulation, validate_angles, validate_shape
+from .errors import InvalidGauge
 from .params import ModularParameter
 from .quadrature import QuadratureConfig, integrate_nd
 from .special import LineTables, hyperbolic_gamma
@@ -41,9 +41,7 @@ __all__ = ["tet_weight", "BoltzmannEvaluator", "PartitionResult", "partition_fun
 def tet_weight(orientation: int, angles3, s6, mp: ModularParameter,
                tol: float = 1e-13):
     """Boltzmann weight of one tetrahedron; s6 is (..., 6) over local edges."""
-    a = np.asarray(angles3, dtype=float)
-    if abs(a.sum() - np.pi) > 1e-9 or (a <= 0).any() or (a >= np.pi).any():
-        raise ShapeViolation(f"angles {a} are not a shape (positive, sum pi)")
+    a = validate_shape(angles3)
     s = np.atleast_2d(np.asarray(s6, dtype=float))
     stil = np.stack([s[:, QUAD_PAIRS[q][0]] + s[:, QUAD_PAIRS[q][1]] for q in range(3)], axis=1)
     args = np.empty((s.shape[0], 3), dtype=complex)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from shapedtqft.complexes import edge_loop, shape_gauge_transform, tas_basis
+from shapedtqft.data import load as load_bundled
 from shapedtqft.errors import BoundaryDegeneration, NotCritical
 from shapedtqft.geometry import (angle_holonomy_eigenvalue_report, gluing_residual,
                                  maximize_volume_in_gauge_class, shape_parameters,
@@ -17,6 +18,14 @@ def gauge_class_start(x, base, rng, scale=0.3):
         if (trial > 0.05).all() and (trial < np.pi - 0.05).all():
             a = trial
     return a
+
+
+def near_box_start(base, g, gap=1e-3):
+    """base + t g with the largest t > 0 that keeps every angle gap inside (0, pi)."""
+    a, d = np.asarray(base, dtype=float), np.asarray(g, dtype=float)
+    t = min((np.pi - gap - av) / dv if dv > 0 else (av - gap) / -dv
+            for av, dv in zip(a.ravel(), d.ravel()) if abs(dv) > 1e-12)
+    return a + t * d
 
 
 def test_volume_symmetric_values(fig8_complement):
@@ -73,6 +82,35 @@ def test_boundary_degeneration_contract(fig8_complement):
         assert np.abs(beta - np.pi / 3).max() < 1e-6
     except BoundaryDegeneration:
         pass
+
+
+@pytest.mark.parametrize("name", ["bipyramid", "fig8", "fig8_complement", "knot52",
+                                  "knot61", "trefoil"])
+def test_maximizer_on_every_bundled_complex(name):
+    # from seeded gauge-class starts and from starts 1e-3 off the angle box
+    # along the first four generators (both signs), each run either refuses
+    # or converges inside (0, pi), no lower in volume, to the one maximizer of
+    # the class, which a restart reproduces
+    x, angles = load_bundled(name + ".json")
+    ref, ok = maximize_volume_in_gauge_class(x, angles, tol=1e-11)
+    assert ok
+    rng = np.random.default_rng(48)
+    starts = [gauge_class_start(x, angles, rng) for _ in range(5)]
+    starts += [near_box_start(angles, sign * g) for g in tas_basis(x)[:4] for sign in (1, -1)]
+    converged = 0
+    for start in starts:
+        try:
+            beta, ok = maximize_volume_in_gauge_class(x, start, tol=1e-11)
+        except BoundaryDegeneration:
+            continue
+        assert ok
+        assert (beta > 0).all() and (beta < np.pi).all()
+        assert shape_volume(beta) >= shape_volume(start)
+        assert np.abs(beta - ref).max() < 1e-9
+        again, ok = maximize_volume_in_gauge_class(x, beta, tol=1e-11)
+        assert ok and np.abs(again - beta).max() <= 1e-12
+        converged += 1
+    assert converged > 0
 
 
 def test_gradient_vs_finite_differences():

@@ -40,7 +40,8 @@ def test_tet_weight_zero_state_symmetric(mp1):
 
 def test_tet_weight_rejects_non_shape(mp1):
     # same typed error as validate_angles
-    for bad in ([1.0, 1.0, 1.0], [np.pi, 0.0, 0.0], [2.0, 1.5, np.pi - 3.5]):
+    for bad in ([1.0, 1.0, 1.0], [np.pi, 0.0, 0.0], [2.0, 1.5, np.pi - 3.5],
+                [1.0, 1.0, np.pi - 2.0 + 5e-10]):
         with pytest.raises(ShapeViolation):
             tet_weight(+1, bad, np.zeros(6), mp1)
 
