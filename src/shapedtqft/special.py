@@ -10,11 +10,19 @@ inverted as x = i u / nabla - c_b (the |q| = 1 divergence kills the product
 form there).  The product form is kept for genuinely complex period ratios
 and for cross validation.  sqrt(zeta_inv) is the principal branch; it is
 pinned against the direct contour integral by the test suite.
+
+The classical functions need no library beyond numpy: the Bernoulli numbers
+B_2k are exact Fractions from the integer tangent-number recurrence, and
+give both the constants zeta(2k) of the Lobachevsky series and the
+coefficients of the Stirling series behind the complex log-gamma of
+classical_beta.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
-from scipy.special import loggamma, zeta as riemann_zeta
 
 from .errors import NonConvergence, PoleHit, WeightOutOfRange
 from .params import EllipticBases, ModularParameter
@@ -404,24 +412,93 @@ def theta_fn(z, p: complex, tol: float = 1e-14):
         1.0 - np.multiply.outer(p / z, ks), axis=-1)
 
 
-def classical_beta(x, y):
-    """Euler beta via complex log-gamma."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    return np.exp(loggamma(x) + loggamma(y) - loggamma(x + y))
+def _bernoulli_even(n):
+    """B_2, B_4, ..., B_2n as exact Fractions.
+
+    The tangent numbers T_k (tan x = sum_k T_k x^{2k-1} / (2k-1)!) come from
+    the Knuth-Buckholtz integer recurrence, and B_2k = (-1)^{k-1} 2k T_k /
+    (4^k (4^k - 1)).
+    """
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return [Fraction((-1) ** (k - 1) * 2 * k * t[k], 4 ** k * (4 ** k - 1))
+            for k in range(1, n + 1)]
 
 
 _CL2_KMAX = 40
-_CL2_ZETAS = riemann_zeta(2 * np.arange(1, _CL2_KMAX + 1))
+_CL2_TOL = 1e-15
+_BERNOULLI = _bernoulli_even(_CL2_KMAX)
 
 
-def lobachevsky(theta, tol: float = 1e-15):
+def _zeta_even(bernoulli):
+    """zeta(2k) = (-1)^{k+1} B_2k (2 pi)^{2k} / (2 (2k)!) for k = 1, 2, ...,
+    correctly rounded: the exact rational times (2 pi)^{2k}, with pi to 30
+    digits, is one division of integers."""
+    p, q = Fraction("3.141592653589793238462643383280").as_integer_ratio()
+    return np.array([(-1) ** (k + 1) * b.numerator * (2 * p) ** (2 * k)
+                     / (b.denominator * 2 * factorial(2 * k) * q ** (2 * k))
+                     for k, b in enumerate(bernoulli, 1)])
+
+
+_CL2_ZETAS = _zeta_even(_BERNOULLI)
+_LOGGAMMA_SHIFT = 10.0
+# B_2k / (2k (2k - 1)), k = 1..8: the Stirling series of log Gamma
+_STIRLING = np.array([float(b / (2 * k * (2 * k - 1))) for k, b in enumerate(_BERNOULLI[:8], 1)])
+
+
+def _loggamma(z):
+    """A logarithm of Gamma(z), complex array z off the poles; its branch is
+    not scipy's, so only exp of sums of it is meaningful.
+
+    The recurrence Gamma(z) = Gamma(z + n) / (z (z + 1) ... (z + n - 1)) moves
+    Re z up to >= _LOGGAMMA_SHIFT, where Stirling's series with 8 terms is
+    below 1e-17.
+    """
+    z = np.asarray(z, dtype=complex)
+    n = np.maximum(np.ceil(_LOGGAMMA_SHIFT - z.real), 0.0)
+    out = np.zeros_like(z)
+    for k in range(int(n.max(initial=0.0))):
+        out -= np.log(np.where(k < n, z + k, 1.0))
+    z = z + n
+    w = 1.0 / z
+    w2, series = w * w, _STIRLING[-1]
+    for c in _STIRLING[-2::-1]:
+        series = series * w2 + c
+    return out + (z - 0.5) * np.log(z) - z + 0.5 * np.log(2 * _PI) + series * w
+
+
+def _gamma_pole(z):
+    """True where z is a pole of Gamma: a non-positive integer."""
+    return (z.imag == 0) & (z.real <= 0) & (z.real == np.floor(z.real))
+
+
+def classical_beta(x, y):
+    """Euler beta B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y) via _loggamma.
+
+    Raises PoleHit if x or y is a non-positive integer; where only x + y is
+    one, B is exactly 0.
+    """
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    if _gamma_pole(x).any() or _gamma_pole(y).any():
+        raise PoleHit("classical beta: x or y is a non-positive integer, a pole of Gamma")
+    s = x + y
+    zero = _gamma_pole(s)
+    out = np.exp(_loggamma(x) + _loggamma(y) - _loggamma(np.where(zero, 1.0, s)))
+    return np.where(zero, 0.0, out)[()]
+
+
+def lobachevsky(theta):
     """Lobachevsky function L(theta) = (1/2) sum_{n>=1} sin(2 n theta)/n^2.
 
     Evaluated as Cl2(2 theta)/2 through the zeta-accelerated expansion
     Cl2(t) = t - t log|t| + sum_k zeta(2k) t^{2k+1} / (k (2k+1) (2 pi)^{2k}),
     absolutely convergent for |t| <= pi with ratio <= 1/4; truncation stops
-    once the geometric tail bound drops below tol.
+    once the geometric tail bound drops below _CL2_TOL.
     """
     theta = np.asarray(theta, dtype=float)
     t = np.mod(2.0 * theta + _PI, 2.0 * _PI) - _PI  # fold 2*theta into [-pi, pi)
@@ -433,6 +510,6 @@ def lobachevsky(theta, tol: float = 1e-15):
         term = term * r
         contrib = _CL2_ZETAS[k - 1] * term / (k * (2 * k + 1))
         acc = acc + contrib
-        if float(np.max(np.abs(contrib))) < tol * 0.1:
+        if float(np.max(np.abs(contrib))) < _CL2_TOL * 0.1:
             break
     return 0.5 * (out + acc)

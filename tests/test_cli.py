@@ -88,6 +88,29 @@ def test_gamma2_line_imports_no_interpolation():
     assert r.stdout.strip() == "False"
 
 
+def test_runtime_imports_no_scipy():
+    # the package needs numpy only: a fresh interpreter that loads the CLI and
+    # runs the volume functional, the classical beta pentagon (criterion 5's
+    # first point) and a gamma2 line never imports scipy
+    code = ("import sys, shapedtqft.cli\n"
+            "from shapedtqft.data import load\n"
+            "from shapedtqft.geometry import shape_volume\n"
+            "from shapedtqft.identities import check_classical_pentagon\n"
+            "from shapedtqft.params import ModularParameter\n"
+            "from shapedtqft.quadrature import QuadratureConfig\n"
+            "from shapedtqft.special import classical_beta, gamma2_line\n"
+            "shape_volume(load('fig8.json')[1])\n"
+            "classical_beta(2.0, 3.0)\n"
+            "check_classical_pentagon(0.2, 0.2, 0.2, 0.2, 0.2,\n"
+            "                         QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11))\n"
+            "mp = ModularParameter(1.0)\n"
+            "gamma2_line(0.5 * mp.q_total, mp, 1e-13)([0.0, 1.5])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 TREFOIL = str(path_of("trefoil.json"))
 
 

@@ -1,12 +1,15 @@
 """Hyperbolic/elliptic gamma, B and Fourier kernels, beta, Lobachevsky."""
 import numpy as np
 import pytest
+import scipy.special as scipy_special
 from scipy.integrate import quad
 
+from shapedtqft import identities, special
 from shapedtqft.errors import NonConvergence, PoleHit
 from shapedtqft.identities import random_balanced_33
 from shapedtqft.params import EllipticBases, ModularParameter
 from shapedtqft.qdilog import FaddeevDilog, phi_b
+from shapedtqft.quadrature import QuadratureConfig
 from shapedtqft.special import (LineTables, bernoulli_b22, cap_psi, cap_psi_direct,
                                 classical_beta, elliptic_gamma, gamma2_line, hyper_B,
                                 hyperbolic_gamma, hyperbolic_gamma_general,
@@ -373,6 +376,48 @@ def test_theta_is_exactly_zero_at_its_zeros():
 def test_classical_beta_basics():
     assert abs(complex(classical_beta(1.0, 1.0)) - 1.0) < 1e-14
     assert abs(complex(classical_beta(2.0, 3.0)) - 1 / 12) < 1e-14
+
+
+@pytest.mark.parametrize("x, y", [(0.0, 1.0), (-1.0, 0.5), (0.5, -2.0)])
+def test_classical_beta_refuses_a_pole_of_x_or_y(x, y):
+    with pytest.raises(PoleHit):
+        classical_beta(x, y)
+
+
+def test_classical_beta_is_zero_at_a_pole_of_x_plus_y():
+    # B(-1/2, 1/2) = Gamma(-1/2) Gamma(1/2) / Gamma(0) = 0
+    assert classical_beta(-0.5, 0.5) == 0
+    assert np.array_equal(classical_beta(np.array([-0.5, 1.0]), np.array([0.5, 1.0])) == 0,
+                          [True, False])
+
+
+def test_cl2_zetas_match_scipy():
+    vals = scipy_special.zeta(2 * np.arange(1, 41))
+    assert np.abs(special._CL2_ZETAS / vals - 1).max() <= 4e-16
+
+
+def test_classical_beta_matches_scipy_loggamma(monkeypatch):
+    def scipy_beta(x, y):
+        lg = scipy_special.loggamma
+        return np.exp(lg(x) + lg(y) - lg(x + y))
+
+    rng = np.random.default_rng(24)
+    x, y = (rng.uniform(0.05, 3, 2000) + 1j * rng.uniform(-20, 20, 2000) for _ in range(2))
+    assert np.abs(classical_beta(x, y) / scipy_beta(x, y) - 1).max() <= 1e-13
+    # every argument pair of criterion 5's ten pentagons
+    seen = []
+
+    def recording(x, y):
+        seen.append(np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)))
+        return classical_beta(x, y)
+
+    monkeypatch.setattr(identities, "classical_beta", recording)
+    rng = np.random.default_rng(2028)
+    for a in [(0.2,) * 5] + [rng.uniform(0.15, 0.6, 5) for _ in range(9)]:
+        identities.check_classical_pentagon(*a, QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11))
+    x, y = (np.concatenate([np.ravel(pair[i]) for pair in seen]) for i in (0, 1))
+    assert len(x) > 10000
+    assert np.abs(classical_beta(x, y) / scipy_beta(x, y) - 1).max() <= 1e-13
 
 
 def test_lobachevsky_zero_and_odd_periodicity():
