@@ -14,8 +14,8 @@ import numpy as np
 from .errors import ConstraintViolation, QuadratureFailure
 from .params import EllipticBases, ModularParameter
 from .quadrature import QuadratureConfig, halving_estimate, integrate_nd
-from .special import (LineTables, cap_psi, classical_beta, elliptic_gamma, hyper_B,
-                      hyperbolic_gamma, line_integrand, theta_fn)
+from .special import (LineTables, cap_psi, classical_beta, elliptic_gamma, hyperbolic_gamma,
+                      line_integrand, theta_fn)
 
 __all__ = [
     "BalancedParams33", "BalancedParams6", "check_hyperbolic_pentagon",
@@ -35,6 +35,20 @@ def _require_window(mp, *values):
         if not (1e-6 < complex(v).real < q - 1e-6):
             raise ConstraintViolation(
                 f"gamma2 argument offset {v} has real part outside (0, {q})")
+
+
+def _log_gamma2(mp, tol, *cs):
+    """log gamma2 at the constant offsets cs, from one hyperbolic_gamma call.
+
+    Where every c is a real point of the window (0, Q), gamma2 is real and
+    positive there, and this is the real log |gamma2|: a line integrand
+    whose log_const it forms stays conjugation-even.  Otherwise it is the
+    complex log.
+    """
+    cs = np.array(cs, dtype=complex)
+    g = hyperbolic_gamma(cs, mp, tol)
+    real = (cs.imag == 0).all() and ((cs.real > 0) & (cs.real < mp.q_total)).all()
+    return np.log(np.abs(g)) if real else np.log(g)
 
 
 def _require_balanced(mp, values, balance_tol):
@@ -100,14 +114,21 @@ def random_elliptic_params(rng, bases: EllipticBases):
 
 def check_hyperbolic_pentagon(p: BalancedParams33, mp: ModularParameter,
                               cfg: QuadratureConfig) -> float:
-    """Relative residual of the five-term B-kernel identity."""
+    """Relative residual of the five-term B-kernel identity.
+
+    Its constants, the three gamma2(a_i + b_i) of the denominator and the
+    right side B(x1, y1) B(x2, y2), take one hyperbolic_gamma call.  With
+    real parameters every constant is real and the integrand
+    conjugation-even.
+    """
     p.validate(mp)
-    log_den = np.log(hyperbolic_gamma(np.add(p.a, p.b), mp, cfg.phib_tol)).sum()
+    x1, y1 = p.a[1] + p.b[0], p.a[2] + p.b[1]
+    x2, y2 = p.a[0] + p.b[1], p.a[2] + p.b[0]
+    logs = _log_gamma2(mp, cfg.phib_tol, *np.add(p.a, p.b), x1, y1, x1 + y1, x2, y2, x2 + y2)
     factors = [f for a, b in zip(p.a, p.b) for f in (("g2", a, -1, 1), ("g2", b, 1, 1))]
-    f = line_integrand(factors, mp, cfg.phib_tol, log_const=-log_den)
+    f = line_integrand(factors, mp, cfg.phib_tol, log_const=-logs[:3].sum())
     lhs = integrate_nd(f, 1, cfg).value
-    rhs = complex(hyper_B(p.a[1] + p.b[0], p.a[2] + p.b[1], mp, cfg.phib_tol)
-                  * hyper_B(p.a[0] + p.b[1], p.a[2] + p.b[0], mp, cfg.phib_tol))
+    rhs = complex(np.exp(logs[3] + logs[4] - logs[5] + logs[6] + logs[7] - logs[8]))
     return abs(lhs - rhs) / abs(rhs)
 
 
@@ -245,7 +266,7 @@ def check_orthogonality_smeared(a_im: float, center: float, sigma: float,
     """
     symbol_dev = orthogonality_symbol_deviation(a_im, mp, cfg)
     a = _SMEAR_RE_EPS + 1j * a_im
-    log_dens = _log_g2(mp, cfg.phib_tol, 2 * a, -2 * a)
+    log_dens = _log_gamma2(mp, cfg.phib_tol, 2 * a, -2 * a).sum()
     log_norm = np.log(sigma * np.sqrt(2 * _PI))
     # gamma2(a -+ iu) gamma2(-a -+ i(u + b)), over (u, b)
     factors = [("g2", a, (-1, 0), 1), ("g2", a, (1, 0), 1),
@@ -272,8 +293,10 @@ def check_octahedron_duality(alpha_params, beta_params, t, s, u, w,
     pentagon identity acting inside the composition.  All gamma factors run
     along fixed horizontal lines, and both sides read them from one set of
     exact LineTables on the trapezoid lattice (1D for Z4, 2D for Z5), so the
-    factors they share are filled once; each integrand sums their logs and
-    takes one exp per point.
+    factors they share are filled once.  Each side takes its constant
+    factors in one hyperbolic_gamma call; at real parameters every offset
+    and constant is real, so both integrands are conjugation-even and read
+    the half lattice.
 
     `skew` shifts the kernel parameter on the Z4 side only (negative
     control: a nonzero skew must produce a macroscopic residual).  Note the
@@ -297,17 +320,12 @@ def check_octahedron_duality(alpha_params, beta_params, t, s, u, w,
     return abs(z4 - z5) / max(abs(z4), abs(z5))
 
 
-def _log_g2(mp, tol, *cs):
-    """Sum of log gamma2 over scalar offsets (the constant B-factors)."""
-    return np.log(hyperbolic_gamma(np.array(cs), mp, tol)).sum()
-
-
 def _octahedron_z4(al, be, t, s, u, w, mp, cfg, skew, tables=None):
     """Z4 as one 1D trapezoid over x = i xs."""
     ptol = cfg.phib_tol
     st = s + t + skew
-    log_c4 = (_log_g2(mp, ptol, 2 * s) - _log_g2(mp, ptol, 2 * st)
-              - _log_g2(mp, ptol, al[0] + be[0], al[1] + be[1]))
+    logs = _log_gamma2(mp, ptol, 2 * s, 2 * st, al[0] + be[0], al[1] + be[1])
+    log_c4 = logs[0] - logs[1:].sum()
 
     # B(st+w-x, st-w+x) B(t+u+x, 2s) prod_i B(al_i - x, be_i + x), x = i xs
     factors = [("g2", st + w, -1, 1), ("g2", st - w, 1, 1), ("g2", t + u, 1, 1),
@@ -320,8 +338,8 @@ def _octahedron_z4(al, be, t, s, u, w, mp, cfg, skew, tables=None):
 def _octahedron_z5(al, be, t, s, u, w, mp, cfg, tables=None):
     """Z5 as one 2D trapezoid over (x, y) = (i xs, i ys)."""
     ptol = cfg.phib_tol
-    log_c5 = (_log_g2(mp, ptol, s + 2 * t + u + w) - _log_g2(mp, ptol, s + w + u, 2 * t)
-              - _log_g2(mp, ptol, al[0] + be[0], al[1] + be[1]))
+    logs = _log_gamma2(mp, ptol, s + 2 * t + u + w, s + w + u, 2 * t, al[0] + be[0], al[1] + be[1])
+    log_c5 = logs[0] - logs[1:].sum()
 
     # B(s+w-x, u+x) B(s+2t+u+w, s-w+x) B(t+x-y, t-x+y) prod_i B(al_i - y, be_i + y)
     factors = [("g2", s + w, (-1, 0), 1), ("g2", u, (1, 0), 1), ("g2", s - w, (1, 0), 1),

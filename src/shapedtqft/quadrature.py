@@ -52,11 +52,14 @@ same either way.
 
 Conjugation-even integrands.  An integrand that also carries
 f.conjugation_even = True promises f(-x) = conj f(x), as the closed state
-integral does at a zero origin.  Its integral is real, and the trapezoid
-evaluates the origin once and, at each level, only the new nodes k > 0 in
-lexicographic order: T(h) = h^dim (Re f(0) + 2 Re sum_{k > 0} f(k h)), with
-the mass |f(0)| + 2 sum |f| and each face layer the sum of the half's two
-layers at +-edge.  That is (full + 1)/2 evaluations; the grid cap still
+integral does at a zero origin, and as a special.line_integrand does whose
+factors are all gamma2 lines with real offsets and real powers, times a
+real constant: the pentagon and both octahedron sides at real parameters.
+Its integral is real, and the trapezoid evaluates the origin once and, at
+each level, only the new nodes k > 0 in lexicographic order:
+T(h) = h^dim (Re f(0) + 2 Re sum_{k > 0} f(k h)), with the mass
+|f(0)| + 2 sum |f| and each face layer the sum of the half's two layers at
++-edge.  That is (full + 1)/2 evaluations; the grid cap still
 counts the full grid.  Monte Carlo samples Re f instead: its value is real
 and its standard error the spread of the real parts alone.
 """

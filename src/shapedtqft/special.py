@@ -160,12 +160,22 @@ class LineTables:
     FaddeevDilog.lines on its own line and step, so tables at different
     steps are independent, and no table is ever rebuilt, so an entry once
     computed never changes.
+
+    Tables are kept per step: for each (table key, mult) the reader keeps the
+    factor's logs mult * log(factor) on the union of the spans read so far,
+    their largest real part top and the exponentiated table e^{logs - top}.
+    A later reader at the same step whose spans that union covers reads the
+    kept arrays as they are; one that reaches past re-derives that factor
+    over the union with a new top, in new arrays, so a reader prepared
+    earlier keeps its own.  (A gamma2 key has step -h, a Phi_b key +h, so
+    the two kinds never share a kept table.)
     """
 
     def __init__(self, mp: ModularParameter, tol: float = 1e-13):
         self.mp = mp
         self.eng = get_engine(mp.b, tol)
         self._tables = {}   # (z0, h) -> (first m, log Phi_b values)
+        self._kept = {}     # ((z0, h), mult) -> (first m, logs, top, exp(logs - top))
 
     def gamma2_key(self, c, h):
         """The table whose entry m is the Phi_b factor of gamma2(c + i m h)."""
@@ -213,43 +223,51 @@ class LineTables:
         arrays k in the convex hull of the (M, dim) integer nodes hull.
 
         A factor's entry m = d.k spans [lo, hi], the extremes of d.p over the
-        nodes p of hull.  Every span is reserved here in one call, a gamma2
-        factor with a real offset c only at 0 <= m <= max(-lo, hi), its
-        m < 0 taken by conjugation: gamma2(c - i m h) = conj gamma2(c + i m h)
-        for real c.  Each factor's table is the exp of mult * its log less
-        its largest real part top, so every entry has modulus <= 1.  The
-        scale e^{log_const + sum of top} times the factors with lo = hi must
-        be a finite nonzero double, or WeightOutOfRange is raised.  The
-        reader multiplies the scale by the other factors' entries, gathered
-        at the index m - lo formed by adding and subtracting columns of k.
+        nodes p of hull; a gamma2 factor with a real offset c spans
+        [-M, M], M = max(-lo, hi), and its table is filled at 0 <= m <= M
+        only, m < 0 taken by conjugation: gamma2(c - i m h) = conj
+        gamma2(c + i m h) for real c.  Factors whose spans the kept tables
+        (see the class docstring) cover cost no array work here; the others
+        are reserved in one call and re-derived over the union of their
+        spans.  Each kept table has modulus <= 1.  The scale e^{log_const +
+        sum of the tables' top} times the factors with lo = hi must be a
+        finite nonzero double at every call, or WeightOutOfRange is raised.
+        The reader multiplies the scale by the other factors' entries,
+        gathered at the index m - first formed by adding and subtracting
+        columns of k.
         """
         hull = np.asarray(hull, dtype=np.intp)
         forms = np.array([f[2] for f in factors], dtype=np.intp).reshape(len(factors), hull.shape[1])
         m = hull @ forms.T
-        h, plan = float(h), []
+        h, plan, spans = float(h), [], {}
         for (kind, c, _d, mult), d, lo, hi in zip(factors, forms.tolist(), m.min(axis=0).tolist(),
                                                   m.max(axis=0).tolist()):
             mirror = kind == "g2" and complex(c).imag == 0
-            key = self.gamma2_key(c, h) if kind == "g2" else (complex(c), h)
-            plan.append((kind, key, mirror, lo, hi, d, mult))
-        self.reserve([(key, 0, max(-lo, hi)) if mirror else (key, lo, hi)
-                      for _kind, key, mirror, lo, hi, *_rest in plan])
+            name = (self.gamma2_key(c, h) if kind == "g2" else (complex(c), h), mult)
+            a, b = (-max(-lo, hi), max(-lo, hi)) if mirror else (lo, hi)
+            if name in spans:       # factors on one kept table: the union of their spans
+                a, b = min(a, spans[name][2]), max(b, spans[name][3])
+            spans[name] = kind, mirror, a, b
+            plan.append((name, lo, hi, d))
+        stale = {}
+        for name, (kind, mirror, a, b) in spans.items():
+            first, logs, *_rest = self._kept.get(name, (a, ()))
+            if a < first or b >= first + len(logs):
+                stale[name] = kind, mirror, min(a, first), max(b, first + len(logs) - 1)
+        if stale:
+            self.reserve([(key, 0, b) if mirror else (key, a, b)
+                          for (key, _mult), (_kind, mirror, a, b) in stale.items()])
+        for (key, mult), (kind, mirror, a, b) in stale.items():
+            self._kept[key, mult] = self._derive(kind, key, mult, mirror, a, b)
         log_scale, tables = complex(log_const), []
-        for kind, (z0, step), mirror, lo, hi, d, mult in plan:
-            span = np.arange(0, max(-lo, hi) + 1) if mirror else np.arange(lo, hi + 1)
-            logs = self.phi(z0, step, span)
-            if kind == "g2":
-                logs = _log_gamma2_from_phi(z0 + step * span, logs, self.mp)
-            if mirror:
-                logs = np.concatenate([logs[:0:-1].conj(), logs])
-            logs, first = mult * logs, (-span[-1] if mirror else lo)   # first: the m of logs[0]
+        for name, lo, hi, d in plan:
+            first, logs, top, table = self._kept[name]
             if lo == hi:
                 log_scale += logs[lo - first]
                 continue
-            top = logs.real.max()
             log_scale += top
             terms = [(j, dj) for j, dj in enumerate(d) if dj]
-            tables.append((terms, -first, np.exp(logs - top)))
+            tables.append((terms, -first, table))
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             scale = np.exp(log_scale)
         if not (np.isfinite(scale) and scale != 0):
@@ -271,6 +289,21 @@ class LineTables:
             return out if log_extra is None else out * np.exp(log_extra(h * k.T))
 
         return read
+
+    def _derive(self, kind, key, mult, mirror, a, b):
+        """The kept table of one factor on m = a..b (a = -b when mirror), from
+        its reserved log Phi_b entries: (a, logs, top, exp(logs - top)) with
+        logs = mult * log(factor) and top their largest real part."""
+        z0, step = key
+        span = np.arange(0, b + 1) if mirror else np.arange(a, b + 1)
+        logs = self.phi(z0, step, span)
+        if kind == "g2":
+            logs = _log_gamma2_from_phi(z0 + step * span, logs, self.mp)
+        if mirror:
+            logs = np.concatenate([logs[:0:-1].conj(), logs])
+        logs = mult * logs
+        top = logs.real.max()
+        return a, logs, top, np.exp(logs - top)
 
     def _fill(self, pieces):
         """log Phi_b(z0 + m h) at m = lo..lo + n - 1 for each piece (key, lo, n),
@@ -304,6 +337,12 @@ def line_integrand(factors, mp: ModularParameter, tol: float = 1e-13,
     first three levels, both at step h0/4, then once per later level.
     Integrands that share line factors may share
     tables (built for the same mp and tol), so each entry is filled once.
+
+    f.conjugation_even is True when every factor is a gamma2 with a real
+    offset and a real mult, log_const is real and there is no log_extra:
+    then f(-x) = conj f(x), since conj gamma2(c + i w) = gamma2(c - i w) for
+    real c, and the trapezoid reads half the lattice.  A Phi_b factor never
+    qualifies: conj Phi_b(z) = 1 / Phi_b(conj z).
     """
     eng = get_engine(mp.b, tol)
     if tables is None:
@@ -319,6 +358,9 @@ def line_integrand(factors, mp: ModularParameter, tol: float = 1e-13,
         return np.exp(logs)
 
     f.lattice = lambda h, hull: tables.reader(factors, h, hull, log_const, log_extra)
+    f.conjugation_even = (log_extra is None and complex(log_const).imag == 0
+                          and all(kind == "g2" and complex(c).imag == 0 and complex(mult).imag == 0
+                                  for kind, c, _d, mult in factors))
     return f
 
 

@@ -252,6 +252,18 @@ def test_octahedron_sides_fill_each_phib_entry_once(mp1, monkeypatch):
     assert len(filled) == len(set(filled)) == 3_826
 
 
+def criterion3_first_pentagons():
+    """(mp, params) of the first pentagon of criterion 3's draws at each
+    coupling: its draws 1 and 11."""
+    rng = np.random.default_rng(2026)
+    out = []
+    for b in (1.0, 1.3):
+        mp = ModularParameter(b)
+        first, *_rest = [random_balanced_33(rng, mp) for _ in range(10)]
+        out.append((mp, first))
+    return out
+
+
 def criterion13_octahedron(mp):
     """The first octahedron of the criterion 13 draws, as check_octahedron_duality takes it."""
     al, be, t, s, u, w = random_octahedron_params(np.random.default_rng(2031), mp)
@@ -295,7 +307,8 @@ def test_lattice_and_pointwise_forms_integrate_alike(mp1, monkeypatch, integrand
     # lattice form the trapezoid reads h0, h0/2 and h0/4 from one
     # preparation at h0/4 and each later level from its own; the same
     # integrand without the lattice form is evaluated at each level's points
-    # k h.  Same nodes and step sequence, values equal to rounding.
+    # k h.  Both forms are conjugation-even, so both read the half lattice.
+    # Same nodes and step sequence, values equal to rounding.
     seen = capture_integrands(monkeypatch, identities)
     if integrand == "pentagon":
         check_hyperbolic_pentagon(random_balanced_33(np.random.default_rng(2026), mp1), mp1,
@@ -303,9 +316,14 @@ def test_lattice_and_pointwise_forms_integrate_alike(mp1, monkeypatch, integrand
     else:
         identities._octahedron_z4(*criterion13_octahedron(mp1), mp1, QuadratureConfig(), 0.0)
     (f, dim), = seen
+    assert f.conjugation_even
+
+    def pointwise_form(x):
+        return f(x)
+    pointwise_form.conjugation_even = True
     cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
     lattice = quadrature.integrate_nd(f, dim, cfg)
-    pointwise = quadrature.integrate_nd(lambda x: f(x), dim, cfg)
+    pointwise = quadrature.integrate_nd(pointwise_form, dim, cfg)
     assert lattice.evaluations == pointwise.evaluations
     assert abs(lattice.value - pointwise.value) <= 1e-13 * abs(pointwise.value)
 
@@ -316,7 +334,10 @@ def test_identity_quadrature_work_is_pinned(mp1, monkeypatch):
     # octahedron, at the criteria's tolerances and at 1e-10: a change to the
     # tables or the box probes must not move the box or the step sequence of
     # the trapezoid.  The residual bound 1e-12 needs tolerance 1e-10: at
-    # 1e-7 the squared halving estimate stops Z5 one halving earlier.
+    # 1e-7 the squared halving estimate stops Z5 one halving earlier.  Every
+    # one of these integrands is conjugation-even and reads the half
+    # lattice: (n + 1) / 2 of the n nodes the full lattice reads on the same
+    # box and step sequence.
     counts = []
     integrate = identities.integrate_nd
 
@@ -326,17 +347,89 @@ def test_identity_quadrature_work_is_pinned(mp1, monkeypatch):
         return res
 
     monkeypatch.setattr(identities, "integrate_nd", counted)
-    rng = np.random.default_rng(2026)
     cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
-    for b in (1.0, 1.3):
-        mp = ModularParameter(b)
-        first, *_rest = [random_balanced_33(rng, mp) for _ in range(10)]
+    for mp, first in criterion3_first_pentagons():
         assert check_hyperbolic_pentagon(first, mp, cfg) <= 1e-12
     cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
     assert check_octahedron_duality(*criterion13_octahedron(mp1), mp1, cfg) <= 1e-7
     cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10)
     assert check_octahedron_duality(*criterion13_octahedron(mp1), mp1, cfg) <= 1e-12
-    assert counts == [319, 319, 159, 101_761, 159, 408_321]
+    full = [319, 319, 159, 101_761, 159, 408_321]
+    assert counts == [(n + 1) // 2 for n in full]
+
+
+def test_identity_integrands_marked_conjugation_even(mp1, monkeypatch):
+    # the pentagon at real parameters and both octahedron sides are
+    # products of real-offset gamma2 factors times a real constant, read on
+    # the half lattice; the complex pentagon, the beta integral (its
+    # measure is a log_extra) and the smear (complex offsets) are not
+    seen = capture_integrands(monkeypatch, identities)
+    cfg = QuadratureConfig()
+    for imag in (0.0, 0.05):
+        check_hyperbolic_pentagon(random_balanced_33(np.random.default_rng(5), mp1, imag), mp1, cfg)
+    check_octahedron_duality(*criterion13_octahedron(mp1), mp1, cfg)
+    check_hyperbolic_beta_integral(random_balanced_6(np.random.default_rng(23), mp1), mp1, cfg)
+    check_orthogonality_smeared(0.2, 0.75, 0.25, mp1, cfg)
+    assert [f.conjugation_even for f, _dim in seen] == [True, False, True, True, False, False]
+
+
+def test_marked_pentagon_integrand_is_conjugation_even(monkeypatch):
+    # criterion 3's first draw at each coupling: f(-x) = conj f(x) on the
+    # direct engine at 200 seeded points with |x| <= 5
+    seen = capture_integrands(monkeypatch, identities)
+    for mp, first in criterion3_first_pentagons():
+        check_hyperbolic_pentagon(first, mp, QuadratureConfig())
+    x = np.random.default_rng(25).uniform(-5, 5, size=(200, 1))
+    for f, _dim in seen:
+        assert f.conjugation_even
+        assert (np.abs(f(-x) - np.conj(f(x))) <= 1e-13 * np.abs(f(x))).all()
+
+
+def test_complex_pentagon_keeps_the_full_lattice(mp1, monkeypatch):
+    # parameters with imaginary parts: the integrand is not marked, so the
+    # trapezoid reads the full lattice and keeps the imaginary part that
+    # the half lattice would drop, and the identity holds
+    runs = []
+    integrate = identities.integrate_nd
+    monkeypatch.setattr(identities, "integrate_nd",
+                        lambda f, dim, cfg: runs.append((f, integrate(f, dim, cfg))) or runs[-1][1])
+    p = random_balanced_33(np.random.default_rng(2026), mp1, imag_scale=0.2)
+    assert check_hyperbolic_pentagon(p, mp1, QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)) < 1e-5
+    (f, res), = runs
+    assert not f.conjugation_even
+    assert res.value.imag != 0
+
+
+def test_closed_forms_take_one_engine_call_per_integral(mp1, monkeypatch):
+    # outside integrate_nd, whose probes and trapezoid read LineTables, a
+    # pentagon trial takes its constants (the three gamma2 of the
+    # denominator and both B of the right side) in one FaddeevDilog call,
+    # and an octahedron trial one per side, Z4 and Z5: criterion 3's first
+    # draw at each coupling and criterion 13's first octahedron
+    calls, inside = [], [False]
+    call = qdilog.FaddeevDilog.__call__
+    monkeypatch.setattr(qdilog.FaddeevDilog, "__call__",
+                        lambda self, *a, **kw: calls.append(inside[0]) or call(self, *a, **kw))
+    integrate = identities.integrate_nd
+
+    def flagged(f, dim, cfg):
+        inside[0] = True
+        try:
+            return integrate(f, dim, cfg)
+        finally:
+            inside[0] = False
+    monkeypatch.setattr(identities, "integrate_nd", flagged)
+    per_trial = []
+    cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
+    for mp, first in criterion3_first_pentagons():
+        calls.clear()
+        assert check_hyperbolic_pentagon(first, mp, cfg) <= 1e-12
+        per_trial.append(calls.count(False))
+    calls.clear()
+    cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
+    assert check_octahedron_duality(*criterion13_octahedron(mp1), mp1, cfg) <= 1e-7
+    per_trial.append(calls.count(False))
+    assert per_trial == [1, 1, 2]
 
 
 def test_lattice_calls_fill_in_one_engine_call_per_step(mp1, monkeypatch):

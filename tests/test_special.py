@@ -13,7 +13,8 @@ from shapedtqft.quadrature import QuadratureConfig
 from shapedtqft.special import (LineTables, bernoulli_b22, cap_psi, cap_psi_direct,
                                 classical_beta, elliptic_gamma, gamma2_line, hyper_B,
                                 hyperbolic_gamma, hyperbolic_gamma_general,
-                                hyperbolic_gamma_product, lobachevsky, psi_fn, theta_fn)
+                                hyperbolic_gamma_product, line_integrand, lobachevsky, psi_fn,
+                                theta_fn)
 from tests.conftest import record_fills
 
 
@@ -229,6 +230,96 @@ def test_line_tables_batch_matches_single_lines(b):
         assert np.abs(np.exp(tables.phi(z0, step, m) - alone) - 1).max() <= 1e-14
     with pytest.raises(PoleHit):
         tables.reserve([((0.1 + 1j * eng.cb_abs, h), 0, 3)])
+
+
+def record_table_work(monkeypatch):
+    """Record (method, its first argument) for every LineTables.reserve,
+    _fill and phi call from now on: the needs, the pieces, the table z0."""
+    work = []
+    for name in ("reserve", "_fill", "phi"):
+        method = getattr(LineTables, name)
+        monkeypatch.setattr(LineTables, name, lambda self, first, *rest, name=name, method=method:
+                            work.append((name, first)) or method(self, first, *rest))
+    return work
+
+
+def box(*kmax):
+    """The corners of the integer box |k_j| <= kmax_j, as a reader's hull."""
+    return np.array(np.meshgrid(*[(-m, m) for m in kmax])).reshape(len(kmax), -1).T
+
+
+@pytest.mark.parametrize("b", [1.0, 1.3])
+def test_reader_on_a_covered_hull_does_no_table_work(b, monkeypatch):
+    # each factor's exponentiated table is kept per (table key, mult): a
+    # second reader at the same step on a hull the first one covered calls
+    # neither reserve, _fill nor phi, and reads values bit-identical to the
+    # first reader's, for real- and complex-offset gamma2 factors (two
+    # sharing a kept table) and a Phi_b factor
+    mp = ModularParameter(b)
+    tables = LineTables(mp)
+    c, h = 0.4 * mp.q_total, 0.1
+    factors = [("g2", c, (1, 0), 1), ("g2", c, (-1, 1), 1), ("g2", c + 0.1j, (0, 1), -1),
+               ("phi", 0.3 + 0.2j, (1, 1), 1)]
+    k = np.random.default_rng(25).integers(-15, 16, size=(200, 2))
+    before = tables.reader(factors, h, box(30, 20))(k)
+    work = record_table_work(monkeypatch)
+    after = tables.reader(factors, h, box(15, 15))(k)
+    assert work == []
+    assert np.array_equal(after, before)
+
+
+@pytest.mark.parametrize("b", [1.0, 1.3])
+def test_reader_rederives_only_the_factor_past_its_kept_span(b, monkeypatch):
+    # a hull that reaches past the kept span of one factor re-derives that
+    # factor alone, over the union of its spans: only its table is reserved,
+    # filled and read.  Every kept entry has modulus <= 1, the new reader
+    # matches the direct engine, and the earlier reader, which keeps its own
+    # arrays, reads what it read before
+    mp = ModularParameter(b)
+    tables = LineTables(mp)
+    c, h = 0.4 * mp.q_total, 0.1
+    factors = [("g2", c, (1, 0), 1), ("g2", c + 0.1j, (0, 1), -1), ("phi", 0.3 + 0.2j, (1, 0), 1)]
+    k = np.random.default_rng(25).integers(-20, 21, size=(200, 2))
+    first = tables.reader(factors, h, box(20, 20))
+    before = first(k)
+    work = record_table_work(monkeypatch)
+    wide = box(20, 40)
+    second = tables.reader(factors, h, wide)
+    key = tables.gamma2_key(c + 0.1j, h)
+    assert [name for name, _arg in work] == ["reserve", "_fill", "phi"]
+    (_n, needs), (_n, pieces), (_n, z0) = work
+    assert [need[0] for need in needs] == [key] and {piece[0] for piece in pieces} == {key}
+    assert z0 == key[0]
+    assert all(np.abs(table).max() <= 1 for *_rest, table in tables._kept.values())
+    k2 = np.random.default_rng(26).integers(-20, 21, size=(200, 2)) * [1, 2]
+    w = 1j * k2 * h
+    direct = (hyperbolic_gamma(c + w[:, 0], mp) / hyperbolic_gamma(c + 0.1j + w[:, 1], mp)
+              * phi_b(0.3 + 0.2j + k2[:, 0] * h, mp))
+    assert np.abs(second(k2) / direct - 1).max() <= 1e-12
+    assert np.array_equal(first(k), before)
+
+
+REAL_G2 = [("g2", 0.3, -1, 1), ("g2", 0.7, 1, -2)]
+
+
+@pytest.mark.parametrize("factors,options,even", [
+    (REAL_G2, {}, True),
+    (REAL_G2, {"log_const": -1.5}, True),
+    ([("g2", 0.3 + 0.01j, -1, 1), REAL_G2[1]], {}, False),
+    ([*REAL_G2, ("phi", 0.2, 1, 1)], {}, False),
+    (REAL_G2, {"log_extra": lambda x: -x[0] ** 2}, False),
+    (REAL_G2, {"log_const": -1.5 + 0.1j}, False),
+    ([("g2", 0.3, -1, 1 + 0.5j)], {}, False),
+], ids=["real", "real-log-const", "complex-offset", "phi", "log-extra", "complex-log-const",
+        "complex-mult"])
+def test_line_integrand_flags_exactly_real_offset_gamma2_products(mp1, factors, options, even):
+    # conj gamma2(c + i w) = gamma2(c - i w) for real c, so a product of
+    # real powers of real-offset gamma2 factors times a real constant has
+    # f(-x) = conj f(x); a complex offset, a Phi_b factor (conj Phi_b(z) =
+    # 1 / Phi_b(conj z)), a log_extra, a complex log_const or mult is not
+    # marked
+    f = line_integrand(factors, mp1, **options)
+    assert f.conjugation_even is even
 
 
 # -- B kernel -------------------------------------------------------------------

@@ -290,21 +290,29 @@ def test_monte_carlo_state_integral_is_real_at_zero_origin(fig8, mp1):
 
 
 def test_fig8_tables_reserve_once_per_level_and_half_of_real_offsets(fig8, mp1, monkeypatch):
-    # criterion 8's integral prepares its tables once for its box probes and
-    # once for its three trapezoid levels, both at step h = 0.2 (h = 0.8,
-    # 0.4, 0.2 all read the preparation there): two reserves, not one per
-    # level or chunk; at its zero origin every row has a
-    # real offset, whose table holds only m >= 0 and mirrors m < 0 by
-    # conjugation
-    tables = []
-    reserve = special.LineTables.reserve
-    monkeypatch.setattr(special.LineTables, "reserve",
-                        lambda self, needs: tables.append(self) or reserve(self, needs))
+    # criterion 8's integral prepares its tables twice, both at step h = 0.2:
+    # once for its box probes and once for its three trapezoid levels (h =
+    # 0.8, 0.4, 0.2 all read the preparation there), not once per level or
+    # chunk.  The probes reserve and fill every table the trapezoid reads,
+    # so its preparation finds them kept and calls neither reserve, _fill
+    # nor phi.  At its zero origin every row has a real offset, whose table
+    # holds only m >= 0 and mirrors m < 0 by conjugation.
+    work, seen = [], []     # per LineTables.reader call: its reserve, _fill and phi calls
+    for name in ("reserve", "_fill", "phi"):
+        method = getattr(special.LineTables, name)
+        monkeypatch.setattr(special.LineTables, name, lambda self, *a, name=name, method=method:
+                            work[-1].append(name) or method(self, *a))
+    reader = special.LineTables.reader
+    monkeypatch.setattr(special.LineTables, "reader",
+                        lambda self, *a: seen.append(self) or work.append([]) or reader(self, *a))
     filled = record_fills(monkeypatch)
     x, angles = fig8
     partition_function(x, angles, mp=mp1, cfg=CRITERION8_CFG)
-    assert len(tables) == 2 and len({id(t) for t in tables}) == 1
-    keys = tables[0]._tables
+    assert len(work) == 2 and len({id(t) for t in seen}) == 1
+    probes, levels = work
+    assert probes.count("reserve") == probes.count("_fill") == 1 and "phi" in probes
+    assert levels == []
+    keys = seen[0]._tables
     assert keys and all(z0.real == 0 for z0, _h in keys)
     assert all(first >= 0 for first, _vals in keys.values())
     assert filled and all(m >= 0 for _z0, _h, m in filled)
