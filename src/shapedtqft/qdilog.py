@@ -12,7 +12,14 @@ with c_b = i(b + 1/b)/2.  Key properties used and exposed here:
     zeros             z = -c_b - i(m b + n/b),  m, n >= 0
     poles             z = +c_b + i(m b + n/b),  m, n >= 0
 
-Numerics: the contour R+i0 is deformed to the straight line Im w = h0
+Numerics: at b = 1 no contour is summed.  Phi_1 has the closed form of
+Garoufalidis and Kashaev (arXiv:1411.6062),
+
+    Phi_1(z) = exp( (i / 2 pi) [ Li_2(e^{2 pi z}) + 2 pi z log(1 - e^{2 pi z}) ] ),
+
+taken at Re z <= 0 at every Im z (no fold, no cut) and through the inversion
+relation at Re z > 0; Li_2 is a Bernoulli series (FaddeevDilog._closed_form).
+At every other b the contour R+i0 is deformed to the straight line Im w = h0
 (h0 = min(b,1/b)/2, safely below the first sinh zero at i pi min(b,1/b)),
 where the third-order pole at w = 0 is a smooth bump; 24-point Gauss
 panels sized to the maximal kernel frequency cover the line (the panel
@@ -44,6 +51,8 @@ and spacing attributes, so these are load-bearing.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import factorial
 
 import numpy as np
 
@@ -56,6 +65,39 @@ _PI = np.pi
 _PHASE_CACHE_BYTES = 8 << 20   # bound on one engine's cached phase rows
 _POLE_TOL = 1e-7                # closest approach to the zero/pole lattice
 _ENGINES: dict[tuple[float, float], "FaddeevDilog"] = {}
+
+
+def _bernoulli_even(n):
+    """B_2, B_4, ..., B_2n as exact Fractions.
+
+    The tangent numbers T_k (tan x = sum_k T_k x^{2k-1} / (2k-1)!) come from
+    the Knuth-Buckholtz integer recurrence, and B_2k = (-1)^{k-1} 2k T_k /
+    (4^k (4^k - 1)).
+    """
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return [Fraction((-1) ** (k - 1) * 2 * k * t[k], 4 ** k * (4 ** k - 1))
+            for k in range(1, n + 1)]
+
+
+# B_2 .. B_80: the first 12 give the Li_2 series below (the first term left
+# out is below 1e-21 at |u| <= pi/3), and special takes all 40 for its
+# Clausen series and 8 for its Stirling series
+_BERNOULLI = _bernoulli_even(40)
+_LI2_COEFFS = np.array([float(bk / factorial(2 * k + 1)) for k, bk in enumerate(_BERNOULLI[:12], 1)])
+
+
+def _li2_series(u):
+    """Li_2(w) = u - u^2/4 + sum_k B_2k u^{2k+1} / (2k+1)! for u = -log(1 - w)."""
+    u2 = u * u
+    acc = _LI2_COEFFS[-1]
+    for c in _LI2_COEFFS[-2::-1]:
+        acc = acc * u2 + c
+    return u + u2 * (acc * u - 0.25)
 
 
 class FaddeevDilog:
@@ -194,10 +236,37 @@ class FaddeevDilog:
         out[big] = a[big] + np.log(self.q1 + np.exp(-a[big]))
         return out
 
+    def _closed_form(self, z):
+        """log Phi_1 on a 1D array z (b = 1): the closed form of the module
+        docstring at Re z <= 0, where |w| = |e^{2 pi z}| <= 1 and it holds at
+        every Im z, and the inversion relation at Re z > 0.  Li_2 is the
+        Bernoulli series in u = -log(1 - w) where Re w <= 1/2, else, by the
+        reflection Li_2(w) = pi^2/6 - log w log(1 - w) - Li_2(1 - w), the
+        same series in u = -log w: |u| <= pi/3 on both branches, which share
+        one series call.  The principal log w = 2 pi z mod 2 pi i and
+        1 - w = -expm1(2 pi z) keep full precision near w = 1, the zero/pole
+        lattice; z = 0 is exactly i pi / 12.
+        """
+        right = z.real > 0
+        zl = np.where(right, -z, z)
+        zero = zl == 0
+        zl[zero] = -1.0
+        a = 2 * _PI * (zl - 1j * np.round(zl.imag))    # log w
+        v = -np.expm1(a)                                # 1 - w
+        lv = np.log(v)
+        refl = v.real < 0.5
+        li = _li2_series(np.where(refl, -a, -lv))
+        li[refl] = _PI**2 / 6 - a[refl] * lv[refl] - li[refl]
+        out = (0.5j / _PI) * li + 1j * zl * lv
+        out[zero] = 1j * _PI / 12
+        # log Phi_1(z) = i pi z^2 - log zeta_inv - log Phi_1(-z)
+        out[right] = 1j * _PI * z[right] ** 2 - self._log_zeta_inv - out[right]
+        return out
+
     def _evaluate(self, z, raw, starts=(0,)):
-        """log Phi_b on a 1D array z: fold Im z into [-band, band] by the shift
-        relations, then take Re z > 0 from the inversion relation and
-        Re z < -re_cut as Phi_b = 1.
+        """log Phi_b on a 1D array z: at b = 1 the closed form, else fold
+        Im z into [-band, band] by the shift relations, then take Re z > 0
+        from the inversion relation and Re z < -re_cut as Phi_b = 1.
 
         raw gets the remaining folded points with Re in [-re_cut, 0] in one
         call, as arrays increasing in Re: the points of Re z <= 0, then -z of
@@ -208,6 +277,8 @@ class FaddeevDilog:
         log space, so no intermediate overflows where Phi_b itself is
         representable.
         """
+        if self.b == 1.0:
+            return self._closed_form(z)
         log_pref = np.zeros(z.shape, dtype=complex)
         zz = z.copy()
         n = np.round(zz.imag / self.step).astype(int)
@@ -246,11 +317,12 @@ class FaddeevDilog:
         (x0, n, y) of specs, as a list of arrays, without pole checks.
 
         The logs of the values __call__ gives on these points, up to
-        multiples of 2 pi i.  All lines take one _evaluate pass (fold,
-        inversion and shift factors vectorized across them) and one
-        _raw_grid call: each half of a folded line that _evaluate hands to
-        raw (the left one and the mirrored right one) is again a uniform
-        grid of step dx, so every line and half is one segment of one GEMM.
+        multiples of 2 pi i.  All lines take one _evaluate pass: at b = 1
+        the closed form, else fold, inversion and shift factors vectorized
+        across them and one _raw_grid call: each half of a folded line that
+        _evaluate hands to raw (the left one and the mirrored right one) is
+        again a uniform grid of step dx, so every line and half is one
+        segment of one GEMM.
         """
         ns = [int(n) for _x0, n, _y in specs]
         z = np.concatenate([x0 + dx * np.arange(n) + 1j * y for x0, n, y in specs])

@@ -8,14 +8,15 @@ quantum dilogarithm via
 
 inverted as x = i u / nabla - c_b (the |q| = 1 divergence kills the product
 form there).  The product form is kept for genuinely complex period ratios
-and for cross validation.  sqrt(zeta_inv) is the principal branch; it is
-pinned against the direct contour integral by the test suite.
+and for cross validation.  sqrt(zeta_inv) is the principal branch; the
+test suite pins it against the engine's Phi_b: the closed form at b = 1, the
+direct contour integral at every other b.
 
 The classical functions need no library beyond numpy: the Bernoulli numbers
-B_2k are exact Fractions from the integer tangent-number recurrence, and
-give both the constants zeta(2k) of the Lobachevsky series and the
-coefficients of the Stirling series behind the complex log-gamma of
-classical_beta.
+B_2k are exact Fractions from the integer tangent-number recurrence (qdilog's
+table, which also gives its Li_2 series), and give both the constants
+zeta(2k) of the Lobachevsky series and the coefficients of the Stirling
+series behind the complex log-gamma of classical_beta.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import NonConvergence, PoleHit, WeightOutOfRange
 from .params import EllipticBases, ModularParameter
-from .qdilog import get_engine
+from .qdilog import _BERNOULLI, get_engine
 from .quadrature import IntegralResult, QuadratureConfig, integrate_1d
 
 __all__ = [
@@ -454,26 +455,8 @@ def theta_fn(z, p: complex, tol: float = 1e-14):
         1.0 - np.multiply.outer(p / z, ks), axis=-1)
 
 
-def _bernoulli_even(n):
-    """B_2, B_4, ..., B_2n as exact Fractions.
-
-    The tangent numbers T_k (tan x = sum_k T_k x^{2k-1} / (2k-1)!) come from
-    the Knuth-Buckholtz integer recurrence, and B_2k = (-1)^{k-1} 2k T_k /
-    (4^k (4^k - 1)).
-    """
-    t = [0, 1] + [0] * (n - 1)
-    for k in range(2, n + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, n + 1):
-        for j in range(k, n + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return [Fraction((-1) ** (k - 1) * 2 * k * t[k], 4 ** k * (4 ** k - 1))
-            for k in range(1, n + 1)]
-
-
-_CL2_KMAX = 40
+_CL2_KMAX = len(_BERNOULLI)
 _CL2_TOL = 1e-15
-_BERNOULLI = _bernoulli_even(_CL2_KMAX)
 
 
 def _zeta_even(bernoulli):

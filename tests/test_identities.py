@@ -436,14 +436,19 @@ def test_lattice_calls_fill_in_one_engine_call_per_step(mp1, monkeypatch):
     # the box probes, the first three trapezoid levels together (h0, h0/2
     # and h0/4 read one preparation at h0/4, the probes' step) and each
     # later level reserve every table entry they read at once: at most one
-    # _raw_grid call (one GEMM) per grid step, on criterion 3's first
-    # pentagon and criterion 13's first octahedron
-    calls = []     # per LineTables.reserve: the grid steps of its _raw_grid calls
-    reserve, raw_grid = special.LineTables.reserve, qdilog.FaddeevDilog._raw_grid
+    # FaddeevDilog.lines call per grid step, on criterion 3's first
+    # pentagon and criterion 13's first octahedron at b = 1 (the closed
+    # form), and on a pentagon at b = 1.3, where each of those calls is one
+    # _raw_grid call (one GEMM)
+    calls, gemms = [], []   # per LineTables.reserve: the grid steps of its lines / _raw_grid calls
+    reserve, lines = special.LineTables.reserve, qdilog.FaddeevDilog.lines
+    raw_grid = qdilog.FaddeevDilog._raw_grid
     monkeypatch.setattr(special.LineTables, "reserve",
-                        lambda self, needs: calls.append([]) or reserve(self, needs))
+                        lambda self, needs: calls.append([]) or gemms.append([]) or reserve(self, needs))
+    monkeypatch.setattr(qdilog.FaddeevDilog, "lines",
+                        lambda self, specs, dx: calls[-1].append(dx) or lines(self, specs, dx))
     monkeypatch.setattr(qdilog.FaddeevDilog, "_raw_grid",
-                        lambda self, segs, dx: calls[-1].append(dx) or raw_grid(self, segs, dx))
+                        lambda self, segs, dx: gemms[-1].append(dx) or raw_grid(self, segs, dx))
     cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
     assert check_hyperbolic_pentagon(random_balanced_33(np.random.default_rng(2026), mp1),
                                      mp1, cfg) <= 1e-12
@@ -453,6 +458,15 @@ def test_lattice_calls_fill_in_one_engine_call_per_step(mp1, monkeypatch):
     for steps in (pentagon, calls):
         assert all(len(set(dxs)) == len(dxs) for dxs in steps)
     assert [sum(map(len, steps)) for steps in (pentagon, calls)] == [4, 7]
+    assert not any(gemms)
+    mp = ModularParameter(1.3)
+    calls[:], gemms[:] = [], []
+    cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
+    assert check_hyperbolic_pentagon(random_balanced_33(np.random.default_rng(2026), mp),
+                                     mp, cfg) <= 1e-12
+    assert gemms == calls
+    assert all(len(set(dxs)) == len(dxs) for dxs in gemms)
+    assert sum(map(len, gemms)) == 4
 
 
 def test_identity_checks_build_no_line_cache(mp1, monkeypatch):

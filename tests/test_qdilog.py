@@ -90,6 +90,7 @@ def test_spec_inversion_example():
 
 def test_against_mpmath_oracle():
     # independent high-precision quadrature of the defining contour integral
+    # (at b = 1 it checks the closed form, at the other couplings the contour)
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     for b, z in ((1.0, 0.3 + 0.0j), (1.0, -1.2 + 0.2j), (1.2, 0.7 + 0.2j),
@@ -106,6 +107,46 @@ def test_against_mpmath_oracle():
         ref = complex(mpmath.e**mpmath.quad(f, breaks))
         ours = complex(phi_b(z, ModularParameter(b)))
         assert abs(ours / ref - 1) < 1e-12
+
+
+def test_closed_form_at_b1_matches_polylog(monkeypatch):
+    # Phi_1(z) = exp((i / 2 pi) [Li_2(w) + 2 pi z log(1 - w)]), w = e^{2 pi z},
+    # with mpmath's principal branches, which give Phi_1 (up to 2 pi i in
+    # the exponent) at every z off the lattice: on both sides of Re z = 0,
+    # at |Im z| > 1/2 and > 1 (no fold: the contour is never summed), and
+    # 1e-6 from the zero at -i and the pole at +i
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    monkeypatch.setattr(FaddeevDilog, "_raw", None)
+    monkeypatch.setattr(FaddeevDilog, "_raw_grid", None)
+    rng = np.random.default_rng(105)
+    near = 1e-6 * np.exp(2j * np.pi * np.arange(8) / 8)
+    z = np.concatenate([rng.uniform(-12, 12, 60) + 1j * rng.uniform(-0.95, 0.95, 60),
+                        rng.uniform(-4, 4, 40) + 1j * rng.uniform(0.5, 1.0, 40) * rng.choice([-1, 1], 40),
+                        rng.uniform(-4, 4, 40) + 1j * rng.uniform(1.0, 2.7, 40) * rng.choice([-1, 1], 40),
+                        -1j + near, 1j + near])
+    assert (z.real > 0).sum() > 50 and (z.real < 0).sum() > 50
+
+    def polylog_form(z):
+        z = mpmath.mpc(z)
+        w = mpmath.exp(2 * mpmath.pi * z)
+        return complex(mpmath.exp(1j / (2 * mpmath.pi) * (mpmath.polylog(2, w)
+                                                          + 2 * mpmath.pi * z * mpmath.log(1 - w))))
+
+    ref = np.array([polylog_form(x) for x in z])
+    assert np.abs(get_engine(1.0)(z) / ref - 1).max() <= 1e-13
+    assert phi_b(0.0, ModularParameter(1.0)) == np.exp(1j * np.pi / 12)
+
+
+def test_contour_at_b1_matches_closed_form():
+    # the contour GEMM engine, which serves every b != 1, summed directly at
+    # b = 1 over the folded band (|Im z| <= band, Re z in [-re_cut, 0])
+    eng = FaddeevDilog(1.0)
+    x = np.linspace(-eng.re_cut, 0.0, 301)
+    for y in np.linspace(-eng.band, eng.band, 11):
+        z = x + 1j * y
+        for raw in (eng._raw([z]), eng._raw_grid([z[:150], z[150:]], x[1] - x[0])):
+            assert np.abs(np.exp(raw - eng._closed_form(z)) - 1).max() <= 1e-13
 
 
 def test_pole_and_zero_locations():
@@ -146,18 +187,19 @@ def test_line_grid_matches_direct(b):
 def test_line_is_independent_of_the_phase_cache():
     # a warm engine (one 3,000-point line filled its phase rows at this step)
     # and cold engines give bit-identical tables on other lines at that step
+    # (the contour path: b = 1 takes the closed form and keeps no phase rows)
     dx = 0.011
-    warm = FaddeevDilog(1.0)
+    warm = FaddeevDilog(1.3)
     warm.lines([(-25.0, 3000, 0.3)], dx)
     for line in ((-9.0, 1100, 0.8), (-4.0, 2000, -0.2), (-1.0, 40, 0.55)):
-        assert np.array_equal(warm.lines([line], dx)[0], FaddeevDilog(1.0).lines([line], dx)[0])
+        assert np.array_equal(warm.lines([line], dx)[0], FaddeevDilog(1.3).lines([line], dx)[0])
 
 
 def test_phase_cache_stays_within_its_bound():
     # grids at many distinct spacings, on the lines Im z = +-0.3 over
     # [-6, 0.5], each add phase rows for two steps; the cache is cleared
-    # rather than grown past its byte bound
-    eng = FaddeevDilog(1.0)
+    # rather than grown past its byte bound (the contour path, as above)
+    eng = FaddeevDilog(1.3)
     added = 0
     for spacing in np.linspace(0.0091, 0.0199, 40):
         before = {d: p.nbytes for d, p in eng._phases.items()}
