@@ -18,7 +18,7 @@ Garoufalidis and Kashaev (arXiv:1411.6062),
     Phi_1(z) = exp( (i / 2 pi) [ Li_2(e^{2 pi z}) + 2 pi z log(1 - e^{2 pi z}) ] ),
 
 taken at Re z <= 0 at every Im z (no fold, no cut) and through the inversion
-relation at Re z > 0; Li_2 is a Bernoulli series (FaddeevDilog._closed_form).
+relation at Re z > 0; Li_2 is a Bernoulli series (_li2).
 At every other b the contour R+i0 is deformed to the straight line Im w = h0
 (h0 = min(b,1/b)/2, safely below the first sinh zero at i pi min(b,1/b)),
 where the third-order pole at w = 0 is a smooth bump; 24-point Gauss
@@ -84,20 +84,32 @@ def _bernoulli_even(n):
             for k in range(1, n + 1)]
 
 
-# B_2 .. B_80: the first 12 give the Li_2 series below (the first term left
-# out is below 1e-21 at |u| <= pi/3), and special takes all 40 for its
-# Clausen series and 8 for its Stirling series
-_BERNOULLI = _bernoulli_even(40)
-_LI2_COEFFS = np.array([float(bk / factorial(2 * k + 1)) for k, bk in enumerate(_BERNOULLI[:12], 1)])
+# B_2 .. B_24: the Li_2 series below (the first term left out is below 1e-21
+# at |u| <= pi/3), and the first 8 for special's Stirling series
+_BERNOULLI = _bernoulli_even(12)
+_LI2_COEFFS = np.array([float(bk / factorial(2 * k + 1)) for k, bk in enumerate(_BERNOULLI, 1)])
 
 
-def _li2_series(u):
-    """Li_2(w) = u - u^2/4 + sum_k B_2k u^{2k+1} / (2k+1)! for u = -log(1 - w)."""
+def _li2(log_w):
+    """(Li_2(w), log(1 - w)) on a 1D array log w, |w| <= 1, w != 1.
+
+    Li_2(w) = u - u^2/4 + sum_k B_2k u^{2k+1} / (2k+1)! in u = -log(1 - w)
+    where Re w <= 1/2, else, by the reflection Li_2(w) = pi^2/6 - log w
+    log(1 - w) - Li_2(1 - w), the same series in u = -log w: |u| <= pi/3 on
+    both branches, which share one series call.  1 - w = -expm1(log w)
+    keeps full precision near w = 1.
+    """
+    v = -np.expm1(log_w)
+    lv = np.log(v)
+    refl = v.real < 0.5
+    u = np.where(refl, -log_w, -lv)
     u2 = u * u
     acc = _LI2_COEFFS[-1]
     for c in _LI2_COEFFS[-2::-1]:
         acc = acc * u2 + c
-    return u + u2 * (acc * u - 0.25)
+    li = u + u2 * (acc * u - 0.25)
+    li[refl] = _PI**2 / 6 - log_w[refl] * lv[refl] - li[refl]
+    return li, lv
 
 
 class FaddeevDilog:
@@ -142,18 +154,23 @@ class FaddeevDilog:
 
     # -- pole / zero lattice ------------------------------------------------
     def lattice_distance(self, z):
-        """Distance to the combined zero/pole lattice +-(c_b + i(mb + n/b))."""
+        """Distance to the combined zero/pole lattice +-(c_b + i(mb + n/b)).
+
+        Its |Im| are |c_b| + m B + n s, B = max(b, 1/b), s = step, m, n >= 0.
+        For each m B up to the first one past y = |Im z| - |c_b| the nearest
+        n s is the rounded one, clipped at 0, so the work grows linearly with
+        |Im z|, and the memory with the number of points only.
+        """
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         y = np.abs(z.imag) - self.cb_abs
         d_im = np.full(z.shape, np.inf)
         ok = y > -0.5 * self.step
         if ok.any():
-            yy = np.maximum(y[ok], 0.0)
-            m_max = int(np.ceil(yy.max() / self.b)) + 1
-            n_max = int(np.ceil(yy.max() * self.b)) + 1
-            lat = np.unique([m * self.b + n / self.b
-                             for m in range(m_max + 1) for n in range(n_max + 1)])
-            d_im[ok] = np.abs(y[ok][:, None] - lat[None, :]).min(axis=1)
+            big, yk, d = max(self.b, 1.0 / self.b), y[ok], np.inf
+            for m in range(int(max(yk.max(), 0.0) // big) + 2):
+                r = yk - m * big
+                d = np.minimum(d, np.abs(r - self.step * np.maximum(np.round(r / self.step), 0.0)))
+            d_im[ok] = d
         return np.hypot(z.real, np.where(np.isfinite(d_im), d_im, 1.0))
 
     def check_poles(self, z):
@@ -239,24 +256,16 @@ class FaddeevDilog:
     def _closed_form(self, z):
         """log Phi_1 on a 1D array z (b = 1): the closed form of the module
         docstring at Re z <= 0, where |w| = |e^{2 pi z}| <= 1 and it holds at
-        every Im z, and the inversion relation at Re z > 0.  Li_2 is the
-        Bernoulli series in u = -log(1 - w) where Re w <= 1/2, else, by the
-        reflection Li_2(w) = pi^2/6 - log w log(1 - w) - Li_2(1 - w), the
-        same series in u = -log w: |u| <= pi/3 on both branches, which share
-        one series call.  The principal log w = 2 pi z mod 2 pi i and
-        1 - w = -expm1(2 pi z) keep full precision near w = 1, the zero/pole
-        lattice; z = 0 is exactly i pi / 12.
+        every Im z, and the inversion relation at Re z > 0.  Li_2 and
+        log(1 - w) come from _li2 at the principal log w = 2 pi z mod 2 pi i,
+        which keeps full precision near w = 1, the zero/pole lattice; z = 0
+        is exactly i pi / 12.
         """
         right = z.real > 0
         zl = np.where(right, -z, z)
         zero = zl == 0
         zl[zero] = -1.0
-        a = 2 * _PI * (zl - 1j * np.round(zl.imag))    # log w
-        v = -np.expm1(a)                                # 1 - w
-        lv = np.log(v)
-        refl = v.real < 0.5
-        li = _li2_series(np.where(refl, -a, -lv))
-        li[refl] = _PI**2 / 6 - a[refl] * lv[refl] - li[refl]
+        li, lv = _li2(2 * _PI * (zl - 1j * np.round(zl.imag)))    # log w = 2 pi z mod 2 pi i
         out = (0.5j / _PI) * li + 1j * zl * lv
         out[zero] = 1j * _PI / 12
         # log Phi_1(z) = i pi z^2 - log zeta_inv - log Phi_1(-z)

@@ -12,22 +12,19 @@ and for cross validation.  sqrt(zeta_inv) is the principal branch; the
 test suite pins it against the engine's Phi_b: the closed form at b = 1, the
 direct contour integral at every other b.
 
-The classical functions need no library beyond numpy: the Bernoulli numbers
-B_2k are exact Fractions from the integer tangent-number recurrence (qdilog's
-table, which also gives its Li_2 series), and give both the constants
-zeta(2k) of the Lobachevsky series and the coefficients of the Stirling
-series behind the complex log-gamma of classical_beta.
+The classical functions need no library beyond numpy: the Lobachevsky
+function is the imaginary part of qdilog's Li_2 series on the unit circle,
+and the Bernoulli numbers B_2k of that series (exact Fractions from the
+integer tangent-number recurrence) also give the coefficients of the
+Stirling series behind the complex log-gamma of classical_beta.
 """
 from __future__ import annotations
-
-from fractions import Fraction
-from math import factorial
 
 import numpy as np
 
 from .errors import NonConvergence, PoleHit, WeightOutOfRange
 from .params import EllipticBases, ModularParameter
-from .qdilog import _BERNOULLI, get_engine
+from .qdilog import _BERNOULLI, _li2, get_engine
 from .quadrature import IntegralResult, QuadratureConfig, integrate_1d
 
 __all__ = [
@@ -38,6 +35,7 @@ __all__ = [
 ]
 
 _PI = np.pi
+_PI_LO = 1.2246467991473532e-16     # pi - _PI
 _QPRODUCT_MAX_TERMS = 40000
 
 
@@ -146,77 +144,32 @@ def _log_gamma2_from_phi(z, log_phi, mp: ModularParameter):
 
 
 class LineTables:
-    """Exact line factors on a trapezoid lattice: one log Phi_b table per (line, step h).
+    """Exact line factors on a trapezoid lattice, kept per (line, step h, mult).
 
     A trapezoid node is k h with k an integer vector, and each line factor of
     a state-integral integrand moves by an integer combination of k.  So a
     Phi_b factor is only needed at z0 + m h, m an integer, and a gamma2
     factor at c + i m h, which is the Phi_b factor at z0 - m h with
-    z0 = i c - c_b: the table key (z0, -h) that gamma2_key gives.  A table
-    holds log Phi_b on one contiguous range of m, with no pointwise pole
-    check, but a line through the zero/pole lattice raises PoleHit.
-    reserve extends the tables to the spans a caller is about to read, and
-    phi(z0, h, m) only reads them; reader(factors, h, hull) does both for
-    every lattice integrand of the package.  Every entry comes from
-    FaddeevDilog.lines on its own line and step, so tables at different
-    steps are independent, and no table is ever rebuilt, so an entry once
-    computed never changes.
+    z0 = i c - c_b: the table key (z0, -h).  (A gamma2 key has step -h, a
+    Phi_b key +h, so the two kinds never share a table.)
 
-    Tables are kept per step: for each (table key, mult) the reader keeps the
-    factor's logs mult * log(factor) on the union of the spans read so far,
-    their largest real part top and the exponentiated table e^{logs - top}.
-    A later reader at the same step whose spans that union covers reads the
-    kept arrays as they are; one that reaches past re-derives that factor
-    over the union with a new top, in new arrays, so a reader prepared
-    earlier keeps its own.  (A gamma2 key has step -h, a Phi_b key +h, so
-    the two kinds never share a kept table.)
+    For each (table key, mult) the one store keeps the factor's logs
+    mult * log(factor) on one contiguous range of m, the union of the spans
+    read so far, their largest real part top and the exponentiated table
+    e^{logs - top}.  A reader (the lattice form of every integrand of the
+    package) that reaches past a kept range computes only the missing
+    entries at either end, through _fill, the one path by which entries are
+    computed (FaddeevDilog.lines on their own line and step, so tables at
+    different steps are independent), and concatenates them onto the kept
+    logs in new arrays, so a reader prepared earlier keeps its own and an
+    entry once computed never changes.  There is no pointwise pole check,
+    but a line through the zero/pole lattice raises PoleHit.
     """
 
     def __init__(self, mp: ModularParameter, tol: float = 1e-13):
         self.mp = mp
         self.eng = get_engine(mp.b, tol)
-        self._tables = {}   # (z0, h) -> (first m, log Phi_b values)
         self._kept = {}     # ((z0, h), mult) -> (first m, logs, top, exp(logs - top))
-
-    def gamma2_key(self, c, h):
-        """The table whose entry m is the Phi_b factor of gamma2(c + i m h)."""
-        return complex(_phi_argument(c, self.mp)), -float(h)
-
-    def phi(self, z0, h, m):
-        """log Phi_b(z0 + m h) for an integer array m inside a reserved span."""
-        m = np.asarray(m, dtype=np.intp)
-        if not m.size:
-            return np.zeros(m.shape, dtype=complex)
-        first, vals = self._tables[(complex(z0), float(h))]
-        if m.min() < first or m.max() >= first + len(vals):
-            raise IndexError(f"m in [{m.min()}, {m.max()}] outside the reserved "
-                             f"[{first}, {first + len(vals) - 1}] of the table ({z0}, {h})")
-        return vals[m - first]
-
-    def reserve(self, needs):
-        """Extend the tables to cover each need (key, lo, hi): the entries
-        m = lo..hi of the table key = (z0, h), h of either sign.
-
-        The spans of one key merge into their hull.  One _fill computes the
-        entries of every hull missing at either end of its table, and the
-        tables are extended by them.
-        """
-        hulls = {}
-        for (z0, h), lo, hi in needs:
-            key = (complex(z0), float(h))
-            a, b = hulls.get(key, (int(lo), int(hi)))
-            hulls[key] = min(a, int(lo)), max(b, int(hi))
-        pieces = []     # (key, lo, n)
-        for key, (lo, hi) in hulls.items():
-            if abs(abs(key[0].imag) - self.eng.cb_abs) < 1e-9:
-                raise PoleHit(f"line Im z = {key[0].imag} runs through the zero/pole lattice")
-            first, vals = self._tables.get(key, (lo, ()))
-            pieces += [(key, a, b - a + 1) for a, b in ((lo, first - 1), (first + len(vals), hi))
-                       if a <= b]
-        for (key, lo, _n), logs in zip(pieces, self._fill(pieces)):
-            first, old = self._tables.get(key, (lo, logs[:0]))
-            self._tables[key] = ((lo, np.concatenate([logs, old])) if lo < first
-                                 else (first, np.concatenate([old, logs])))
 
     def reader(self, factors, h, hull, log_const=0.0, log_extra=None):
         """Reader k -> e^{log_const} * (the product of the line factors, see
@@ -225,17 +178,17 @@ class LineTables:
 
         A factor's entry m = d.k spans [lo, hi], the extremes of d.p over the
         nodes p of hull; a gamma2 factor with a real offset c spans
-        [-M, M], M = max(-lo, hi), and its table is filled at 0 <= m <= M
+        [-M, M], M = max(-lo, hi), and its entries are computed at m >= 0
         only, m < 0 taken by conjugation: gamma2(c - i m h) = conj
-        gamma2(c + i m h) for real c.  Factors whose spans the kept tables
-        (see the class docstring) cover cost no array work here; the others
-        are reserved in one call and re-derived over the union of their
-        spans.  Each kept table has modulus <= 1.  The scale e^{log_const +
-        sum of the tables' top} times the factors with lo = hi must be a
-        finite nonzero double at every call, or WeightOutOfRange is raised.
-        The reader multiplies the scale by the other factors' entries,
-        gathered at the index m - first formed by adding and subtracting
-        columns of k.
+        gamma2(c + i m h) for real c.  Factors on one kept table (see the
+        class docstring) read the union of their spans.  Factors whose spans
+        the kept tables cover cost no array work here; the entries missing
+        from the others are computed in one _fill call.  Each kept table has
+        modulus <= 1.  The scale e^{log_const + sum of the tables' top}
+        times the factors with lo = hi must be a finite nonzero double at
+        every call, or WeightOutOfRange is raised.  The reader multiplies
+        the scale by the other factors' entries, gathered at the index
+        m - first formed by adding and subtracting columns of k.
         """
         hull = np.asarray(hull, dtype=np.intp)
         forms = np.array([f[2] for f in factors], dtype=np.intp).reshape(len(factors), hull.shape[1])
@@ -244,22 +197,40 @@ class LineTables:
         for (kind, c, _d, mult), d, lo, hi in zip(factors, forms.tolist(), m.min(axis=0).tolist(),
                                                   m.max(axis=0).tolist()):
             mirror = kind == "g2" and complex(c).imag == 0
-            name = (self.gamma2_key(c, h) if kind == "g2" else (complex(c), h), mult)
+            name = ((complex(_phi_argument(c, self.mp)), -h) if kind == "g2" else (complex(c), h), mult)
             a, b = (-max(-lo, hi), max(-lo, hi)) if mirror else (lo, hi)
             if name in spans:       # factors on one kept table: the union of their spans
                 a, b = min(a, spans[name][2]), max(b, spans[name][3])
             spans[name] = kind, mirror, a, b
             plan.append((name, lo, hi, d))
-        stale = {}
+        grown, pieces = [], []      # (name, kind, mirror, new runs (lo, n)) of each growing table
         for name, (kind, mirror, a, b) in spans.items():
-            first, logs, *_rest = self._kept.get(name, (a, ()))
-            if a < first or b >= first + len(logs):
-                stale[name] = kind, mirror, min(a, first), max(b, first + len(logs) - 1)
-        if stale:
-            self.reserve([(key, 0, b) if mirror else (key, a, b)
-                          for (key, _mult), (_kind, mirror, a, b) in stale.items()])
-        for (key, mult), (kind, mirror, a, b) in stale.items():
-            self._kept[key, mult] = self._derive(kind, key, mult, mirror, a, b)
+            first, logs = self._kept.get(name, (a, ()))[:2]
+            if mirror:              # only m >= 0 is computed: the kept 0..M
+                a, first, logs = 0, 0, logs[len(logs) // 2:]
+            runs = [(lo, hi - lo + 1) for lo, hi in ((a, first - 1), (first + len(logs), b)) if lo <= hi]
+            if runs:
+                grown.append((name, kind, mirror, runs))
+                pieces += [(name[0], lo, n) for lo, n in runs]
+        filled = iter(self._fill(pieces) if pieces else ())
+        for name, kind, mirror, runs in grown:
+            (z0, step), mult = name
+            first, logs = self._kept.get(name, (runs[0][0], np.zeros(0, dtype=complex)))[:2]
+            parts = [logs]
+            for lo, n in runs:
+                vals = next(filled)
+                if kind == "g2":
+                    vals = _log_gamma2_from_phi(z0 + step * np.arange(lo, lo + n), vals, self.mp)
+                if mirror:          # m = lo..lo + n - 1 and their conjugates at -m, m = 0 once
+                    parts = [mult * (vals[:0:-1] if lo == 0 else vals[::-1]).conj(), *parts, mult * vals]
+                    first = -(lo + n - 1)
+                elif lo < first:
+                    parts, first = [mult * vals, *parts], lo
+                else:
+                    parts.append(mult * vals)
+            logs = np.concatenate(parts)
+            top = logs.real.max()
+            self._kept[name] = first, logs, top, np.exp(logs - top)
         log_scale, tables = complex(log_const), []
         for name, lo, hi, d in plan:
             first, logs, top, table = self._kept[name]
@@ -291,28 +262,16 @@ class LineTables:
 
         return read
 
-    def _derive(self, kind, key, mult, mirror, a, b):
-        """The kept table of one factor on m = a..b (a = -b when mirror), from
-        its reserved log Phi_b entries: (a, logs, top, exp(logs - top)) with
-        logs = mult * log(factor) and top their largest real part."""
-        z0, step = key
-        span = np.arange(0, b + 1) if mirror else np.arange(a, b + 1)
-        logs = self.phi(z0, step, span)
-        if kind == "g2":
-            logs = _log_gamma2_from_phi(z0 + step * span, logs, self.mp)
-        if mirror:
-            logs = np.concatenate([logs[:0:-1].conj(), logs])
-        logs = mult * logs
-        top = logs.real.max()
-        return a, logs, top, np.exp(logs - top)
-
     def _fill(self, pieces):
         """log Phi_b(z0 + m h) at m = lo..lo + n - 1 for each piece (key, lo, n),
         key = (z0, h), through one FaddeevDilog.lines call per grid step |h|:
-        the one path by which table entries are computed."""
+        the one path by which table entries are computed.  A line through the
+        zero/pole lattice raises PoleHit before anything is computed."""
         out = [None] * len(pieces)
         by_step = {}
-        for i, ((_z0, h), _lo, _n) in enumerate(pieces):
+        for i, ((z0, h), _lo, _n) in enumerate(pieces):
+            if abs(abs(z0.imag) - self.eng.cb_abs) < 1e-9:
+                raise PoleHit(f"line Im z = {z0.imag} runs through the zero/pole lattice")
             by_step.setdefault(abs(h), []).append(i)
         for dx, idx in by_step.items():
             # FaddeevDilog.lines runs left to right
@@ -455,21 +414,6 @@ def theta_fn(z, p: complex, tol: float = 1e-14):
         1.0 - np.multiply.outer(p / z, ks), axis=-1)
 
 
-_CL2_KMAX = len(_BERNOULLI)
-_CL2_TOL = 1e-15
-
-
-def _zeta_even(bernoulli):
-    """zeta(2k) = (-1)^{k+1} B_2k (2 pi)^{2k} / (2 (2k)!) for k = 1, 2, ...,
-    correctly rounded: the exact rational times (2 pi)^{2k}, with pi to 30
-    digits, is one division of integers."""
-    p, q = Fraction("3.141592653589793238462643383280").as_integer_ratio()
-    return np.array([(-1) ** (k + 1) * b.numerator * (2 * p) ** (2 * k)
-                     / (b.denominator * 2 * factorial(2 * k) * q ** (2 * k))
-                     for k, b in enumerate(bernoulli, 1)])
-
-
-_CL2_ZETAS = _zeta_even(_BERNOULLI)
 _LOGGAMMA_SHIFT = 10.0
 # B_2k / (2k (2k - 1)), k = 1..8: the Stirling series of log Gamma
 _STIRLING = np.array([float(b / (2 * k * (2 * k - 1))) for k, b in enumerate(_BERNOULLI[:8], 1)])
@@ -518,23 +462,14 @@ def classical_beta(x, y):
 
 
 def lobachevsky(theta):
-    """Lobachevsky function L(theta) = (1/2) sum_{n>=1} sin(2 n theta)/n^2.
-
-    Evaluated as Cl2(2 theta)/2 through the zeta-accelerated expansion
-    Cl2(t) = t - t log|t| + sum_k zeta(2k) t^{2k+1} / (k (2k+1) (2 pi)^{2k}),
-    absolutely convergent for |t| <= pi with ratio <= 1/4; truncation stops
-    once the geometric tail bound drops below _CL2_TOL.
+    """Lobachevsky function L(theta) = (1/2) sum_{n>=1} sin(2 n theta)/n^2
+    = (1/2) Im Li_2(e^{2 i theta}), through qdilog's Li_2 series at
+    log w = 2 i theta, reduced to [-pi, pi] with a two-part pi (exact to
+    rounding near the zeros k pi, where L is steepest); L(0) = 0.
     """
     theta = np.asarray(theta, dtype=float)
-    t = np.mod(2.0 * theta + _PI, 2.0 * _PI) - _PI  # fold 2*theta into [-pi, pi)
-    out = np.where(t == 0.0, 0.0, t - t * np.log(np.maximum(np.abs(t), 1e-300)))
-    r = (t / (2.0 * _PI)) ** 2
-    term = t.copy().astype(float)
-    acc = np.zeros_like(out)
-    for k in range(1, _CL2_KMAX + 1):
-        term = term * r
-        contrib = _CL2_ZETAS[k - 1] * term / (k * (2 * k + 1))
-        acc = acc + contrib
-        if float(np.max(np.abs(contrib))) < _CL2_TOL * 0.1:
-            break
-    return 0.5 * (out + acc)
+    k = np.round(theta / _PI)
+    t = (2.0 * (theta - k * _PI) - 2.0 * k * _PI_LO).ravel()
+    zero = t == 0.0
+    li, _lv = _li2(1j * np.where(zero, _PI, t))
+    return np.where(zero, 0.0, 0.5 * li.imag).reshape(theta.shape)[()]

@@ -435,16 +435,16 @@ def test_closed_forms_take_one_engine_call_per_integral(mp1, monkeypatch):
 def test_lattice_calls_fill_in_one_engine_call_per_step(mp1, monkeypatch):
     # the box probes, the first three trapezoid levels together (h0, h0/2
     # and h0/4 read one preparation at h0/4, the probes' step) and each
-    # later level reserve every table entry they read at once: at most one
-    # FaddeevDilog.lines call per grid step, on criterion 3's first
+    # later level fill every table entry they read in one _fill call: at
+    # most one FaddeevDilog.lines call per grid step, on criterion 3's first
     # pentagon and criterion 13's first octahedron at b = 1 (the closed
     # form), and on a pentagon at b = 1.3, where each of those calls is one
     # _raw_grid call (one GEMM)
-    calls, gemms = [], []   # per LineTables.reserve: the grid steps of its lines / _raw_grid calls
-    reserve, lines = special.LineTables.reserve, qdilog.FaddeevDilog.lines
+    calls, gemms = [], []   # per LineTables._fill: the grid steps of its lines / _raw_grid calls
+    fill, lines = special.LineTables._fill, qdilog.FaddeevDilog.lines
     raw_grid = qdilog.FaddeevDilog._raw_grid
-    monkeypatch.setattr(special.LineTables, "reserve",
-                        lambda self, needs: calls.append([]) or gemms.append([]) or reserve(self, needs))
+    monkeypatch.setattr(special.LineTables, "_fill",
+                        lambda self, pieces: calls.append([]) or gemms.append([]) or fill(self, pieces))
     monkeypatch.setattr(qdilog.FaddeevDilog, "lines",
                         lambda self, specs, dx: calls[-1].append(dx) or lines(self, specs, dx))
     monkeypatch.setattr(qdilog.FaddeevDilog, "_raw_grid",

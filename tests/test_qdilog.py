@@ -1,4 +1,6 @@
 """Quantum dilogarithm: defining identities, oracle values, pole handling."""
+import time
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,40 @@ def test_pole_and_zero_locations():
     up = abs(eng(1j + 1e-3, check=False))
     dn = abs(eng(-1j + 1e-3, check=False))
     assert up > 1e2 and dn < 1e-2
+
+
+def enumerated_lattice_distance(eng, z):
+    """Distance to the zero/pole lattice by enumerating every m b + n/b up
+    to |Im z|: the reference for FaddeevDilog.lattice_distance."""
+    y = np.abs(z.imag) - eng.cb_abs
+    ok = y > -0.5 * eng.step
+    d_im = np.full(z.shape, np.inf)
+    top = max(y[ok].max(), 0.0)
+    lat = np.unique([m * eng.b + n / eng.b for m in range(int(np.ceil(top / eng.b)) + 2)
+                     for n in range(int(np.ceil(top * eng.b)) + 2)])
+    d_im[ok] = np.abs(y[ok][:, None] - lat[None, :]).min(axis=1)
+    return np.hypot(z.real, np.where(np.isfinite(d_im), d_im, 1.0))
+
+
+@pytest.mark.parametrize("b", [0.77, 1.0, 1.3])
+def test_lattice_distance_matches_enumeration(b):
+    eng = FaddeevDilog(b)
+    rng = np.random.default_rng(27)
+    z = rng.uniform(-2, 2, 1000) + 1j * rng.uniform(-20, 20, 1000)
+    z[:50] = rng.uniform(-1e-6, 1e-6, 50) + 1j * (eng.cb_abs + eng.b * rng.integers(0, 8, 50)
+                                                   + rng.integers(0, 8, 50) / eng.b)
+    assert np.abs(eng.lattice_distance(z) - enumerated_lattice_distance(eng, z)).max() <= 1e-13
+
+
+def test_pole_check_far_up_is_linear_in_im_z():
+    # the check takes the multiples of max(b, 1/b) only, so |Im z| = 3e4
+    # costs 3e4 rounded candidates, not the 9e8 lattice points below it
+    eng = FaddeevDilog(1.0)
+    t0 = time.perf_counter()
+    assert eng.lattice_distance(0.3 + 30000.25j)[0] == np.hypot(0.3, 0.25)
+    with pytest.raises(PoleHit):
+        phi_b(1e-9 + 30000j, ModularParameter(1.0))
+    assert time.perf_counter() - t0 < 5.0
 
 
 @pytest.mark.parametrize("b", [1.0, 1.3, 0.77])

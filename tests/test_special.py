@@ -4,7 +4,7 @@ import pytest
 import scipy.special as scipy_special
 from scipy.integrate import quad
 
-from shapedtqft import identities, special
+from shapedtqft import identities
 from shapedtqft.errors import NonConvergence, PoleHit
 from shapedtqft.identities import random_balanced_33
 from shapedtqft.params import EllipticBases, ModularParameter
@@ -127,77 +127,86 @@ def test_gamma2_line_matches_hyperbolic_gamma(b):
             assert np.abs(np.exp(line(ws)) / ref - 1.0).max() <= 1e-7
 
 
+def gamma2_table_key(mp, c, h):
+    """The table key (z0, -h) whose entry m is the Phi_b factor of gamma2(c + i m h)."""
+    return complex(1j * complex(c) - mp.cb), -float(h)
+
+
+def record_fill_calls(monkeypatch):
+    """Record the pieces of every LineTables._fill call from now on."""
+    calls = []
+    fill = LineTables._fill
+    monkeypatch.setattr(LineTables, "_fill",
+                        lambda self, pieces: calls.append(pieces) or fill(self, pieces))
+    return calls
+
+
 @pytest.mark.parametrize("b", [1.0, 1.3])
 def test_line_tables_extend_without_rebuild(b, monkeypatch):
-    # a reserve past the table fills only the new entries, leaves the old ones
-    # bit-identical, and the reader on the reserved span fills nothing and
-    # matches the direct engine; a lookup outside the reserved span is refused
+    # a second reader on a wider hull fills only the entries past the kept
+    # span, at both ends; the first reader's values stay bit-identical, and
+    # both readers match the direct engine
     mp = ModularParameter(b)
     filled = record_fills(monkeypatch)
     tables = LineTables(mp)
     c, z0, h = 0.4 * mp.q_total + 0.1j, 0.3 + 0.2j, 0.1
-    for key, factor, direct in ((tables.gamma2_key(c, h), ("g2", c, 1, 1),
-                                 lambda m: hyperbolic_gamma(c + 1j * m * h, mp)),
-                                ((z0, h), ("phi", z0, 1, 1),
-                                 lambda m: phi_b(z0 + m * h, mp))):
+    narrow, wide = np.arange(-5, 6)[:, None], np.arange(-40, 31)[:, None]
+    for factor, direct in ((("g2", c, 1, 1), lambda m: hyperbolic_gamma(c + 1j * m * h, mp)),
+                           (("phi", z0, 1, 1), lambda m: phi_b(z0 + m * h, mp))):
         filled.clear()
-        tables.reserve([(key, -5, 5)])
-        first = tables.phi(*key, np.arange(-5, 6))
-        tables.reserve([(key, -40, 30), (key, -7, 2)])
-        wider = tables.phi(*key, np.arange(-40, 31))
-        assert np.array_equal(wider[35:46], first)
+        first = tables.reader([factor], h, narrow)
+        before = first(narrow)
+        second = tables.reader([factor], h, wide)
         # 11, then 35 and 25 new entries
         assert [m for _z0, _h, m in filled] == [*range(-5, 6), *range(-40, -5), *range(6, 31)]
-        m = np.arange(-40, 31)[:, None]
-        read = tables.reader([factor], h, m)
-        assert len(filled) == 71
-        assert np.abs(read(m) / direct(m[:, 0]) - 1).max() <= 1e-12
-        with pytest.raises(IndexError):
-            tables.phi(*key, np.arange(25, 32))
+        assert np.array_equal(first(narrow), before)
+        assert np.abs(before / direct(narrow[:, 0]) - 1).max() <= 1e-12
+        assert np.abs(second(wide) / direct(wide[:, 0]) - 1).max() <= 1e-12
 
 
 @pytest.mark.parametrize("b", [1.0, 1.3])
 def test_line_tables_steps_are_independent(b, monkeypatch):
-    # a table at step h/2 reserved after the step-h table fills all its own
-    # entries, a grid of step h/2, leaves the step-h table bit-identical and
-    # matches the direct engine; a gamma2 factor's tables at step -h alike
+    # a reader at step h/2 after one at step h fills all its own entries, a
+    # grid of step h/2, leaves the step-h reader bit-identical and matches
+    # the direct engine; a gamma2 factor's tables at step -h alike
     mp = ModularParameter(b)
     filled = record_fills(monkeypatch)
     tables = LineTables(mp)
     c, z0, h = 0.4 * mp.q_total + 0.1j, 0.3 + 0.2j, 0.1
-    coarse, fine = np.arange(-20, 21), np.arange(-40, 41)
-    for key, factor, direct in ((lambda step: tables.gamma2_key(c, step), ("g2", c, 1, 1),
+    coarse, fine = np.arange(-20, 21)[:, None], np.arange(-40, 41)[:, None]
+    for key, factor, direct in ((lambda step: gamma2_table_key(mp, c, step), ("g2", c, 1, 1),
                                  lambda m: hyperbolic_gamma(c + 1j * m * h / 2, mp)),
                                 (lambda step: (complex(z0), step), ("phi", z0, 1, 1),
                                  lambda m: phi_b(z0 + m * h / 2, mp))):
-        tables.reserve([(key(h), -20, 20)])
-        before = tables.phi(*key(h), coarse).copy()
+        first = tables.reader([factor], h, coarse)
+        before = first(coarse)
         filled.clear()
-        tables.reserve([(key(h / 2), -40, 40)])
+        read = tables.reader([factor], h / 2, fine)
         assert filled == [(*key(h / 2), m) for m in range(-40, 41)]    # its own 81 entries
-        assert np.array_equal(tables.phi(*key(h), coarse), before)
-        read = tables.reader([factor], h / 2, fine[:, None])
-        assert len(filled) == 81
-        assert np.abs(read(fine[:, None]) / direct(fine) - 1).max() <= 1e-12
-    # both steps reserved at once: each fills its own entries
+        assert np.array_equal(first(coarse), before)
+        assert np.abs(read(fine) / direct(fine[:, 0]) - 1).max() <= 1e-12
+    # both steps in one _fill: each fills its own entries, as it would alone
     filled.clear()
-    both = LineTables(mp)
-    both.reserve([((z0, h / 2), -40, 40), ((z0, h), -20, 20)])
+    pieces = [((complex(z0), h / 2), -40, 81), ((complex(z0), h), -20, 41)]
+    both = LineTables(mp)._fill(pieces)
     assert len(filled) == len(set(filled)) == 41 + 81
+    for piece, logs in zip(pieces, both):
+        assert np.array_equal(logs, LineTables(mp)._fill([piece])[0])
 
 
 @pytest.mark.parametrize("b", [1.0, 1.3])
 def test_reader_mirrors_real_offset_gamma2(b, monkeypatch):
     # a gamma2 factor with a real offset is filled at m >= 0 only, out to the
     # largest |m| the hull reaches, and read at m < 0 by conjugation; a
-    # complex offset is filled on its span [lo, hi]
+    # complex offset is filled on its span [lo, hi].  Two factors on one
+    # line with different mults keep one table each, so each fills m = 0..30
     mp = ModularParameter(b)
     filled = record_fills(monkeypatch)
     tables = LineTables(mp)
     c, h = 0.4 * mp.q_total, 0.1
     k = np.arange(-30, 21)[:, None]
     read = tables.reader([("g2", c, 1, 1), ("g2", c, -1, 2)], h, k)
-    assert [m for _z0, _h, m in filled] == list(range(31))
+    assert [m for _z0, _h, m in filled] == [*range(31), *range(31)]
     w = 1j * k[:, 0] * h
     direct = hyperbolic_gamma(c + w, mp) * hyperbolic_gamma(c - w, mp)**2
     assert np.abs(read(k) / direct - 1).max() <= 1e-12
@@ -206,12 +215,37 @@ def test_reader_mirrors_real_offset_gamma2(b, monkeypatch):
     assert [m for _z0, _h, m in filled] == list(range(-30, 21))
 
 
+@pytest.mark.parametrize("b", [1.0, 1.3])
+@pytest.mark.parametrize("mult", [2, 0.5, 1 + 0.5j])
+def test_reader_extends_a_mirrored_table_past_its_kept_m(b, mult, monkeypatch):
+    # a real-offset gamma2 table kept on [-M, M] and read on [-M', M'] fills
+    # m = M+1..M' alone, appends mult L(m) at +m and mult conj L(m) at -m,
+    # and reads what a fresh LineTables reads on the same hull.  (A fresh
+    # table, not the direct engine, is the reference: the principal log puts
+    # a non-integer mult on another branch than the direct power.)
+    mp = ModularParameter(b)
+    calls = record_fill_calls(monkeypatch)
+    c, h = 0.4 * mp.q_total, 0.1
+    factors = [("g2", c, 1, mult)]
+    tables = LineTables(mp)
+    tables.reader(factors, h, [[-12], [7]])
+    calls.clear()
+    k = np.arange(-20, 26)[:, None]
+    grown = tables.reader(factors, h, [[-20], [25]])(k)
+    assert calls == [[(gamma2_table_key(mp, c, h), 13, 13)]]
+    first, logs, *_rest = tables._kept[gamma2_table_key(mp, c, h), mult]
+    assert (first, len(logs)) == (-25, 51)
+    fresh = LineTables(mp).reader(factors, h, [[-20], [25]])(k)
+    assert np.abs(grown / fresh - 1).max() <= 1e-14
+
+
 @pytest.mark.parametrize("b", [1.0, 1.3, 0.77])
 def test_line_tables_batch_matches_single_lines(b):
-    # one reserve of tables at steps of either sign and at different |Im z|
+    # one _fill of tables at steps of either sign and at different |Im z|
     # (folded ones included), of 1 to 3 entries, and reaching past -re_cut
     # and +re_cut: one FaddeevDilog.lines call per grid step, whose entries
-    # agree with a FaddeevDilog.lines fill of each table alone
+    # agree with a FaddeevDilog.lines fill of each table alone; a line
+    # through the zero/pole lattice is refused
     mp = ModularParameter(b)
     tables = LineTables(mp)
     eng = tables.eng
@@ -221,26 +255,15 @@ def test_line_tables_batch_matches_single_lines(b):
             for x0, step, lo, hi in ((0.2, h, -60, 50), (-0.1, -h, -45, 70), (0.7, h, 0, 0),
                                      (-0.3, -h, 3, 4), (0.05, h, -2, 0),
                                      (cut + 0.4, h, -3, 20), (-cut - 0.4, -h, -3, 20))]
-    tables.reserve([((z0, step), lo, hi) for z0, step, lo, hi in keys])
-    for z0, step, lo, hi in keys:
+    batch = tables._fill([((z0, step), lo, hi - lo + 1) for z0, step, lo, hi in keys])
+    for (z0, step, lo, hi), logs in zip(keys, batch):
         m = np.arange(lo, hi + 1)
         x = z0.real + step * m
         alone = eng.lines([(float(x.min()), len(m), z0.imag)], abs(step))[0]
         alone = alone if step > 0 else alone[::-1]
-        assert np.abs(np.exp(tables.phi(z0, step, m) - alone) - 1).max() <= 1e-14
+        assert np.abs(np.exp(logs - alone) - 1).max() <= 1e-14
     with pytest.raises(PoleHit):
-        tables.reserve([((0.1 + 1j * eng.cb_abs, h), 0, 3)])
-
-
-def record_table_work(monkeypatch):
-    """Record (method, its first argument) for every LineTables.reserve,
-    _fill and phi call from now on: the needs, the pieces, the table z0."""
-    work = []
-    for name in ("reserve", "_fill", "phi"):
-        method = getattr(LineTables, name)
-        monkeypatch.setattr(LineTables, name, lambda self, first, *rest, name=name, method=method:
-                            work.append((name, first)) or method(self, first, *rest))
-    return work
+        tables._fill([((0.1 + 1j * eng.cb_abs, h), 0, 4)])
 
 
 def box(*kmax):
@@ -251,10 +274,10 @@ def box(*kmax):
 @pytest.mark.parametrize("b", [1.0, 1.3])
 def test_reader_on_a_covered_hull_does_no_table_work(b, monkeypatch):
     # each factor's exponentiated table is kept per (table key, mult): a
-    # second reader at the same step on a hull the first one covered calls
-    # neither reserve, _fill nor phi, and reads values bit-identical to the
-    # first reader's, for real- and complex-offset gamma2 factors (two
-    # sharing a kept table) and a Phi_b factor
+    # second reader at the same step on a hull the first one covered makes
+    # no _fill call, and reads values bit-identical to the first reader's,
+    # for real- and complex-offset gamma2 factors (two sharing a kept table)
+    # and a Phi_b factor
     mp = ModularParameter(b)
     tables = LineTables(mp)
     c, h = 0.4 * mp.q_total, 0.1
@@ -262,19 +285,19 @@ def test_reader_on_a_covered_hull_does_no_table_work(b, monkeypatch):
                ("phi", 0.3 + 0.2j, (1, 1), 1)]
     k = np.random.default_rng(25).integers(-15, 16, size=(200, 2))
     before = tables.reader(factors, h, box(30, 20))(k)
-    work = record_table_work(monkeypatch)
+    calls = record_fill_calls(monkeypatch)
     after = tables.reader(factors, h, box(15, 15))(k)
-    assert work == []
+    assert calls == []
     assert np.array_equal(after, before)
 
 
 @pytest.mark.parametrize("b", [1.0, 1.3])
 def test_reader_rederives_only_the_factor_past_its_kept_span(b, monkeypatch):
-    # a hull that reaches past the kept span of one factor re-derives that
-    # factor alone, over the union of its spans: only its table is reserved,
-    # filled and read.  Every kept entry has modulus <= 1, the new reader
-    # matches the direct engine, and the earlier reader, which keeps its own
-    # arrays, reads what it read before
+    # a hull that reaches past the kept span of one factor extends that
+    # factor alone: one _fill call, whose every piece is on its key and
+    # outside its kept span.  Every kept entry has modulus <= 1, the new
+    # reader matches the direct engine, and the earlier reader, which keeps
+    # its own arrays, reads what it read before
     mp = ModularParameter(b)
     tables = LineTables(mp)
     c, h = 0.4 * mp.q_total, 0.1
@@ -282,14 +305,13 @@ def test_reader_rederives_only_the_factor_past_its_kept_span(b, monkeypatch):
     k = np.random.default_rng(25).integers(-20, 21, size=(200, 2))
     first = tables.reader(factors, h, box(20, 20))
     before = first(k)
-    work = record_table_work(monkeypatch)
-    wide = box(20, 40)
-    second = tables.reader(factors, h, wide)
-    key = tables.gamma2_key(c + 0.1j, h)
-    assert [name for name, _arg in work] == ["reserve", "_fill", "phi"]
-    (_n, needs), (_n, pieces), (_n, z0) = work
-    assert [need[0] for need in needs] == [key] and {piece[0] for piece in pieces} == {key}
-    assert z0 == key[0]
+    key = gamma2_table_key(mp, c + 0.1j, h)
+    kept_first, kept, *_rest = tables._kept[key, -1]
+    calls = record_fill_calls(monkeypatch)
+    second = tables.reader(factors, h, box(20, 40))
+    [pieces] = calls
+    assert pieces and all(piece[0] == key for piece in pieces)
+    assert all(lo + n <= kept_first or lo >= kept_first + len(kept) for _key, lo, n in pieces)
     assert all(np.abs(table).max() <= 1 for *_rest, table in tables._kept.values())
     k2 = np.random.default_rng(26).integers(-20, 21, size=(200, 2)) * [1, 2]
     w = 1j * k2 * h
@@ -482,9 +504,17 @@ def test_classical_beta_is_zero_at_a_pole_of_x_plus_y():
                           [True, False])
 
 
-def test_cl2_zetas_match_scipy():
-    vals = scipy_special.zeta(2 * np.arange(1, 41))
-    assert np.abs(special._CL2_ZETAS / vals - 1).max() <= 4e-16
+def test_lobachevsky_matches_mpmath():
+    # L(theta) = Im Li_2(e^{2 i theta}) / 2 at 20 digits (mpmath's polylog),
+    # on seeded theta and the edge points: tiny theta, the regular
+    # tetrahedron's angle pi/3 and the zeros k pi / 2
+    mpmath = pytest.importorskip("mpmath")
+    th = np.concatenate([np.random.default_rng(28).uniform(-4, 4, 2000),
+                         [1e-300, 1e-12, 1e-8, np.pi / 6, np.pi / 3, np.pi / 2, np.pi, 0.0]])
+    with mpmath.workdps(20):
+        ref = np.array([float(mpmath.polylog(2, mpmath.expj(2 * mpmath.mpf(t))).imag / 2)
+                        for t in th])
+    assert np.abs(lobachevsky(th) - ref).max() <= 1e-15
 
 
 def test_classical_beta_matches_scipy_loggamma(monkeypatch):

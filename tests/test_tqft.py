@@ -141,11 +141,13 @@ def test_lattice_weight_refuses_nonfinite_scale(fig8, mp1, monkeypatch, shift):
     # by e^{sum of the rows' largest log moduli}: a scale that overflows,
     # underflows to 0 or is NaN raises, when LineTables.reader prepares the
     # box, instead of returning inf, 0 or NaN.  Shifting every log Phi_b
-    # table read shifts each row's log gamma2 by -shift.  The identity
-    # integrands share that preparation: a pentagon integrand raises too.
+    # entry _fill computes shifts each row's log gamma2 by -shift.  The
+    # identity integrands share that preparation: a pentagon integrand
+    # raises too.
     x, angles = fig8
-    phi = LineTables.phi
-    monkeypatch.setattr(LineTables, "phi", lambda self, *a: phi(self, *a) + shift)
+    fill = LineTables._fill
+    monkeypatch.setattr(LineTables, "_fill",
+                        lambda self, pieces: [logs + shift for logs in fill(self, pieces)])
     with pytest.raises(WeightOutOfRange):
         BoltzmannEvaluator(x, angles, mp1).on_lattice(0.1, np.zeros(x.n_edges), free_edges(x),
                                                       [(1, 2, 3), (-1, -2, -3)])
@@ -289,32 +291,30 @@ def test_monte_carlo_state_integral_is_real_at_zero_origin(fig8, mp1):
     assert mc.method == "monte_carlo" and mc.value.imag != 0.0
 
 
-def test_fig8_tables_reserve_once_per_level_and_half_of_real_offsets(fig8, mp1, monkeypatch):
+def test_fig8_tables_fill_once_for_all_levels_and_half_of_real_offsets(fig8, mp1, monkeypatch):
     # criterion 8's integral prepares its tables twice, both at step h = 0.2:
     # once for its box probes and once for its three trapezoid levels (h =
     # 0.8, 0.4, 0.2 all read the preparation there), not once per level or
-    # chunk.  The probes reserve and fill every table the trapezoid reads,
-    # so its preparation finds them kept and calls neither reserve, _fill
-    # nor phi.  At its zero origin every row has a real offset, whose table
-    # holds only m >= 0 and mirrors m < 0 by conjugation.
-    work, seen = [], []     # per LineTables.reader call: its reserve, _fill and phi calls
-    for name in ("reserve", "_fill", "phi"):
-        method = getattr(special.LineTables, name)
-        monkeypatch.setattr(special.LineTables, name, lambda self, *a, name=name, method=method:
-                            work[-1].append(name) or method(self, *a))
+    # chunk.  The probes' reader fills every table the trapezoid reads in
+    # one _fill call, so the trapezoid's preparation finds them kept and
+    # makes none.  At its zero origin every row has a real offset, whose
+    # entries are filled at m >= 0 only and mirrored to m < 0 by conjugation.
+    fills, seen = [], []    # per LineTables.reader call: its _fill calls
+    fill = special.LineTables._fill
+    monkeypatch.setattr(special.LineTables, "_fill",
+                        lambda self, pieces: fills[-1].append(pieces) or fill(self, pieces))
     reader = special.LineTables.reader
     monkeypatch.setattr(special.LineTables, "reader",
-                        lambda self, *a: seen.append(self) or work.append([]) or reader(self, *a))
+                        lambda self, *a: seen.append(self) or fills.append([]) or reader(self, *a))
     filled = record_fills(monkeypatch)
     x, angles = fig8
     partition_function(x, angles, mp=mp1, cfg=CRITERION8_CFG)
-    assert len(work) == 2 and len({id(t) for t in seen}) == 1
-    probes, levels = work
-    assert probes.count("reserve") == probes.count("_fill") == 1 and "phi" in probes
-    assert levels == []
-    keys = seen[0]._tables
-    assert keys and all(z0.real == 0 for z0, _h in keys)
-    assert all(first >= 0 for first, _vals in keys.values())
+    assert len(fills) == 2 and len({id(t) for t in seen}) == 1
+    probes, levels = fills
+    assert len(probes) == 1 and levels == []
+    kept = seen[0]._kept
+    assert kept and all(z0.real == 0 for (z0, _h), _mult in kept)
+    assert all(first == -(len(logs) // 2) for first, logs, *_rest in kept.values())
     assert filled and all(m >= 0 for _z0, _h, m in filled)
 
 
