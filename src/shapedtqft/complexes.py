@@ -13,6 +13,11 @@ tetrahedron; see "Quad conventions" in the README for the worked picture.
 A dihedral-angle assignment lives on quads, one angle per quad per
 tetrahedron, with per-tetrahedron sum pi.
 
+The state integral and the gauge maps read the quad/edge incidence from two
+read-only integer arrays of a `Triangulation`: `quad_forms[t, q] = o_t (n(t, q+1) - n(t, q+2))`,
+n(t, p)[e] counting the local edges of quad p in edge class e, and
+`edge_ends[e, v]`, the ends of class e at vertex v (2 on a loop).
+
 The shaped 3-2 move `pachner_32` reads everything through one label map per
 source tetrahedron (the central edge's ends n, s to apex vertex 0, equator
 vertex E_i to i + 1), and refuses an edge weight further from 2*pi than
@@ -107,7 +112,8 @@ class Triangulation:
 
     Edge classes are lists of (tet, edge_index) incidences; vertex classes
     lists of (tet, vertex).  `interior_edges` / `interior_vertices` hold the
-    class ids not meeting any unglued face.
+    class ids not meeting any unglued face.  `quad_forms` (n_tets, 3, n_edges)
+    and `edge_ends` (n_edges, n_vertices) are the module docstring's arrays.
     """
 
     def __init__(self, tetrahedra, gluings):
@@ -180,6 +186,16 @@ class Triangulation:
         for g in self.gluings:
             self._gluing_of_face[(g.tet_a, g.face_a)] = g
             self._gluing_of_face[(g.tet_b, g.face_b)] = g
+        n = np.zeros((self.n_tets, 3, self.n_edges), dtype=int)   # n[t, p, e]
+        for (t, e), ec in self.edge_class_of.items():
+            n[t, EDGE_TO_QUAD[e], ec] += 1
+        orient = np.array([tet.orientation for tet in self.tetrahedra], dtype=int)
+        self.quad_forms = orient[:, None, None] * (np.roll(n, -1, axis=1) - np.roll(n, -2, axis=1))
+        self.edge_ends = np.zeros((self.n_edges, self.n_vertices), dtype=int)
+        for ec, ((t, e), *_) in enumerate(self.edge_classes):
+            for v in EDGE_PAIRS[e]:
+                self.edge_ends[ec, self.vertex_class_of[(t, v)]] += 1
+        self.quad_forms.flags.writeable = self.edge_ends.flags.writeable = False
 
     # -- queries ----------------------------------------------------------
     @property
@@ -189,12 +205,6 @@ class Triangulation:
     @property
     def n_edges(self):
         return len(self.edge_classes)
-
-    def edge_endpoints(self, edge_class):
-        """Vertex classes (c0, c1) of an edge class (equal for a loop)."""
-        t, e = self.edge_classes[edge_class][0]
-        v1, v2 = EDGE_PAIRS[e]
-        return self.vertex_class_of[(t, v1)], self.vertex_class_of[(t, v2)]
 
     def glued_to(self, tet, face):
         """(tet', face', vertex_map) across the gluing, or None on the boundary."""
@@ -270,37 +280,32 @@ def validate_angles(x: Triangulation, angles):
 # -- states and gauge -------------------------------------------------------
 
 def state_gauge_image(x: Triangulation, g):
-    """Pure-gauge state of a vertex potential: (bg)(e) = g(v0) + g(v1), loops 2 g(v).
+    """Pure-gauge state bg = edge_ends @ g of a vertex potential g (2 g(v) on a loop).
 
     g maps vertex-class ids to reals (dict or array over all vertex classes);
     missing vertices count as zero.
     """
-    if not isinstance(g, dict):
-        g = {i: gv for i, gv in enumerate(np.asarray(g, dtype=float))}
-    out = np.zeros(x.n_edges)
-    for e in range(x.n_edges):
-        c0, c1 = x.edge_endpoints(e)
-        out[e] = g.get(c0, 0.0) + g.get(c1, 0.0)
-    return out
+    if isinstance(g, dict):
+        g = [g.get(v, 0.0) for v in range(x.n_vertices)]
+    return x.edge_ends @ np.asarray(g, dtype=float)
 
 
 def _coordinate_coefficient(x: Triangulation, v, e, interior):
-    """Coefficient of edge e in a coordinate gauge at interior vertex v: 1/2
-    for a loop at v, 1 for an edge from v to a boundary vertex, else None."""
-    c0, c1 = x.edge_endpoints(e)
-    if c0 == v and c1 == v:
-        return 0.5
-    if (c0 == v and c1 not in interior) or (c1 == v and c0 not in interior):
-        return 1.0
-    return None
+    """Coefficient of edge e in a coordinate gauge at interior vertex v:
+    1/edge_ends[e, v] (1/2 on a loop at v) when v is the edge's only interior
+    end, else None."""
+    if {int(u) for u in np.flatnonzero(x.edge_ends[e])} & interior != {v}:
+        return None
+    return 1.0 / int(x.edge_ends[e, v])
 
 
 @dataclass(frozen=True)
 class GaugeFixing:
     """Coordinate gauge: per interior vertex one edge class and a coefficient.
 
-    The pairing requirement <lambda_v, bg> = g(v) forces coefficient 1/2 on a
-    loop at v and 1 on an edge to a boundary vertex; other coefficients are
+    The pairing requirement <lambda_v, bg> = g(v) forces the coefficient
+    1/edge_ends[e, v] on an edge whose only interior end is v: 1/2 on a loop
+    at v, 1 on an edge to a boundary vertex; other coefficients are
     normalized to the valid value when the delta bookkeeping is applied.
     """
     assignments: tuple  # ((vertex_class, edge_class, coefficient), ...)
@@ -332,22 +337,14 @@ class GaugeFixing:
     @staticmethod
     def automatic(x: Triangulation):
         """Lexicographically least usable edge per interior vertex (1/2 on loops)."""
-        assignments = []
-        interior = set(x.interior_vertices)
+        assignments, interior = [], set(x.interior_vertices)
         for v in x.interior_vertices:
-            choice = None
-            for e in range(x.n_edges):
-                if e not in x.interior_edges:
-                    continue
-                if any(e == a[1] for a in assignments):
-                    continue
-                c = _coordinate_coefficient(x, v, e, interior)
-                if c is not None:
-                    choice = (v, e, c)
-                    break
-            if choice is None:
+            used = {a[1] for a in assignments}
+            usable = [(v, e, c) for e in x.interior_edges if e not in used
+                      if (c := _coordinate_coefficient(x, v, e, interior)) is not None]
+            if not usable:
                 raise InvalidGauge(f"no coordinate gauge edge available at vertex {v}")
-            assignments.append(choice)
+            assignments.append(usable[0])
         return GaugeFixing(tuple(assignments))
 
 
@@ -355,6 +352,8 @@ class GaugeFixing:
 
 def edge_weight(x: Triangulation, angles, edge_class: int) -> float:
     """Total dihedral angle at an edge: sum of separating-quad angles."""
+    if edge_class not in range(x.n_edges):
+        raise NotApplicable(f"edge {edge_class} is not an edge class of the complex")
     a = np.asarray(angles, dtype=float)
     return float(sum(a[t][EDGE_TO_QUAD[e]] for (t, e) in x.edge_classes[edge_class]))
 
@@ -412,49 +411,23 @@ def edge_loop(x: Triangulation, edge_class: int):
     return steps
 
 
-def _tas_generator(x: Triangulation, edge_class: int):
-    """Loop generator around an edge: +1 on the successor of the separating
-    quad and -1 on its predecessor (roles swap on negative tetrahedra)."""
-    g = np.zeros((x.n_tets, 3))
-    for (t, e) in x.edge_classes[edge_class]:
-        qc = EDGE_TO_QUAD[e]
-        sign = x.tetrahedra[t].orientation
-        if sign > 0:
-            g[t][(qc + 1) % 3] += 1.0
-            g[t][(qc + 2) % 3] -= 1.0
-        else:
-            g[t][(qc + 2) % 3] += 1.0
-            g[t][(qc + 1) % 3] -= 1.0
-    return g
-
-
 def tas_basis(x: Triangulation):
     """Generators of the tangential deformation space from interior-edge loops.
 
-    Each returned (n_tets, 3) array has zero per-tetrahedron sums and zero
-    per-edge sums; both are verified before returning.  Only around-vertex
-    loops are generated: for sphere vertex links these span the whole
-    tangential space, while torus links (ideal triangulations) carry extra
-    cycle directions not reachable this way.
+    The generator of edge e, -quad_forms[:, :, e], is +-1 on the neighbours
+    of each separating quad, with zero per-tetrahedron and per-edge sums.
+    Only around-vertex loops are generated: for sphere vertex links these
+    span the whole tangential space, while torus links (ideal
+    triangulations) carry extra cycle directions not reachable this way.
     """
-    gens = []
-    for e in x.interior_edges:
-        g = _tas_generator(x, e)
-        if np.abs(g.sum(axis=1)).max() > 1e-12:
-            raise AssertionError("tangential generator has nonzero tetrahedron sum")
-        for e2 in range(x.n_edges):
-            s = sum(g[t][EDGE_TO_QUAD[ee]] for (t, ee) in x.edge_classes[e2])
-            if abs(s) > 1e-12:
-                raise AssertionError(f"tangential generator changes weight of edge {e2}")
-        gens.append(g)
-    return gens
+    return [(-x.quad_forms[:, :, e]).astype(float) for e in x.interior_edges]
 
 
 def shape_gauge_transform(x: Triangulation, angles, edge_class: int, t: float):
-    """angles + t * (loop generator of the edge); raises on leaving (0, pi)."""
+    """Shape angles + t * (loop generator of the edge); raises on leaving (0, pi)."""
     if edge_class not in x.interior_edges:
         raise NotApplicable(f"edge {edge_class} is not interior")
-    a = np.asarray(angles, dtype=float) + t * _tas_generator(x, edge_class)
+    a = validate_angles(x, angles) - t * x.quad_forms[:, :, edge_class]
     if (a <= 0).any() or (a >= np.pi).any():
         raise ShapeViolation("shape gauge transform pushed an angle out of (0, pi)")
     return a

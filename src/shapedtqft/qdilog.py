@@ -179,6 +179,11 @@ class FaddeevDilog:
             zbad = np.atleast_1d(np.asarray(z, dtype=complex))[d < _POLE_TOL][0]
             raise PoleHit(f"Phi_b argument {zbad} within {_POLE_TOL} of the zero/pole lattice")
 
+    def check_line(self, y):
+        """Refuse the horizontal line Im z = y through the zero/pole lattice."""
+        if abs(abs(y) - self.cb_abs) < 1e-9:
+            raise PoleHit(f"line Im z = {y} runs through the zero/pole lattice")
+
     # -- evaluation ----------------------------------------------------------
     def _nodes(self, ymax):
         """Contour nodes and weights needed for |Im z| <= ymax (a prefix)."""
@@ -349,8 +354,7 @@ class LineCache:
     """
 
     def __init__(self, engine: FaddeevDilog, y: float, radius: float, spacing: float = 0.02):
-        if abs(abs(y) - engine.cb_abs) < 1e-9:
-            raise PoleHit(f"line Im z = {y} runs through the zero/pole lattice")
+        engine.check_line(y)
         self.engine = engine
         self.y = float(y)
         self.radius = float(radius)

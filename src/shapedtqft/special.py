@@ -270,8 +270,7 @@ class LineTables:
         out = [None] * len(pieces)
         by_step = {}
         for i, ((z0, h), _lo, _n) in enumerate(pieces):
-            if abs(abs(z0.imag) - self.eng.cb_abs) < 1e-9:
-                raise PoleHit(f"line Im z = {z0.imag} runs through the zero/pole lattice")
+            self.eng.check_line(z0.imag)
             by_step.setdefault(abs(h), []).append(i)
         for dx, idx in by_step.items():
             # FaddeevDilog.lines runs left to right

@@ -8,14 +8,18 @@ state s contributes
 where s~(q) is the sum of the state over q's opposite edge pair.  Negative
 tetrahedra use the reversed difference, which equals the complex conjugate
 of the positive weight at real states; this is the unique convention
-compatible with unitarity of the quantum dilogarithm.  So at a zero origin
-(a closed complex, or zero boundary states) B(-s) = conj B(s) and W is
-real: partition_function marks its integrand conjugation-even there, and
-the trapezoid takes half the lattice (see quadrature).
+compatible with unitarity of the quantum dilogarithm.  On edge-class states
+the difference is Triangulation.quad_forms[t, q] . s, which the Boltzmann
+rows read; tet_weight, on local states, is the independent reference.  So
+at a zero origin (a closed complex, or zero boundary states) B(-s) =
+conj B(s) and W is real: partition_function marks its integrand
+conjugation-even there, and the trapezoid takes half the lattice (see
+quadrature).
 
 The partition function integrates the total weight over interior-edge
 states with one coordinate delta function per interior vertex: delta(c*s_e)
-pins s_e = 0 and contributes 1/|c| (c = 1/2 on a loop edge, else 1).
+pins s_e = 0 and contributes 1/|c| (c = 1/edge_ends[e, v]: 1/2 on a loop
+edge, else 1).
 """
 from __future__ import annotations
 
@@ -27,8 +31,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .complexes import QUAD_PAIRS, GaugeFixing, Triangulation, validate_angles, validate_shape
-from .errors import InvalidGauge
+from .complexes import (EDGE_TO_QUAD, QUAD_PAIRS, GaugeFixing, Triangulation, pachner_32,
+                        shape_gauge_transform, validate_angles, validate_shape)
+from .errors import InvalidGauge, NotApplicable
 from .params import ModularParameter
 from .quadrature import QuadratureConfig, integrate_nd
 from .special import LineTables, hyperbolic_gamma
@@ -58,17 +63,18 @@ class BoltzmannEvaluator:
     """Vectorized total weight B(X, s) as a function of edge-class states.
 
     Per quad factor the dilogarithm argument runs along a fixed horizontal
-    line; identical (angle, state-dependence) rows are collapsed to
-    multiplicities.  A copy made by on_lattice(h, origin, variables, hull)
-    serves states origin + h k for integer vectors k on the edges
-    `variables` in the convex hull of the nodes hull, which the trapezoid
-    of dim 1 to 4 asks for once for its first three levels (at step h0/4)
-    and once per later level (the corners of its box), Monte Carlo once per
-    batch (the corners of its bounding box), the box probes once (their
-    nodes, at step h0/4 too) and the dim-0 state once: there row r is the
-    line factor gamma2(base_r + i c_r + i (D_r . k) h)^mult_r, D_r an
-    integer vector, the form the identity integrands declare too, and the
-    weight is the shared LineTables' reader on those factors.
+    line; the rows (delta * angle, quad_forms[t, q]) are collapsed to
+    multiplicities, in lexicographic order.  A copy made by
+    on_lattice(h, origin, variables, hull) serves states origin + h k for
+    integer vectors k on the edges `variables` in the convex hull of the
+    nodes hull, which the trapezoid of dim 1 to 4 asks for once for its
+    first three levels (at step h0/4) and once per later level (the corners
+    of its box), Monte Carlo once per batch (the corners of its bounding
+    box), the box probes once (their nodes, at step h0/4 too) and the dim-0
+    state once: there row r is the line factor
+    gamma2(base_r + i c_r + i (D_r . k) h)^mult_r, D_r an integer vector,
+    the form the identity integrands declare too, and the weight is the
+    shared LineTables' reader on those factors.
     """
 
     def __init__(self, x: Triangulation, angles, mp: ModularParameter,
@@ -77,23 +83,12 @@ class BoltzmannEvaluator:
         self.angles = validate_angles(x, angles)
         self.mp = mp
         self.cfg = cfg or QuadratureConfig()
-        coeff = np.zeros((x.n_tets, 3, x.n_edges))
-        for t in range(x.n_tets):
-            for q in range(3):
-                for eidx in QUAD_PAIRS[q]:
-                    coeff[t, q, x.edge_class_of[(t, eidx)]] += 1.0
-        groups = {}
-        for t in range(x.n_tets):
-            sgn = x.tetrahedra[t].orientation
-            for q in range(3):
-                d = coeff[t, (q + 1) % 3] - coeff[t, (q + 2) % 3]
-                d = d if sgn > 0 else -d
-                key = (round(mp.delta * self.angles[t, q], 14), tuple(np.round(d, 12)))
-                groups[key] = groups.get(key, 0) + 1
-        rows = sorted(groups.items())
-        self._bases = [base_r for (base_r, _), _ in rows]
-        self._diff = np.array([diff_r for (_, diff_r), _ in rows])   # (rows, n_edges)
-        self._mults = [mult for _, mult in rows]
+        bases = [round(mp.delta * self.angles[t, q], 14) for t in range(x.n_tets) for q in range(3)]
+        rows, mults = np.unique(np.column_stack([bases, x.quad_forms.reshape(-1, x.n_edges)]),
+                                axis=0, return_counts=True)
+        self._bases = rows[:, 0].tolist()
+        self._diff = rows[:, 1:].astype(int)   # (rows, n_edges): the rows' quad forms
+        self._mults = mults.tolist()
         self._tables = LineTables(mp, self.cfg.phib_tol)
         self._lattice = None    # the LineTables reader, on a copy from on_lattice
 
@@ -105,7 +100,7 @@ class BoltzmannEvaluator:
         the factor ("g2", base_r + i c_r, D_r, mult_r), c_r = origin . diff_r
         and D_r = diff_r on `variables`, of this evaluator's LineTables.
         """
-        rows = np.rint(self._diff[:, list(variables)]).astype(int)
+        rows = self._diff[:, list(variables)]
         offsets = self._diff @ np.asarray(origin, dtype=float)
         factors = [("g2", base + 1j * c, d, mult)
                    for base, c, d, mult in zip(self._bases, offsets, rows, self._mults)]
@@ -193,10 +188,12 @@ def partition_function(x: Triangulation, angles, boundary_state=None,
 def knot_quad_angle(x: Triangulation, angles, edge_class: int):
     """Angle of the quad separating a degree-1 (knot) edge; used to peel off
     the factor 2*|Phi_b(u(angle))|^2 when renormalizing H-triangulations."""
-    from .complexes import EDGE_TO_QUAD
+    if edge_class not in range(x.n_edges):
+        raise NotApplicable(f"edge {edge_class} is not an edge class of the complex")
     cls = x.edge_classes[edge_class]
     if len(cls) != 1:
-        raise ValueError(f"edge {edge_class} has degree {len(cls)}; expected a knot edge of degree 1")
+        raise NotApplicable(f"edge {edge_class} has degree {len(cls)}; "
+                            "expected a knot edge of degree 1")
     t, e = cls[0]
     return float(np.asarray(angles)[t][EDGE_TO_QUAD[e]])
 
@@ -212,7 +209,6 @@ def _compare(w1: PartitionResult, w2: PartitionResult):
 def check_pachner_invariance(x, angles, edge_class, mp, cfg, boundary_state=None,
                              gauge=None):
     """Compare W before/after the shaped 3-2 move at matched boundary states."""
-    from .complexes import pachner_32
     x2, angles2, edge_map = pachner_32(x, edge_class, angles)
     bs2 = {edge_map[e]: v for e, v in _boundary_values(x, boundary_state).items()}
     return _compare(partition_function(x, angles, boundary_state, gauge, mp, cfg),
@@ -222,7 +218,6 @@ def check_pachner_invariance(x, angles, edge_class, mp, cfg, boundary_state=None
 def check_shape_gauge_invariance(x, angles, edge_class, t, mp, cfg,
                                  boundary_state=None, gauge=None):
     """Compare W(a) with W(a + t*g_edge), the angles moved along an edge's shape gauge."""
-    from .complexes import shape_gauge_transform
     angles2 = shape_gauge_transform(x, angles, edge_class, t)
     return _compare(partition_function(x, angles, boundary_state, gauge, mp, cfg),
                     partition_function(x, angles2, boundary_state, gauge, mp, cfg))

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from shapedtqft.complexes import (EDGE_INDEX, EDGE_TO_QUAD, GaugeFixing, Gluing,
+from shapedtqft.complexes import (EDGE_INDEX, EDGE_PAIRS, EDGE_TO_QUAD, GaugeFixing,
+                                  Gluing, _coordinate_coefficient,
                                   angle_holonomy, build_complex, edge_loop,
                                   edge_weight, from_json_dict, pachner_32,
                                   random_bipyramid_angles, shape_gauge_transform,
@@ -86,23 +87,57 @@ def test_gauge_map_injective(name):
     assert np.linalg.matrix_rank(m) == x.n_vertices
 
 
-def test_quad_difference_gauge_invariant(fig8):
-    # s~(q') - s~(q'') is unchanged under s -> s + bg for all basis potentials
-    x, _ = fig8
-    rng = np.random.default_rng(0)
-    s = rng.normal(size=x.n_edges)
-    coeff = np.zeros((x.n_tets, 3, x.n_edges))
-    for t in range(x.n_tets):
-        for q in range(3):
-            from shapedtqft.complexes import QUAD_PAIRS
-            for eidx in QUAD_PAIRS[q]:
-                coeff[t, q, x.edge_class_of[(t, eidx)]] += 1
-    for v in range(x.n_vertices):
-        bg = state_gauge_image(x, {v: 1.0})
-        for t in range(x.n_tets):
-            for q in range(3):
-                d = coeff[t, (q + 1) % 3] - coeff[t, (q + 2) % 3]
-                assert abs(d @ bg) < 1e-14
+BUNDLED = ("trefoil.json", "fig8.json", "fig8_complement.json", "knot52.json",
+           "knot61.json", "bipyramid.json")
+
+
+def incidence_cases():
+    """(name, complex) for every bundled complex, the standalone bipyramid
+    and the result of its 3-2 move."""
+    xb, central = standalone_bipyramid()
+    x32, _, _ = pachner_32(xb, central, random_bipyramid_angles(np.random.default_rng(3)))
+    return [(name, load_bundled(name)[0]) for name in BUNDLED] + [("bipyramid", xb),
+                                                                  ("3-2 move", x32)]
+
+
+def test_quad_difference_gauge_invariant():
+    # s~(q') - s~(q'') is unchanged under s -> s + bg: every quad form
+    # annihilates every vertex's gauge image, exactly
+    for name, x in incidence_cases():
+        assert not np.einsum("tqe,ev->tqv", x.quad_forms, x.edge_ends).any(), name
+
+
+def test_incidence_arrays_are_read_only_integers():
+    for name, x in incidence_cases():
+        assert x.quad_forms.shape == (x.n_tets, 3, x.n_edges), name
+        assert x.edge_ends.shape == (x.n_edges, x.n_vertices), name
+        assert x.quad_forms.dtype.kind == x.edge_ends.dtype.kind == "i"
+        assert (x.edge_ends.sum(axis=1) == 2).all(), name  # two ends per edge
+        for arr in (x.quad_forms, x.edge_ends):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 7
+
+
+def endpoint_coefficient(x, v, e, interior):
+    """The coordinate-gauge coefficient from the ends of one incidence of e."""
+    t, eidx = x.edge_classes[e][0]
+    c0, c1 = (x.vertex_class_of[(t, u)] for u in EDGE_PAIRS[eidx])
+    if c0 == v and c1 == v:
+        return 0.5
+    if (c0 == v and c1 not in interior) or (c1 == v and c0 not in interior):
+        return 1.0
+    return None
+
+
+def test_coordinate_coefficient_matches_edge_endpoints():
+    # 1/edge_ends[e, v] when v is e's only interior end, for every vertex,
+    # edge and choice of interior vertex set (all, none, the complex's own)
+    for name, x in incidence_cases():
+        for interior in (set(x.interior_vertices), set(), set(range(x.n_vertices))):
+            for v in range(x.n_vertices):
+                for e in range(x.n_edges):
+                    assert (_coordinate_coefficient(x, v, e, interior | {v})
+                            == endpoint_coefficient(x, v, e, interior | {v})), (name, v, e)
 
 
 def test_edge_weight_trefoil_example(trefoil):
@@ -133,10 +168,11 @@ def test_empty_loop_and_bad_loop(fig8):
 @pytest.mark.parametrize("name", ["trefoil.json", "fig8.json", "knot52.json",
                                   "knot61.json"])
 def test_tas_generators_properties(name):
-    # per-tetrahedron sums and all edge weights vanish (checked inside), and
-    # for sphere vertex links the span matches the brute-force null space of
-    # the defining linear system (torus links carry extra cycle generators
-    # that around-vertex loops do not reach)
+    # every generator has zero per-tetrahedron sums and leaves every edge
+    # weight unchanged, checked here on the EDGE_TO_QUAD incidence of the
+    # edge classes, and for sphere vertex links the span matches the
+    # brute-force null space of the defining linear system (torus links carry
+    # extra cycle generators that around-vertex loops do not reach)
     x, _ = load_bundled(name)
     gens = tas_basis(x)
     rows = []
@@ -149,7 +185,10 @@ def test_tas_generators_properties(name):
         for (t, eidx) in x.edge_classes[e]:
             r[3 * t + EDGE_TO_QUAD[eidx]] += 1.0
         rows.append(r)
-    null_dim = 3 * x.n_tets - np.linalg.matrix_rank(np.stack(rows))
+    constraints = np.stack(rows)
+    for g in gens:
+        assert not (constraints @ g.ravel()).any()
+    null_dim = 3 * x.n_tets - np.linalg.matrix_rank(constraints)
     span = np.stack([g.ravel() for g in gens]) if gens else np.zeros((0, 3 * x.n_tets))
     assert np.linalg.matrix_rank(span) == null_dim
 
@@ -180,6 +219,26 @@ def test_shape_gauge_transform_properties(fig8):
             assert abs(edge_weight(x, a2, e2) - edge_weight(x, angles, e2)) < 1e-12
     with pytest.raises(ShapeViolation):
         shape_gauge_transform(x, angles, 0, 50.0)
+
+
+def test_shape_gauge_transform_refuses_a_non_shape(fig8):
+    # one tetrahedron's triple does not broadcast to every tetrahedron, and a
+    # tetrahedron whose angles sum to 3.0 does not pass through
+    x, angles = fig8
+    e = x.interior_edges[0]
+    with pytest.raises(ShapeViolation, match="shaped"):
+        shape_gauge_transform(x, np.asarray(angles)[0], e, 0.0)
+    bad = np.array(angles, dtype=float)
+    bad[1] = [1.0, 1.0, 1.0]
+    with pytest.raises(ShapeViolation, match="angle sum"):
+        shape_gauge_transform(x, bad, e, 0.0)
+
+
+def test_edge_weight_refuses_edge_outside_the_complex(fig8):
+    x, angles = fig8
+    for edge in (x.n_edges, 99, -1):
+        with pytest.raises(NotApplicable, match=f"edge {edge} is not an edge class"):
+            edge_weight(x, angles, edge)
 
 
 def face_edge_sets(xx, mapping=None):

@@ -265,6 +265,18 @@ def test_line_cache_grows_on_demand():
 
 
 @pytest.mark.parametrize("b", [1.0, 1.3])
+def test_line_through_the_lattice_is_refused(b):
+    # check_line refuses Im z = +-c_b, as LineCache and LineTables._fill do
+    eng = FaddeevDilog(b)
+    for y in (eng.cb_abs, -eng.cb_abs + 1e-10):
+        with pytest.raises(PoleHit, match="runs through the zero/pole lattice"):
+            eng.check_line(y)
+        with pytest.raises(PoleHit, match="runs through the zero/pole lattice"):
+            LineCache(eng, y, 5.0)
+    eng.check_line(0.95 * eng.cb_abs)
+
+
+@pytest.mark.parametrize("b", [1.0, 1.3])
 @pytest.mark.parametrize("y", [0.31, -0.31])
 def test_line_cache_log_matches_direct(b, y):
     # the cache returns log Phi_b, read from the engine: dense on

@@ -9,7 +9,8 @@ from shapedtqft import quadrature, special, tqft
 from shapedtqft.complexes import (GaugeFixing, random_bipyramid_angles, standalone_bipyramid,
                                   state_gauge_image)
 from shapedtqft.data import load as load_bundled
-from shapedtqft.errors import InvalidGauge, ShapedTqftError, ShapeViolation, WeightOutOfRange
+from shapedtqft.errors import (InvalidGauge, NotApplicable, ShapedTqftError, ShapeViolation,
+                               WeightOutOfRange)
 from shapedtqft.params import ModularParameter
 from shapedtqft.qdilog import phi_b
 from shapedtqft.quadrature import QuadratureConfig
@@ -76,6 +77,23 @@ def test_tet_weight_decays_in_state(mp1):
         vals.append(abs(tet_weight(+1, a, s, mp1)))
     rate = np.log(vals[0] / vals[1]) / 4.0
     assert rate > 0.1
+
+
+@pytest.mark.parametrize("b", [1.0, 1.3])
+def test_quad_forms_give_tet_weight(b):
+    # prod_q gamma2(delta a_q + i quad_forms[t, q] . s) on the edge-class
+    # states s is tet_weight on the tetrahedron's local states s[class(t, e)]
+    mp = ModularParameter(b)
+    rng = np.random.default_rng(11)
+    for name in BUNDLED:
+        x, angles = load_bundled(name)
+        s = rng.normal(scale=0.5, size=(4, x.n_edges))
+        for t, tet in enumerate(x.tetrahedra):
+            args = mp.delta * angles[t][:, None] + 1j * (x.quad_forms[t] @ s.T)
+            via_forms = hyperbolic_gamma(args, mp).prod(axis=0)
+            local = s[:, [x.edge_class_of[(t, e)] for e in range(6)]]
+            direct = tet_weight(tet.orientation, angles[t], local, mp)
+            assert np.abs(via_forms / direct - 1).max() <= 1e-12, (name, t)
 
 
 def state_weight(ev, s):
@@ -446,8 +464,10 @@ def test_knot_quad_angle(fig8):
     x, angles = fig8
     knot = next(e for e, c in enumerate(x.edge_classes) if len(c) == 1)
     assert knot_quad_angle(x, angles, knot) == angles[0][0]
-    with pytest.raises(ValueError):
+    with pytest.raises(NotApplicable, match="degree"):
         knot_quad_angle(x, angles, 0)
+    with pytest.raises(NotApplicable, match="edge 99 is not an edge class"):
+        knot_quad_angle(x, angles, 99)
 
 
 def test_renormalized_trefoil_is_one(trefoil, mp1, cfg9):
