@@ -351,10 +351,11 @@ class GaugeFixing:
 # -- angle bookkeeping --------------------------------------------------------
 
 def edge_weight(x: Triangulation, angles, edge_class: int) -> float:
-    """Total dihedral angle at an edge: sum of separating-quad angles."""
+    """Total dihedral angle at an edge: sum of separating-quad angles.
+    Angles that are no shape structure raise ShapeViolation."""
     if edge_class not in range(x.n_edges):
         raise NotApplicable(f"edge {edge_class} is not an edge class of the complex")
-    a = np.asarray(angles, dtype=float)
+    a = validate_angles(x, angles)
     return float(sum(a[t][EDGE_TO_QUAD[e]] for (t, e) in x.edge_classes[edge_class]))
 
 
@@ -364,8 +365,9 @@ def angle_holonomy(x: Triangulation, angles, loop) -> float:
     The loop is a sequence of (tet, face_in, face_out) steps; the quad taken
     in each tetrahedron is the one separating the edge shared by the two
     faces, and consecutive steps must be connected by the face gluings.
+    Angles that are no shape structure raise ShapeViolation.
     """
-    a = np.asarray(angles, dtype=float)
+    a = validate_angles(x, angles)
     steps = list(loop)
     if not steps:
         return 0.0

@@ -50,6 +50,15 @@ contiguous: the reader forms its integer table indices from these columns.
 The points, the box, the step sequence and the evaluation count are the
 same either way.
 
+Level plans.  A level's new nodes and the selectors of its face layers
+depend only on (kmax, first level?, half lattice?, _TRAP_CHUNK), so a level
+that fits in one chunk is enumerated once: its read-only k and selectors
+are kept in _PLANS under that key and read back by every later integral on
+a box of that size.  The kept bytes are bounded by _PLAN_BYTES (8 MB); an
+insert past the bound first clears the store.  A level of more than one
+chunk streams chunk by chunk and is never kept.  The k of every chunk is
+read-only, and a lattice reader must not write to the k it receives.
+
 Conjugation-even integrands.  An integrand that also carries
 f.conjugation_even = True promises f(-x) = conj f(x), as the closed state
 integral does at a zero origin, and as a special.line_integrand does whose
@@ -103,6 +112,8 @@ _GK_MAX_PANELS = 60_000     # panels integrate_1d may hold at once
 _PROBE_RADII = (2.0, 4.0, 8.0)  # radii of the box probes along each ray
 _MC_STEP = 0.05             # lattice step of the Monte Carlo cells
 _DECAY_FLOOR = 1e-280       # probe values at or below it count as underflow
+_PLAN_BYTES = 8 << 20       # bound on the kept level plans
+_PLANS: dict[tuple, tuple] = {}     # (kmax, first, half, _TRAP_CHUNK) -> its one chunk
 
 
 @dataclass(frozen=True)
@@ -300,14 +311,20 @@ def _level_chunks(kmax, first, half=False):
     positive), one of each pair {k, -k}: the rows from the middle prefix
     (all zeros) on, the middle row holding only its positive indices.  A
     chunk is a range of consecutive prefixes, as few as the chunk holds; its
-    blocks are (prefixes, pattern): the (dim - 1, r) array of its r rows
-    that hold the last-axis indices pattern, the middle row first, then the
-    full rows.  k, of shape (dim, n), holds the block nodes row by row: the
-    prefix columns repeated, the pattern tiled.  Only a row longer than a
-    chunk is split, into pieces that each run over all the prefixes.
+    blocks are its r rows that hold the same last-axis indices (the
+    pattern), the middle row first, then the full rows.  k, of shape
+    (dim, n) and read-only, holds the block nodes row by row: the prefix
+    columns repeated, the pattern tiled.  Only a row longer than a chunk is
+    split, into pieces that each run over all the prefixes.  A block is
+    ((r, len(pattern)), rows_at, cols_at), the face-layer selectors of
+    _face_layers with edge_j = the outermost odd index on axis j: rows_at
+    the indices of its rows with k_j = +edge_j and k_j = -edge_j for each
+    prefix axis j in turn, cols_at those of the pattern columns with
+    k = +edge and -edge on the last axis.
     """
     *pre_kmax, last_kmax = (int(m) for m in kmax)
     pre_kmax = np.array(pre_kmax, dtype=np.intp)
+    *pre_edge, last_edge = (m - (m % 2 == 0) for m in (*pre_kmax.tolist(), last_kmax))
     pre_shape = tuple(2 * pre_kmax + 1)
     n_pre = math.prod(pre_shape)
     mid = n_pre // 2 if half else -1    # index of the middle prefix, in half mode
@@ -339,22 +356,58 @@ def _level_chunks(kmax, first, half=False):
                 rows[:-1], rows[-1] = p[:, :, None], pat
                 pos += rows[0].size
             if pos:
-                yield k, blocks
+                k.flags.writeable = False
+                yield k, [((p.shape[1], len(pat)),
+                           [np.flatnonzero(pj == s * e) for pj, e in zip(p, pre_edge) for s in (1, -1)],
+                           [np.flatnonzero(pat == s * last_edge) for s in (1, -1)])
+                          for p, pat in blocks]
 
 
-def _face_layers(mag, blocks, edge):
+def _level_plan(kmax, first, half):
+    """The chunks (k, blocks) of one trapezoid level, as _level_chunks gives
+    them: the one kept in _PLANS when an earlier call kept the level, else
+    those of _stream_level."""
+    key = (tuple(kmax.tolist()), bool(first), bool(half), _TRAP_CHUNK)
+    return (_PLANS[key],) if key in _PLANS else _stream_level(key, kmax, first, half)
+
+
+def _stream_level(key, kmax, first, half):
+    """Yield the chunks of the level anew and, when it turns out to be one
+    chunk, keep that under key in _PLANS, after clearing _PLANS if the kept
+    bytes would pass _PLAN_BYTES.  A level of more chunks streams through
+    and is never kept."""
+    count = 0
+    for chunk in _level_chunks(kmax, first, half):
+        count += 1
+        yield chunk
+    if count == 1:
+        size = _plan_bytes(chunk)
+        if size + sum(map(_plan_bytes, _PLANS.values())) > _PLAN_BYTES:
+            _PLANS.clear()
+        if size <= _PLAN_BYTES:
+            _PLANS[key] = chunk
+
+
+def _plan_bytes(chunk):
+    """Bytes of the arrays of a kept chunk (k, blocks)."""
+    k, blocks = chunk
+    return k.nbytes + sum(a.nbytes for _shape, rows_at, cols_at in blocks
+                          for a in (*rows_at, *cols_at))
+
+
+def _face_layers(mag, blocks):
     """Sums of mag over a chunk's nodes on the layers k_j = +edge_j and
-    k_j = -edge_j, one row per axis j: for a prefix axis, from the sums of
-    the rows; for the last axis, from the one column of each row there."""
-    layers = np.zeros((len(edge), 2))
+    k_j = -edge_j, one row per axis j, from the selectors of its blocks
+    (see _level_chunks): for a prefix axis, of the sums of the rows; for
+    the last axis, of the one column of each row there."""
+    layers = np.zeros((len(blocks[0][1]) // 2 + 1, 2))
     pos = 0
-    for pre, pat in blocks:
-        rows = mag[pos:pos + pre.shape[1] * len(pat)].reshape(pre.shape[1], len(pat))
+    for (r, width), rows_at, cols_at in blocks:
+        rows = mag[pos:pos + r * width].reshape(r, width)
         pos += rows.size
         sums = rows.sum(axis=1)
-        for j, e in enumerate(edge[:-1]):
-            layers[j] += sums[pre[j] == e].sum(), sums[pre[j] == -e].sum()
-        layers[-1] += rows[:, pat == edge[-1]].sum(), rows[:, pat == -edge[-1]].sum()
+        layers[:-1] += np.reshape([sums[at].sum() for at in rows_at], (-1, 2))
+        layers[-1] += rows[:, cols_at[0]].sum(), rows[:, cols_at[1]].sum()
     return layers
 
 
@@ -363,7 +416,9 @@ def _trapezoid(f, dim, cfg, radii, rates, counter):
 
     Nodes sit at k*h; each halving evaluates only the new nodes (an odd
     index on some axis), which _level_chunks enumerates row by row, and
-    _face_layers sums |f| on the faces from the rows.  Every result reads at
+    _face_layers sums |f| on the faces from the rows; _level_plan reads a
+    one-chunk level back when an earlier integral kept it (see the module
+    docstring), and the reader must not write to k.  Every result reads at
     least three levels (the squared estimate needs two differences), so the
     first three read one lattice preparation at h0/4, and each later level
     takes its own.  The error of T(h_k) is estimated by halving_estimate of
@@ -395,7 +450,6 @@ def _trapezoid(f, dim, cfg, radii, rates, counter):
         if n > _TRAP_MAX_POINTS:
             raise QuadratureFailure(f"trapezoid grid at h={h:.3g} would exceed {_TRAP_MAX_POINTS} "
                                     f"nodes; last halving estimate {est:.3g} above tolerance")
-        edge = kmax - (kmax % 2 == 0)  # outermost odd index per axis
         layers = np.zeros((dim, 2))     # sum of |f| on the layers k_j = +edge_j, -edge_j
         if level == 0:      # h0, h0/2 and h0/4 read one preparation at step h0/4
             kmax4 = (radii // (h / 4)).astype(int)
@@ -407,13 +461,13 @@ def _trapezoid(f, dim, cfg, radii, rates, counter):
         if half and value is None:
             origin = complex(read(np.zeros((1, dim), dtype=np.intp))[0])
             counter[0] += 1
-        for kt, blocks in _level_chunks(kmax, value is None, half):
+        for kt, blocks in _level_plan(kmax, value is None, half):
             vals = read(kt.T)
             total += complex(np.sum(vals))
             counter[0] += len(vals)
             mag = np.abs(vals)
             mass += float(mag.sum())
-            layers += _face_layers(mag, blocks, edge)
+            layers += _face_layers(mag, blocks)
         prev = value
         if half:    # the other half mirrors this one: f(-k) = conj f(k)
             value = h ** dim * complex(origin.real + 2.0 * total.real)

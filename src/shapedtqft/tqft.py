@@ -187,7 +187,8 @@ def partition_function(x: Triangulation, angles, boundary_state=None,
 
 def knot_quad_angle(x: Triangulation, angles, edge_class: int):
     """Angle of the quad separating a degree-1 (knot) edge; used to peel off
-    the factor 2*|Phi_b(u(angle))|^2 when renormalizing H-triangulations."""
+    the factor 2*|Phi_b(u(angle))|^2 when renormalizing H-triangulations.
+    Angles that are no shape structure raise ShapeViolation."""
     if edge_class not in range(x.n_edges):
         raise NotApplicable(f"edge {edge_class} is not an edge class of the complex")
     cls = x.edge_classes[edge_class]
@@ -195,7 +196,7 @@ def knot_quad_angle(x: Triangulation, angles, edge_class: int):
         raise NotApplicable(f"edge {edge_class} has degree {len(cls)}; "
                             "expected a knot edge of degree 1")
     t, e = cls[0]
-    return float(np.asarray(angles)[t][EDGE_TO_QUAD[e]])
+    return float(validate_angles(x, angles)[t][EDGE_TO_QUAD[e]])
 
 
 def _compare(w1: PartitionResult, w2: PartitionResult):

@@ -241,6 +241,18 @@ def test_edge_weight_refuses_edge_outside_the_complex(fig8):
             edge_weight(x, angles, edge)
 
 
+def test_angle_sums_refuse_a_non_shape(fig8):
+    # one tetrahedron's triple, and an array of the right shape whose angles
+    # leave (0, pi), are refused before anything is summed
+    x, angles = fig8
+    loop = edge_loop(x, x.interior_edges[0])
+    for bad, match in ((np.asarray(angles)[0], "shaped"), (np.full((x.n_tets, 3), 5.0), "angle sum")):
+        with pytest.raises(ShapeViolation, match=match):
+            edge_weight(x, bad, 0)
+        with pytest.raises(ShapeViolation, match=match):
+            angle_holonomy(x, bad, loop)
+
+
 def face_edge_sets(xx, mapping=None):
     """Sorted edge-class triples of the boundary faces, optionally mapped."""
     out = []

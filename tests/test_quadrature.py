@@ -8,6 +8,8 @@ from scipy.special import k1
 
 from shapedtqft import quadrature, tqft
 from shapedtqft.errors import DecayEstimateFailure, QuadratureFailure
+from shapedtqft.identities import check_hyperbolic_pentagon, random_balanced_33
+from shapedtqft.params import ModularParameter
 from shapedtqft.quadrature import QuadratureConfig, integrate_1d, integrate_nd
 from shapedtqft.tqft import partition_function
 from tests.conftest import capture_integrands
@@ -268,23 +270,26 @@ def test_level_chunks_visit_each_new_node_once(monkeypatch, kmax, chunk):
     # some axis (every node at the first level), none twice and at most
     # _TRAP_CHUNK per call; a chunk of 24 nodes splits the rows of the 1D
     # boxes and of (2, 13) and packs the others' rows unevenly; the face
-    # layers of every chunk equal masked sums over its nodes.  The half
-    # enumeration visits one node of each pair {k, -k} of new nodes, the
-    # lexicographically positive one: with the origin, which the trapezoid
-    # evaluates on its own at the first level, that covers the level.
+    # layers that _face_layers sums from the selectors of every chunk equal
+    # masked sums over its nodes.  The half enumeration visits one node of
+    # each pair {k, -k} of new nodes, the lexicographically positive one:
+    # with the origin, which the trapezoid evaluates on its own at the first
+    # level, that covers the level.  Each level is read as the trapezoid
+    # reads it, through _level_plan, twice: enumerated, then (when it is one
+    # chunk) kept.
     monkeypatch.setattr(quadrature, "_TRAP_CHUNK", chunk)
     kmax = np.array(kmax)
     edge = kmax - (kmax % 2 == 0)
     box = np.array(list(itertools.product(*[range(-m, m + 1) for m in kmax])))
     origin = (0,) * len(kmax)
-    for first, half in itertools.product((True, False), repeat=2):
+    for first, half, _read in itertools.product((True, False), (True, False), range(2)):
         seen = []
-        for kt, blocks in quadrature._level_chunks(kmax, first, half):
-            assert kt.shape == (len(kmax), sum(p.shape[1] * len(pat) for p, pat in blocks))
+        for kt, blocks in quadrature._level_plan(kmax, first, half):
+            assert kt.shape == (len(kmax), sum(r * w for (r, w), _rows, _cols in blocks))
             assert kt.shape[1] <= chunk
             mag = 1.0 + (np.array([7, 11, 13, 17][:len(kmax)]) @ kt) % 23
             masked = [[mag[kj == e].sum(), mag[kj == -e].sum()] for kj, e in zip(kt, edge)]
-            assert np.array_equal(quadrature._face_layers(mag, blocks, edge), masked)
+            assert np.array_equal(quadrature._face_layers(mag, blocks), masked)
             seen += map(tuple, kt.T)
         assert len(seen) == len(set(seen))
         new = {tuple(k) for k in box if first or (k & 1).any()}
@@ -295,6 +300,90 @@ def test_level_chunks_visit_each_new_node_once(monkeypatch, kmax, chunk):
             assert mirrored | ({origin} if first else set()) == new
         else:
             assert set(seen) == new
+
+
+def _count_levels(monkeypatch):
+    """Record the chunk count of every level _level_chunks enumerates, by
+    the key of _level_plan."""
+    counts, enumerate_level = [], quadrature._level_chunks
+
+    def counting(kmax, first, half=False):
+        chunks = list(enumerate_level(kmax, first, half))
+        counts.append(((tuple(kmax.tolist()), first, half, quadrature._TRAP_CHUNK), len(chunks)))
+        return iter(chunks)
+    monkeypatch.setattr(quadrature, "_level_chunks", counting)
+    return counts
+
+
+def test_second_partition_reads_every_level_from_its_plan(monkeypatch, fig8):
+    # criterion 8's figure-eight integral: every level of the trapezoid is
+    # one chunk, so a second identical run enumerates no level, and reads
+    # the kept plans to the bit-identical result; a kept k is read-only
+    x, angles = fig8
+    cfg = QuadratureConfig(abs_tol=2e-5, rel_tol=2e-5, phib_tol=1e-11)
+    monkeypatch.setattr(quadrature, "_PLANS", {})
+    counts = _count_levels(monkeypatch)
+    cold = partition_function(x, angles, cfg=cfg)
+    assert len(counts) >= 3 and all(n == 1 for _key, n in counts)
+    assert set(quadrature._PLANS) == {key for key, _n in counts}
+    del counts[:]
+    warm = partition_function(x, angles, cfg=cfg)
+    assert counts == []
+    assert warm == cold and warm.value.real.hex() == cold.value.real.hex()
+    assert warm.value.imag.hex() == cold.value.imag.hex()
+    assert warm.error_estimate.hex() == cold.error_estimate.hex()
+    for k, _blocks in quadrature._PLANS.values():
+        with pytest.raises(ValueError, match="read-only"):
+            k[0, 0] = 1
+
+
+def test_plans_keep_single_chunk_levels_of_their_chunk_size(monkeypatch):
+    # at 256 nodes per chunk the levels of a 2D integral (169, 560 and
+    # 2,080 new nodes) take 1, 3 and 9 chunks: the later two stream and are
+    # not kept, the first is; the plans kept at the default chunk size are
+    # never read at 256
+    f = lambda p: np.exp(-(p**2).sum(axis=1) + 0.5j * p[:, 0] * p[:, 1])  # noqa: E731
+    cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
+    monkeypatch.setattr(quadrature, "_PLANS", {})
+    counts = _count_levels(monkeypatch)
+    integrate_nd(f, 2, cfg)
+    default = dict(counts)
+    assert set(default.values()) == {1} and set(quadrature._PLANS) == set(default)
+    del counts[:]
+    monkeypatch.setattr(quadrature, "_TRAP_CHUNK", 256)
+    integrate_nd(f, 2, cfg)
+    assert len(counts) == len(default)      # every level enumerated anew at 256
+    assert [n for _key, n in counts] == [1, 3, 9]
+    assert set(quadrature._PLANS) == set(default) | {key for key, n in counts if n == 1}
+    for key, (k, _blocks) in quadrature._PLANS.items():
+        assert k.shape[1] <= key[-1]
+
+
+def test_kept_plans_stay_within_their_bound(monkeypatch):
+    # criterion 3's pentagon draws (1D, half lattice) at 64 nodes per chunk:
+    # the levels on a line of more than 64 nodes stream, the smaller ones
+    # are kept (40, 48 and 88 bytes), under a bound of 128 bytes that they
+    # pass together, so that the store is cleared on the way
+    rng = np.random.default_rng(2026)
+    cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
+    monkeypatch.setattr(quadrature, "_TRAP_CHUNK", 64)
+    monkeypatch.setattr(quadrature, "_PLAN_BYTES", 128)
+    monkeypatch.setattr(quadrature, "_PLANS", {})
+    counts, sizes = _count_levels(monkeypatch), []
+    plan = quadrature._level_plan
+
+    def measured(kmax, first, half):
+        yield from plan(kmax, first, half)
+        sizes.append(sum(map(quadrature._plan_bytes, quadrature._PLANS.values())))
+    monkeypatch.setattr(quadrature, "_level_plan", measured)
+    for b in (1.0, 1.3):
+        mp = ModularParameter(b)
+        for _ in range(10):
+            assert check_hyperbolic_pentagon(random_balanced_33(rng, mp), mp, cfg) < 1e-5
+    assert 0 < max(sizes) <= 128
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))    # cleared at least once
+    streamed = {key for key, n in counts if n > 1}
+    assert streamed and not streamed & set(quadrature._PLANS)
 
 
 def test_trapezoid_refuses_unattainable_tolerance():

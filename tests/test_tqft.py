@@ -468,6 +468,11 @@ def test_knot_quad_angle(fig8):
         knot_quad_angle(x, angles, 0)
     with pytest.raises(NotApplicable, match="edge 99 is not an edge class"):
         knot_quad_angle(x, angles, 99)
+    # angles that are no shape: one tetrahedron's triple, and angles of 5.0
+    with pytest.raises(ShapeViolation, match="shaped"):
+        knot_quad_angle(x, np.asarray(angles)[0], knot)
+    with pytest.raises(ShapeViolation, match="angle sum"):
+        knot_quad_angle(x, np.full((x.n_tets, 3), 5.0), knot)
 
 
 def test_renormalized_trefoil_is_one(trefoil, mp1, cfg9):
