@@ -25,7 +25,7 @@ from .complexes import (GaugeFixing, Gluing, Tetrahedron, Triangulation,
                         state_gauge_image, tas_basis)
 from .errors import (BadGluing, BadLoop, BoundaryDegeneration, ConstraintViolation,
                      DecayEstimateFailure, InvalidGauge, NonConvergence,
-                     NotApplicable, NotCritical, PoleHit, QuadratureFailure,
+                     NotApplicable, NotCritical, OutsideHull, PoleHit, QuadratureFailure,
                      ShapedTqftError, ShapeViolation, WeightOutOfRange)
 from .geometry import (gluing_residual, maximize_volume_in_gauge_class,
                        shape_parameters, shape_volume)

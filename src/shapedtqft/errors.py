@@ -29,6 +29,10 @@ class WeightOutOfRange(ShapedTqftError):
     """A Boltzmann weight's common scale factor is not a finite nonzero double."""
 
 
+class OutsideHull(ShapedTqftError):
+    """A lattice reader was asked for an entry outside the span it prepared."""
+
+
 class DecayEstimateFailure(ShapedTqftError):
     """The integrand does not decay along some sampled direction (no positive rate)."""
 

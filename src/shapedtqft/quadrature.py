@@ -46,18 +46,31 @@ back to f(k*h) without it, so an integrand with a lattice form need not be
 callable.  The trapezoid enumerates the new nodes of each level row by row
 along the last axis, without visiting the old ones, and passes each chunk
 as the transpose of a (dim, n) array, so that every column of k is
-contiguous: the reader forms its integer table indices from these columns.
-The points, the box, the step sequence and the evaluation count are the
-same either way.
+contiguous: the reader forms its integer table indices d.k from these
+columns, or, when k is a kept plan's nodes, reads them from the plan's
+memo (see Level plans).  The points, the box, the step sequence and the
+evaluation count are the same either way.
 
-Level plans.  A level's new nodes and the selectors of its face layers
-depend only on (kmax, first level?, half lattice?, _TRAP_CHUNK), so a level
-that fits in one chunk is enumerated once: its read-only k and selectors
-are kept in _PLANS under that key and read back by every later integral on
-a box of that size.  The kept bytes are bounded by _PLAN_BYTES (8 MB); an
-insert past the bound first clears the store.  A level of more than one
-chunk streams chunk by chunk and is never kept.  The k of every chunk is
-read-only, and a lattice reader must not write to the k it receives.
+Level plans.  A level's new nodes and the non-empty selectors of its face
+layers depend only on (kmax, first level?, half lattice?, _TRAP_CHUNK), so
+a level that fits in one chunk is enumerated once: its read-only k and
+selectors are kept in _PLANS under that key and read back by every later
+integral on a box of that size.  Each kept plan also carries a memo of the
+products d.k of its nodes with the integer forms d its readers ask for
+(kept_products, which finds the plan by the identity of k.base): the
+first reader of a form fills it, read-only and offset by its min, with
+its min and max, and every later reader gathers at it directly from a
+view of each table, so a state integral forms its indices once per level
+shape, not once per integral.  A reader checks that min and max lie in the
+span it prepared and raises OutsideHull otherwise, rather than gather a
+wrong entry silently.  The kept bytes, plans and memos together, are
+bounded by _PLAN_BYTES (8 MB): an insert past the bound first clears both
+stores, and a product that would pass it is computed but not kept.  A
+level of more than one chunk, the scaled nodes that the first two levels
+read at step h0/4, the probes and Monte Carlo form their indices on every
+call, as does any k that is not a kept plan's nodes.  The k of every
+chunk is read-only, and a lattice reader must not write to the k it
+receives.
 
 Conjugation-even integrands.  An integrand that also carries
 f.conjugation_even = True promises f(-x) = conj f(x), as the closed state
@@ -83,7 +96,7 @@ import numpy as np
 from .errors import DecayEstimateFailure, QuadratureFailure
 
 __all__ = ["QuadratureConfig", "IntegralResult", "integrate_1d", "integrate_nd", "estimate_decay",
-           "halving_estimate"]
+           "halving_estimate", "kept_products"]
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].
 _XGK = np.array([
@@ -114,6 +127,7 @@ _MC_STEP = 0.05             # lattice step of the Monte Carlo cells
 _DECAY_FLOOR = 1e-280       # probe values at or below it count as underflow
 _PLAN_BYTES = 8 << 20       # bound on the kept level plans
 _PLANS: dict[tuple, tuple] = {}     # (kmax, first, half, _TRAP_CHUNK) -> its one chunk
+_PRODUCTS: dict[tuple, tuple] = {}  # the same key -> (its k, {form D: (D.k - lo, lo, hi)})
 
 
 @dataclass(frozen=True)
@@ -316,11 +330,13 @@ def _level_chunks(kmax, first, half=False):
     (dim, n) and read-only, holds the block nodes row by row: the prefix
     columns repeated, the pattern tiled.  Only a row longer than a chunk is
     split, into pieces that each run over all the prefixes.  A block is
-    ((r, len(pattern)), rows_at, cols_at), the face-layer selectors of
-    _face_layers with edge_j = the outermost odd index on axis j: rows_at
-    the indices of its rows with k_j = +edge_j and k_j = -edge_j for each
-    prefix axis j in turn, cols_at those of the pattern columns with
-    k = +edge and -edge on the last axis.
+    ((r, len(pattern)), rows_at, (last, cols_at)), the face-layer selectors
+    of _face_layers with edge_j = the outermost odd index on axis j: rows_at
+    the selectors (j, s, at), at the indices of its rows with
+    k_j = +edge_j (s = 0) or -edge_j (s = 1), for each prefix axis j in
+    turn, and cols_at the selectors (s, at) of the pattern columns with
+    k = +edge and -edge on the last axis, whose index is last.  Only
+    non-empty selectors are kept.
     """
     *pre_kmax, last_kmax = (int(m) for m in kmax)
     pre_kmax = np.array(pre_kmax, dtype=np.intp)
@@ -358,9 +374,17 @@ def _level_chunks(kmax, first, half=False):
             if pos:
                 k.flags.writeable = False
                 yield k, [((p.shape[1], len(pat)),
-                           [np.flatnonzero(pj == s * e) for pj, e in zip(p, pre_edge) for s in (1, -1)],
-                           [np.flatnonzero(pat == s * last_edge) for s in (1, -1)])
+                           tuple((j, s, at) for j, (pj, e) in enumerate(zip(p, pre_edge))
+                                 for s, at in _selectors(pj, e)),
+                           (len(pre_edge), _selectors(pat, last_edge)))
                           for p, pat in blocks]
+
+
+def _selectors(values, edge):
+    """The non-empty selectors (s, at) of the layers +edge (s = 0) and -edge
+    (s = 1): at the indices of values equal to that edge."""
+    return tuple((s, at) for s, at in enumerate((np.flatnonzero(values == edge),
+                                                 np.flatnonzero(values == -edge))) if len(at))
 
 
 def _level_plan(kmax, first, half):
@@ -382,8 +406,9 @@ def _stream_level(key, kmax, first, half):
         yield chunk
     if count == 1:
         size = _plan_bytes(chunk)
-        if size + sum(map(_plan_bytes, _PLANS.values())) > _PLAN_BYTES:
+        if size + _kept_bytes() > _PLAN_BYTES:
             _PLANS.clear()
+            _PRODUCTS.clear()
         if size <= _PLAN_BYTES:
             _PLANS[key] = chunk
 
@@ -391,23 +416,77 @@ def _stream_level(key, kmax, first, half):
 def _plan_bytes(chunk):
     """Bytes of the arrays of a kept chunk (k, blocks)."""
     k, blocks = chunk
-    return k.nbytes + sum(a.nbytes for _shape, rows_at, cols_at in blocks
-                          for a in (*rows_at, *cols_at))
+    return k.nbytes + sum(sel[-1].nbytes for _shape, rows_at, (_last, cols_at) in blocks
+                          for sel in (*rows_at, *cols_at))
+
+
+def _kept_bytes():
+    """Bytes of the kept plans and of the products memoised on their nodes."""
+    total = sum(map(_plan_bytes, _PLANS.values()))
+    for key, (nodes, memo) in _PRODUCTS.items():
+        if key in _PLANS and _PLANS[key][0] is nodes:
+            total += sum(m.nbytes for m, _lo, _hi in memo.values())
+    return total
+
+
+def kept_products(k, forms):
+    """The products D.k of the nodes k with each integer form D (a tuple) of
+    forms, as (D.k - lo, lo, hi), lo and hi the min and max of D.k and
+    D.k - lo read-only, when k is the transpose of a kept plan's nodes (as
+    the trapezoid passes them); else None.  Offset by lo, the indices are
+    non-negative, which numpy's take gathers several times faster.
+
+    The products are memoised with the plan, so every later integral that
+    reads the plan finds them; a product that would take the kept bytes
+    past _PLAN_BYTES is computed but not kept.  The plan is found by the
+    identity of k.base, never by its id alone.
+    """
+    nodes = k.base
+    if nodes is None:
+        return None
+    for key, (kept, _blocks) in _PLANS.items():
+        if kept is nodes:
+            break
+    else:
+        return None
+    if k.shape != nodes.shape[::-1] or not k.flags.f_contiguous:
+        return None     # another view of the plan's nodes
+    held, memo = _PRODUCTS.get(key, (None, None))
+    if held is not nodes:       # the first read of these nodes
+        memo = {}
+        _PRODUCTS[key] = nodes, memo
+    out = []
+    for form in forms:
+        entry = memo.get(form)
+        if entry is None:
+            m = np.asarray(form, dtype=np.intp) @ nodes
+            lo = int(m.min())
+            m -= lo
+            m.flags.writeable = False
+            entry = m, lo, lo + int(m.max())
+            if _kept_bytes() + m.nbytes <= _PLAN_BYTES:
+                memo[form] = entry
+        out.append(entry)
+    return out
 
 
 def _face_layers(mag, blocks):
     """Sums of mag over a chunk's nodes on the layers k_j = +edge_j and
     k_j = -edge_j, one row per axis j, from the selectors of its blocks
     (see _level_chunks): for a prefix axis, of the sums of the rows; for
-    the last axis, of the one column of each row there."""
-    layers = np.zeros((len(blocks[0][1]) // 2 + 1, 2))
+    the last axis, of the one column of each row there.  A layer that no
+    selector names stays 0."""
+    layers = np.zeros((blocks[0][2][0] + 1, 2))     # one row per axis, the last one's index + 1
     pos = 0
-    for (r, width), rows_at, cols_at in blocks:
+    for (r, width), rows_at, (last, cols_at) in blocks:
         rows = mag[pos:pos + r * width].reshape(r, width)
         pos += rows.size
-        sums = rows.sum(axis=1)
-        layers[:-1] += np.reshape([sums[at].sum() for at in rows_at], (-1, 2))
-        layers[-1] += rows[:, cols_at[0]].sum(), rows[:, cols_at[1]].sum()
+        if rows_at:
+            sums = rows.sum(axis=1)
+            for j, s, at in rows_at:
+                layers[j, s] += sums[at].sum()
+        for s, at in cols_at:
+            layers[last, s] += rows[:, at].sum()
     return layers
 
 

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonConvergence, PoleHit, WeightOutOfRange
+from .errors import NonConvergence, OutsideHull, PoleHit, WeightOutOfRange
 from .params import EllipticBases, ModularParameter
 from .qdilog import _BERNOULLI, _li2, get_engine
-from .quadrature import IntegralResult, QuadratureConfig, integrate_1d
+from .quadrature import IntegralResult, QuadratureConfig, integrate_1d, kept_products
 
 __all__ = [
     "hyperbolic_gamma", "hyperbolic_gamma_product", "bernoulli_b22", "hyper_B",
@@ -37,6 +37,7 @@ __all__ = [
 _PI = np.pi
 _PI_LO = 1.2246467991473532e-16     # pi - _PI
 _QPRODUCT_MAX_TERMS = 40000
+_GATHER = [np.empty(0, dtype=complex)]   # the gather buffer of kept-plan reads (_gather_buffer)
 
 
 def bernoulli_b22(u, omega1=None, omega2=None, mp: ModularParameter | None = None):
@@ -187,8 +188,18 @@ class LineTables:
         modulus <= 1.  The scale e^{log_const + sum of the tables' top}
         times the factors with lo = hi must be a finite nonzero double at
         every call, or WeightOutOfRange is raised.  The reader multiplies
-        the scale by the other factors' entries, gathered at the index
-        m - first formed by adding and subtracting columns of k.
+        the scale by the other factors' entries, in factor order.  On any k
+        it gathers them at the index m - first, formed by adding and
+        subtracting columns of k.  When k is the transpose of a kept
+        trapezoid plan's nodes (quadrature.kept_products), it takes each
+        m = d.k - lo from the plan's memo instead, lo the min of d.k,
+        filled by the first reader of d, and gathers it from the table's
+        view from entry lo - first on, into one buffer kept across reads
+        (_gather_buffer).  An m past that view would be
+        clipped to a wrong entry, so the memo's min and max are checked
+        against the table's span [first, first + len) first, and OutsideHull
+        is raised when they leave it.  Both paths read the same entries,
+        so the values are bit-identical.
         """
         hull = np.asarray(hull, dtype=np.intp)
         forms = np.array([f[2] for f in factors], dtype=np.intp).reshape(len(factors), hull.shape[1])
@@ -231,7 +242,7 @@ class LineTables:
             logs = np.concatenate(parts)
             top = logs.real.max()
             self._kept[name] = first, logs, top, np.exp(logs - top)
-        log_scale, tables = complex(log_const), []
+        log_scale, tables, gathered = complex(log_const), [], []
         for name, lo, hi, d in plan:
             first, logs, top, table = self._kept[name]
             if lo == hi:
@@ -239,7 +250,8 @@ class LineTables:
                 continue
             log_scale += top
             terms = [(j, dj) for j, dj in enumerate(d) if dj]
-            tables.append((terms, -first, table))
+            tables.append((terms, first, table))
+            gathered.append(tuple(d))
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             scale = np.exp(log_scale)
         if not (np.isfinite(scale) and scale != 0):
@@ -248,16 +260,25 @@ class LineTables:
 
         def read(k):
             out = np.full(len(k), scale)
-            for ((j, c), *rest), offset, table in tables:
-                m = c * k[:, j] + offset
-                for j, c in rest:           # small integer entries: add or subtract columns
-                    if c == 1:
-                        m += k[:, j]
-                    elif c == -1:
-                        m -= k[:, j]
-                    else:
-                        m += c * k[:, j]
-                out *= table[m]
+            products = kept_products(k, gathered) if gathered else None
+            if products is None:
+                for ((j, c), *rest), first, table in tables:
+                    m = c * k[:, j] - first
+                    for j, c in rest:           # small integer entries: add or subtract columns
+                        if c == 1:
+                            m += k[:, j]
+                        elif c == -1:
+                            m -= k[:, j]
+                        else:
+                            m += c * k[:, j]
+                    out *= table[m]
+            else:
+                buf = _gather_buffer(len(k))
+                for (m, lo, hi), (_terms, first, table) in zip(products, tables):
+                    if lo < first or hi >= first + len(table):     # take would clip silently
+                        raise OutsideHull(f"lattice entries {lo}..{hi} leave the span {first}.."
+                                          f"{first + len(table) - 1} prepared at step h = {h:g}")
+                    out *= np.take(table[lo - first:], m, out=buf, mode="clip")
             return out if log_extra is None else out * np.exp(log_extra(h * k.T))
 
         return read
@@ -279,6 +300,17 @@ class LineTables:
             for i, logs in zip(idx, self.eng.lines(specs, dx)):
                 out[i] = logs if pieces[i][0][1] > 0 else logs[::-1]
         return out
+
+
+def _gather_buffer(n):
+    """n entries of the one complex array that reads of kept plans gather
+    into, grown to the largest such read (at most quadrature._TRAP_CHUNK
+    nodes) and kept across reads: a buffer allocated per read is freed at
+    the end of each integral, glibc trims it off the heap, and the next
+    integral faults its pages back in."""
+    if len(_GATHER[0]) < n:
+        _GATHER[0] = np.empty(n, dtype=complex)
+    return _GATHER[0][:n]
 
 
 def line_integrand(factors, mp: ModularParameter, tol: float = 1e-13,

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import k1
 
-from shapedtqft import quadrature, tqft
-from shapedtqft.errors import DecayEstimateFailure, QuadratureFailure
+from shapedtqft import quadrature, special, tqft
+from shapedtqft.errors import DecayEstimateFailure, OutsideHull, QuadratureFailure
 from shapedtqft.identities import check_hyperbolic_pentagon, random_balanced_33
 from shapedtqft.params import ModularParameter
 from shapedtqft.quadrature import QuadratureConfig, integrate_1d, integrate_nd
@@ -384,6 +384,134 @@ def test_kept_plans_stay_within_their_bound(monkeypatch):
     assert any(b < a for a, b in zip(sizes, sizes[1:]))    # cleared at least once
     streamed = {key for key, n in counts if n > 1}
     assert streamed and not streamed & set(quadrature._PLANS)
+
+
+def test_level_chunks_keep_only_non_empty_selectors():
+    # fig8's three levels at criterion 8 (half lattice): of the 2 x dim
+    # selectors of each block only the non-empty ones are kept, 8 of 18 on
+    # the later levels and 6 of 12 on the first, each with its axis and sign
+    for kmax, first, kept in (((4, 4, 6), True, 6), ((9, 9, 12), False, 8),
+                              ((19, 19, 24), False, 8)):
+        (kt, blocks), = quadrature._level_chunks(np.array(kmax), first, half=True)
+        edge = np.array(kmax) - (np.array(kmax) % 2 == 0)
+        pos, count = 0, 0
+        for (r, width), rows_at, (last, cols_at) in blocks:
+            rows = kt[:, pos:pos + r * width].reshape(len(kmax), r, width)
+            pos += r * width
+            assert last == len(kmax) - 1
+            for j, s, at in rows_at:
+                assert len(at) and (rows[j, at] == (1, -1)[s] * edge[j]).all()
+            for s, at in cols_at:
+                assert len(at) and (rows[last][:, at] == (1, -1)[s] * edge[last]).all()
+            count += len(rows_at) + len(cols_at)
+        assert count == kept
+
+
+def _fresh_plans(monkeypatch):
+    monkeypatch.setattr(quadrature, "_PLANS", {})
+    monkeypatch.setattr(quadrature, "_PRODUCTS", {})
+
+
+def _kept_plan(kmax, first, half):
+    """The plan of one level, enumerated and then read back from _PLANS."""
+    for _ in range(2):
+        (kt, _blocks), = quadrature._level_plan(np.array(kmax), first, half)
+    key = (tuple(kmax), first, half, quadrature._TRAP_CHUNK)
+    assert quadrature._PLANS[key][0] is kt
+    return key, kt
+
+
+def test_memo_reads_equal_plain_reads_on_fig8_plans(monkeypatch, fig8):
+    # every plan criterion 8's fig8 integral keeps, read through its
+    # integrand's lattice form at the plan's own box: the transpose of the
+    # kept nodes takes the memo, a copy of it forms the indices from its
+    # columns, and the values are the same to the bit
+    x, angles = fig8
+    cfg = QuadratureConfig(abs_tol=2e-5, rel_tol=2e-5, phib_tol=1e-11)
+    _fresh_plans(monkeypatch)
+    seen, integrate = [], quadrature.integrate_nd
+    monkeypatch.setattr(tqft, "integrate_nd", lambda f, dim, cfg: seen.append(f) or integrate(f, dim, cfg))
+    partition_function(x, angles, cfg=cfg)
+    assert len(quadrature._PLANS) >= 3
+    for key, (kt, _blocks) in quadrature._PLANS.items():
+        kmax = np.array(key[0])
+        read = seen[0].lattice(0.2, quadrature._box_corners(-kmax, kmax))
+        memo = read(kt.T)
+        assert len(quadrature._PRODUCTS[key][1]) == 5      # the five rows with a form
+        assert np.array_equal(memo, read(np.array(kt.T)))
+        assert np.array_equal(read(kt.T), memo)             # the memo read back
+
+
+@pytest.mark.parametrize("kmax, first, half", [((40,), False, True), ((6, 5), True, False)])
+def test_memo_reads_equal_plain_reads_on_line_factors(monkeypatch, mp1, kmax, first, half):
+    # a Phi_b factor and a gamma2 factor with a complex offset (no mirror):
+    # on the 1D half plan (nodes 1, 3, ..., 39) every span excludes 0, so
+    # each table starts past it (first > 0); on the 2D plan the spans
+    # straddle 0; read on a hull of the plan's own nodes, the memo read
+    # equals the plain read to the bit
+    _fresh_plans(monkeypatch)
+    key, kt = _kept_plan(kmax, first, half)
+    forms = [(1,) * len(kmax), (2,) + (-1,) * (len(kmax) - 1)]
+    tables = special.LineTables(mp1)
+    f = special.line_integrand([("phi", 0.3, forms[0], 1.0), ("g2", 0.4 + 0.3j, forms[1], 1.0)],
+                               mp1, tables=tables)
+    read = f.lattice(0.1, kt.T)
+    memo = read(kt.T)
+    assert sorted(quadrature._PRODUCTS[key][1]) == sorted(forms)
+    assert np.array_equal(memo, read(np.array(kt.T)))
+    kept = memo.copy()
+    again = read(kt.T)      # reads share a gather buffer, never a result
+    assert not np.shares_memory(again, memo)
+    assert np.array_equal(memo, kept) and np.array_equal(again, kept)
+    firsts = [first for first, *_rest in tables._kept.values()]
+    assert min(firsts) > 0 if half else max(firsts) < 0
+    assert np.abs(memo / f(kt.T * 0.1) - 1).max() < 1e-12
+
+
+def test_kept_products_only_for_the_whole_transpose(monkeypatch):
+    # other views of a kept plan's nodes share its base, but a slice or a
+    # strided view is not the node set the memo was filled on: the reader
+    # forms their indices itself
+    _fresh_plans(monkeypatch)
+    _key, kt = _kept_plan((6, 5), True, False)
+    assert quadrature.kept_products(kt.T, [(1, 1)]) is not None
+    for view in (kt.T[:5], kt[:, ::2].T):
+        assert view.base is kt and quadrature.kept_products(view, [(1, 1)]) is None
+    assert quadrature.kept_products(np.array(kt.T), [(1, 1)]) is None
+
+
+def test_memo_read_past_the_prepared_span_raises(monkeypatch, mp1):
+    # a reader prepared on the hull |k| <= 5 asked for the kept nodes
+    # |k| <= 40: its table spans -5..5, so gathering at the memo would pick
+    # wrong entries; the memo's min and max show it, and the read refuses
+    _fresh_plans(monkeypatch)
+    _key, kt = _kept_plan((40,), True, False)
+    f = special.line_integrand([("phi", 0.3, 1, 1.0)], mp1)
+    read = f.lattice(0.1, [[-5], [5]])
+    with pytest.raises(OutsideHull, match="-40..40 leave the span -5..5"):
+        read(kt.T)
+
+
+def test_memoised_products_count_against_the_plan_bound(monkeypatch):
+    # under a bound with room for one product of a kept 1D plan the first
+    # form is memoised and the second computed but not kept; the kept bytes
+    # count the memo, and a plan insert past the bound clears plans and
+    # memos together
+    _fresh_plans(monkeypatch)
+    key, kt = _kept_plan((40,), True, False)
+    plan_bytes = quadrature._kept_bytes()
+    monkeypatch.setattr(quadrature, "_PLAN_BYTES", plan_bytes + kt.nbytes)
+    (m1, lo1, hi1), (m2, lo2, hi2) = quadrature.kept_products(kt.T, [(1,), (-2,)])
+    assert (lo1, hi1, lo2, hi2) == (-40, 40, -80, 80)
+    assert np.array_equal(m1 + lo1, kt[0]) and np.array_equal(m2 + lo2, -2 * kt[0])
+    assert list(quadrature._PRODUCTS[key][1]) == [(1,)]
+    assert quadrature._kept_bytes() == plan_bytes + kt.nbytes
+    with pytest.raises(ValueError, match="read-only"):
+        m1[0] = 0
+    _kept_plan((41,), True, False)
+    assert set(quadrature._PLANS) == {((41,), True, False, quadrature._TRAP_CHUNK)}
+    assert key not in quadrature._PRODUCTS
+    assert quadrature.kept_products(kt.T, [(1,)]) is None      # no longer kept
 
 
 def test_trapezoid_refuses_unattainable_tolerance():

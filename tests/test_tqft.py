@@ -336,6 +336,34 @@ def test_fig8_tables_fill_once_for_all_levels_and_half_of_real_offsets(fig8, mp1
     assert filled and all(m >= 0 for _z0, _h, m in filled)
 
 
+def test_weight_wrapped_with_one_states_argument_reads_alike(fig8, monkeypatch):
+    # a wrapper (self, states), the form in which a tracer counts the states
+    # of each weight call, must see the lattice reader's whole call: the
+    # criterion 8 integral through it, cold and then over kept plans and
+    # their memoised products, is bit-identical to the unwrapped one
+    x, angles = fig8
+    monkeypatch.setattr(quadrature, "_PLANS", {})
+    monkeypatch.setattr(quadrature, "_PRODUCTS", {})
+    plain = partition_function(x, angles, cfg=CRITERION8_CFG)
+    weight, counted = BoltzmannEvaluator.weight, []
+
+    def wrapped(self, states):
+        counted.append(np.atleast_2d(states).shape[0])
+        return weight(self, states)
+    monkeypatch.setattr(BoltzmannEvaluator, "weight", wrapped)
+    for plans in ({}, None):
+        if plans is not None:       # cold: enumerate and memoise under the wrapper
+            monkeypatch.setattr(quadrature, "_PLANS", plans)
+            monkeypatch.setattr(quadrature, "_PRODUCTS", {})
+        del counted[:]
+        res = partition_function(x, angles, cfg=CRITERION8_CFG)
+        assert res == plain and res.value.real.hex() == plain.value.real.hex()
+        assert res.value.imag.hex() == plain.value.imag.hex()
+        assert res.error_estimate.hex() == plain.error_estimate.hex()
+        assert sum(counted) == res.evaluations + 42     # 42 box probes
+    assert quadrature._PRODUCTS and all(memo for _k, memo in quadrature._PRODUCTS.values())
+
+
 def test_orientation_flip_conjugates_weight(fig8, mp1):
     from shapedtqft.complexes import Gluing, build_complex
     x, angles = fig8
